@@ -13,9 +13,8 @@ from .contextuality import (ContextualityReport, CosetLabeling,
 from .dessins import (Dessin, ModularData, Passport, RoleMismatch, Signature,
                       dessin_from_table, modular_data, passport, signature)
 from .geometry import (GraphStats, IncidenceGeometry, PairClass, PolygonCheck,
-                       all_geometries, geometry_from_class,
-                       incidence_graph_stats, maximal_cliques, pair_classes,
-                       polygon_check, recognize)
+                       geometry_from_class, incidence_graph_stats,
+                       maximal_cliques, pair_classes, polygon_check, recognize)
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
 from .perms import (Fingerprint, PermGroup, Permutation, fingerprint,
                     identify, parse_cycles, simultaneously_conjugate)

@@ -19,7 +19,9 @@ from .contextuality import to_dot as contextuality_dot
 from .dessins import (RoleMismatch, dessin_from_table, modular_data, passport,
                       signature)
 from .dessins import to_dot as dessin_dot
-from .geometry import (geometry_from_class, incidence_graph_stats,
+# incidence_graph_stats is unused here since geometries cache their stats;
+# perfbench/selftest.py checks that the tracer rebinds cli's binding of it
+from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
                        pair_classes, polygon_check, recognize)
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
 from .perms import PermGroup, identify, simultaneously_conjugate
@@ -32,6 +34,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 DEFAULT_MAX_COSETS = 10 ** 6
+
+
+class UsageError(Exception):
+    """Bad arguments or input files; main() prints it and exits 2."""
 
 
 def _die_budget(exc):
@@ -81,7 +87,13 @@ def _subgroup_record(table):
     }
 
 
+def _check_index(flag, value):
+    if value < 1:
+        raise UsageError("%s must be >= 1" % flag)
+
+
 def cmd_subgroups(args):
+    _check_index("--max-index", args.max_index)
     entry = census_entry(args.id)
     try:
         tables = low_index_subgroups(entry.presentation, args.max_index,
@@ -95,15 +107,27 @@ def cmd_subgroups(args):
 # -- analyze --------------------------------------------------------------
 
 def _load_certificate(path, presentation):
-    with open(path) as fh:
-        data = json.load(fh)
-    words = tuple(parse_word(w) for w in data["subgroup_words"])
-    return SubgroupSpec(presentation, words), data
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or "subgroup_words" not in data:
+            raise ValueError("no subgroup_words list")
+        words = tuple(parse_word(w) for w in data["subgroup_words"])
+    except (OSError, ValueError, TypeError) as exc:
+        raise UsageError("bad certificate %s: %s" % (path, exc)) from None
+    return SubgroupSpec(presentation, words)
+
+
+def _check_class(cls, count):
+    """The 0-based index of the 1-based --class, or a UsageError."""
+    if not 1 <= cls <= count:
+        raise UsageError("no pair class %d (%d classes)" % (cls, count))
+    return cls - 1
 
 
 def _find_table(entry, args):
     if args.certificate:
-        spec, data = _load_certificate(args.certificate, entry.presentation)
+        spec = _load_certificate(args.certificate, entry.presentation)
         table = todd_coxeter(spec, max_cosets=args.max_cosets)
         if table.n != args.index:
             raise SystemExit(
@@ -151,7 +175,7 @@ def analyze_table(table, mode=DEFAULT_MODE):
         break
     for cls in pair_classes(group):
         geom = geometry_from_class(group, cls.pairs)
-        stats = incidence_graph_stats(geom)
+        stats = geom.stats
         poly = polygon_check(geom)
         ctx = contextuality_report(labeling_from_table(table, geom), mode)
         report["classes"].append({
@@ -175,6 +199,7 @@ def analyze_table(table, mode=DEFAULT_MODE):
 
 
 def cmd_analyze(args):
+    _check_index("--index", args.index)
     entry = census_entry(args.id)
     try:
         table = _find_table(entry, args)
@@ -184,18 +209,16 @@ def cmd_analyze(args):
         px, py = table.perm_rep()
         group = PermGroup([px, py], degree=table.n)
         classes = pair_classes(group)
-        which = args.cls - 1 if args.cls else 0
-        if not (0 <= which < len(classes)):
-            raise SystemExit("no pair class %d" % args.cls)
+        which = 0 if args.cls is None else _check_class(args.cls,
+                                                        len(classes))
         geom = geometry_from_class(group, classes[which].pairs)
         print(contextuality_dot(labeling_from_table(table, geom), args.mode))
         print(dessin_dot(dessin_from_table(table)))
         return EXIT_OK
     report = analyze_table(table, mode=args.mode)
-    if args.cls:
-        if not (1 <= args.cls <= len(report["classes"])):
-            raise SystemExit("no pair class %d" % args.cls)
-        report["classes"] = [report["classes"][args.cls - 1]]
+    if args.cls is not None:
+        which = _check_class(args.cls, len(report["classes"]))
+        report["classes"] = [report["classes"][which]]
     _emit(report, args.json)
     return EXIT_OK
 
@@ -204,6 +227,7 @@ def cmd_analyze(args):
 
 def cmd_discover(args):
     import os
+    _check_index("--index", args.index)
     entry = census_entry(args.id)
     try:
         tables = [t for t in low_index_subgroups(
@@ -409,7 +433,6 @@ def build_parser():
     s.add_argument("id")
     s.add_argument("--max-index", type=int, required=True)
     s.add_argument("--node-budget", type=int, default=None)
-    s.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     s.add_argument("--json", metavar="PATH")
     s.set_defaults(func=cmd_subgroups)
 
@@ -425,8 +448,6 @@ def build_parser():
     a.add_argument("--certificate", metavar="PATH")
     a.add_argument("--node-budget", type=int, default=None)
     a.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    a.add_argument("--seed", type=int, default=None,
-                   help="seed for sampled fingerprints (fixed default)")
     a.add_argument("--json", metavar="PATH")
     a.set_defaults(func=cmd_analyze)
 
@@ -449,7 +470,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownId as exc:
+    except (UnknownId, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (CosetLimitExceeded, SearchBudgetExceeded) as exc:

@@ -4,30 +4,74 @@ Unordered point pairs are partitioned by the fingerprint of their
 two-point stabilizer; each class is an edge set on the points and yields
 a line system.  On a complete class graph the lines are the fixed-point
 sets of the two-point stabilizers (falling back to the edges themselves
-when those stabilizers are trivial); otherwise they are the maximum-size
-maximal cliques of the class graph (Bron-Kerbosch with pivoting).  Both
-branches are checked against the named line systems they must reproduce.
+when those stabilizers are trivial); one stabilizer is computed per orbit
+of the group on the pairs and carried to the rest of the orbit by the
+generators.  Otherwise the lines are the maximum-size maximal cliques of
+the class graph (Bron-Kerbosch with pivoting).  Both branches are checked
+against the named line systems they must reproduce.
 
-Incidence statistics (diameter, girth, valency multisets) feed the
-generalized-polygon test and a parameter table naming the geometries
-that occur in the census.
+A geometry carries the point permutations that preserve it (its
+``symmetry``: the generators of the group it was built from).
+Incidence statistics (diameter, girth, valency multisets) are computed
+once per geometry, by breadth-first search from one representative of
+each orbit of the symmetry on points and on lines: eccentricity and the
+shortest cycle through a vertex are invariant under automorphisms.  They
+feed the generalized-polygon test and a parameter table naming the
+geometries that occur in the census.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .perms import PermGroup, Fingerprint
 
 
+def _image(perm, points):
+    """The sorted image of a point tuple (a pair, a line, a fixed set)."""
+    return tuple(sorted(perm.images[p] for p in points))
+
+
+def _orbit(seed, gens, image):
+    """The orbit of seed under <gens>, acting by image(gen, x)."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for gen in gens:
+            y = image(gen, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _orbits(items, gens, image):
+    """(least element, orbit) for each orbit of <gens> on items."""
+    seen = set()
+    out = []
+    for seed in sorted(items):
+        if seed not in seen:
+            orbit = _orbit(seed, gens, image)
+            seen |= orbit
+            out.append((seed, orbit))
+    return out
+
+
 @dataclass(frozen=True)
 class IncidenceGeometry:
-    """Points 0..n-1 and lines as sorted point tuples."""
+    """Points 0..n-1 and lines as sorted point tuples.
+
+    symmetry holds point permutations that map the line set onto itself
+    (generators of a group of automorphisms); it only speeds up stats.
+    """
 
     n: int
     lines: tuple
+    symmetry: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -41,9 +85,29 @@ class IncidenceGeometry:
             if line in seen:
                 raise ValueError("duplicate line")
             seen.add(line)
-        for a, b in combinations(self.lines, 2):
-            if set(a) <= set(b) or set(b) <= set(a):
+        # a line lies in another iff its points share a second line
+        incident = [set(ls) for ls in self.point_lines]
+        for line in self.lines:
+            if len(set.intersection(*(incident[p] for p in line))) > 1:
                 raise ValueError("one line contains another")
+        for perm in self.symmetry:
+            if perm.degree != self.n or any(
+                    _image(perm, line) not in seen for line in self.lines):
+                raise ValueError("symmetry does not preserve the lines")
+
+    @cached_property
+    def point_lines(self):
+        """For each point, the indices of the lines through it."""
+        out = [[] for _ in range(self.n)]
+        for li, line in enumerate(self.lines):
+            for p in line:
+                out[p].append(li)
+        return tuple(tuple(ls) for ls in out)
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        """incidence_graph_stats of this geometry, computed once."""
+        return incidence_graph_stats(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,22 +148,10 @@ def pair_classes(g: PermGroup):
     """Pair classes sorted by (stabilizer order desc, class size asc)."""
     if not g.is_transitive():
         raise ValueError("group must be transitive")
-    n = g.degree
     # orbits of the group on unordered pairs, then merge by fingerprint
-    remaining = set(combinations(range(n), 2))
     by_fp = {}
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            p, q = frontier.pop()
-            for gen in g.generators:
-                img = tuple(sorted((gen(p), gen(q))))
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
+    for seed, orbit in _orbits(combinations(range(g.degree), 2),
+                               g.generators, _image):
         fp = g.two_point_stabilizer(*seed).fingerprint()
         by_fp.setdefault(fp, set()).update(orbit)
     classes = [
@@ -134,7 +186,7 @@ def maximal_cliques(n, edges):
 
 
 def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
-    """Line system of one pair class.
+    """Line system of one pair class, with g's generators as symmetry.
 
     Complete class graph: lines are the fixed-point sets of the two-point
     stabilizers (the pairs themselves when the stabilizers are trivial).
@@ -145,86 +197,87 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
         raise ValueError("empty pair class")
     n = g.degree
     if len(pairs) == n * (n - 1) // 2:
-        stab = g.two_point_stabilizer(*pairs[0])
-        if stab.order() == 1:
-            lines = pairs
-        else:
-            lines = set()
-            for p, q in pairs:
-                fix = tuple(sorted(
-                    set.intersection(*(set(e.fixed_points())
-                                       for e in stab_of(g, p, q)))))
-                lines.add(fix)
-            lines = tuple(sorted(lines))
+        lines = _fixed_point_lines(g, pairs)
     else:
         cliques = maximal_cliques(n, pairs)
         top = max(len(c) for c in cliques)
         lines = tuple(c for c in cliques if len(c) == top)
-    return IncidenceGeometry(n=n, lines=lines)
+    return IncidenceGeometry(n=n, lines=lines, symmetry=g.generators)
 
 
-def stab_of(g, p, q):
-    """Generators of the two-point stabilizer, identity if trivial."""
-    stab = g.two_point_stabilizer(p, q)
-    if stab.generators:
-        return stab.generators
-    from .perms import Permutation
-    return (Permutation.identity(g.degree),)
+def _fixed_point_lines(g: PermGroup, pairs):
+    """The sets Fix(Stab(p,q)), one stabilizer per orbit on the pairs.
+
+    An element h maps Fix(Stab(p,q)) onto Fix(Stab(hp,hq)), so each
+    orbit's sets follow from its least pair by the generators.  The pairs
+    are returned as lines when the stabilizers are trivial.
+    """
+    lines = set()
+    done = set()
+    for seed in pairs:
+        if seed in done:
+            continue
+        stab = g.two_point_stabilizer(*seed).generators
+        if not stab:
+            return pairs
+        fix = tuple(x for x in range(g.degree)
+                    if all(h.images[x] == x for h in stab))
+        orbit = _orbit((seed, fix), g.generators,
+                       lambda h, pf: (_image(h, pf[0]), _image(h, pf[1])))
+        done.update(pair for pair, _ in orbit)
+        lines.update(f for _, f in orbit)
+    return tuple(sorted(lines))
 
 
-def all_geometries(g: PermGroup):
-    """(PairClass, IncidenceGeometry) for every pair class of the group."""
-    return [(c, geometry_from_class(g, c.pairs)) for c in pair_classes(g)]
+def _bfs(adj, start):
+    """(vertices reached, eccentricity, shortest cycle seen or None)."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[start] = 0
+    queue = [start]
+    girth = None
+    for u in queue:
+        du = dist[u]
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du + 1
+                parent[v] = u
+                queue.append(v)
+            elif parent[u] != v and dist[v] >= du:
+                cyc = du + dist[v] + 1
+                if girth is None or cyc < girth:
+                    girth = cyc
+    return len(queue), dist[queue[-1]], girth
 
 
 def incidence_graph_stats(geom: IncidenceGeometry) -> GraphStats:
-    n = geom.n
-    adj = {i: set() for i in range(n + len(geom.lines))}
-    for li, line in enumerate(geom.lines):
-        for p in line:
-            adj[p].add(n + li)
-            adj[n + li].add(p)
+    """Stats of the point-line incidence graph.
 
-    def bfs(start):
-        dist = {start: 0}
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
+    Breadth-first search runs from one representative of each orbit of
+    geom.symmetry on points and on lines (from every vertex when the
+    symmetry is empty).  Each search from a vertex on a shortest cycle
+    finds that cycle, and automorphisms preserve eccentricities.
+    """
+    n = geom.n
+    index = {line: n + li for li, line in enumerate(geom.lines)}
+    adj = [[n + li for li in ls] for ls in geom.point_lines]
+    adj += [list(line) for line in geom.lines]
+    sym = geom.symmetry
+    starts = [p for p, _ in _orbits(range(n), sym, lambda h, p: h.images[p])]
+    starts += [index[line] for line, _ in _orbits(geom.lines, sym, _image)]
 
     connected = True
     diameter = 0
-    for s in adj:
-        dist = bfs(s)
-        if len(dist) < len(adj):
-            connected = False
-        diameter = max(diameter, max(dist.values(), default=0))
-
     girth = None
-    for s in adj:
-        dist = {s: 0}
-        parent = {s: None}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    q.append(v)
-                elif parent[u] != v and dist[v] >= dist[u]:
-                    cyc = dist[u] + dist[v] + 1
-                    if girth is None or cyc < girth:
-                        girth = cyc
+    for s in starts:
+        reached, ecc, cyc = _bfs(adj, s)
+        connected = connected and reached == len(adj)
+        diameter = max(diameter, ecc)
+        if cyc is not None and (girth is None or cyc < girth):
+            girth = cyc
 
     ppl = Counter(len(line) for line in geom.lines)
-    lpp = Counter()
-    for p in range(n):
-        lpp[sum(1 for line in geom.lines if p in line)] += 1
+    lpp = Counter(len(ls) for ls in geom.point_lines)
     return GraphStats(
         connected=connected,
         diameter=diameter,
@@ -238,7 +291,7 @@ FEIT_HIGMAN = frozenset({2, 3, 4, 6, 8})
 
 
 def polygon_check(geom: IncidenceGeometry) -> PolygonCheck:
-    stats = incidence_graph_stats(geom)
+    stats = geom.stats
     regular = (len(stats.points_per_line) == 1
                and len(stats.lines_per_point) == 1)
     if not regular or not stats.connected:
@@ -277,7 +330,7 @@ RECOGNITION_TABLE = (
 
 def recognize(geom: IncidenceGeometry):
     """Name from the parameter table, or None."""
-    stats = incidence_graph_stats(geom)
+    stats = geom.stats
     key = (geom.n, len(geom.lines), stats.points_per_line,
            stats.lines_per_point, stats.diameter, stats.girth)
     for name, *params in RECOGNITION_TABLE:

@@ -278,16 +278,18 @@ class PermGroup:
     def random_elements(self, count, seed=SAMPLE_SEED):
         """Uniform random elements via the stabilizer-chain transversals."""
         self._sym.schreier_sims()
-        transversals = self._sym.basic_transversals
+        # per level: the sorted orbit points drawn from, and their images
+        levels = [(sorted(tr), {k: _pad(t.array_form, self.degree)
+                                for k, t in tr.items()})
+                  for tr in self._sym.basic_transversals]
         rng = random.Random(seed)
-        ident = _SymPerm(list(range(self.degree)))
+        ident = tuple(range(self.degree))
         out = []
         for _ in range(count):
             e = ident
-            for tr in transversals:
-                key = rng.choice(sorted(tr))
-                e = tr[key] * e
-            out.append(Permutation(_pad(e.array_form, self.degree)))
+            for keys, images in levels:
+                e = tuple([e[i] for i in images[rng.choice(keys)]])
+            out.append(Permutation(e))
         return out
 
     def derived_index(self) -> int:

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -98,3 +99,56 @@ def test_analyze_deterministic(capsys):
     _, a = run(capsys, "analyze", "k19", "--index", "9", "--which", "3")
     _, b = run(capsys, "analyze", "k19", "--index", "9", "--which", "3")
     assert a == b
+
+
+K5_CERT = str(resources.files("cosetgeom").joinpath(
+    "data", "certificates", "k5", "45-1.json"))
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a run that must fail with one line."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
+def test_analyze_class_zero_is_usage_error(capsys):
+    assert usage_error(capsys, "analyze", "k5", "--index", "45",
+                       "--certificate", K5_CERT, "--class", "0") == EXIT_USAGE
+
+
+def test_analyze_class_out_of_range_is_usage_error(capsys):
+    assert usage_error(capsys, "analyze", "k5", "--index", "45",
+                       "--certificate", K5_CERT, "--class", "4") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("subgroups", "k4", "--max-index", "0"),
+    ("analyze", "k4", "--index", "0"),
+    ("discover", "k4", "--index", "0"),
+])
+def test_index_zero_is_usage_error(capsys, argv):
+    assert usage_error(capsys, *argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", [
+    '{"id": "k4", "index": 4}',                 # no subgroup_words
+    "not json",
+    '{"subgroup_words": ["x*"]}',               # unparsable word
+])
+def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert usage_error(capsys, "analyze", "k4", "--index", "4",
+                       "--certificate", str(path)) == EXIT_USAGE
+
+
+def test_dead_flags_removed():
+    from cosetgeom.cli import build_parser
+    for argv in (["analyze", "k4", "--index", "4", "--seed", "1"],
+                 ["subgroups", "k4", "--max-index", "4",
+                  "--max-cosets", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == EXIT_USAGE

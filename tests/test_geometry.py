@@ -7,7 +7,7 @@ from cosetgeom.geometry import (IncidenceGeometry, geometry_from_class,
                                 incidence_graph_stats, maximal_cliques,
                                 pair_classes, polygon_check, recognize)
 from cosetgeom.geometry import collinearity_dot, incidence_dot
-from cosetgeom.perms import PermGroup, parse_cycles
+from cosetgeom.perms import PermGroup, Permutation, parse_cycles
 
 
 def test_incidence_geometry_validation():
@@ -164,3 +164,68 @@ def test_exports():
     assert geom.to_json_dict() == {"points": 3, "lines": [[1, 2], [2, 3]]}
     assert collinearity_dot(geom).startswith("graph collinearity {")
     assert "p1 -- L1" in incidence_dot(geom)
+
+
+@pytest.fixture(scope="module")
+def census_groups(k1_to_10, k4_to_9):
+    """Groups of k1 <= 10, k4 <= 9 and the bundled k1@21 and k5@45."""
+    from cosetgeom.cli import bundled_certificate
+    from cosetgeom.toddcox import todd_coxeter
+    tables = list(k1_to_10) + list(k4_to_9) + [
+        todd_coxeter(bundled_certificate(cid, n))
+        for cid, n in (("k1", 21), ("k5", 45))]
+    return [group_of(t) for t in tables if t.n >= 3]
+
+
+def test_stats_from_orbit_representatives(census_groups):
+    for g in census_groups:
+        for cls in pair_classes(g):
+            geom = geometry_from_class(g, cls.pairs)
+            assert geom.symmetry == g.generators
+            plain = IncidenceGeometry(geom.n, geom.lines)
+            assert incidence_graph_stats(geom) == incidence_graph_stats(plain)
+
+
+def test_fixed_point_lines_from_pair_orbits(census_groups):
+    complete = 0
+    for g in census_groups:
+        n = g.degree
+        for cls in pair_classes(g):
+            if len(cls.pairs) != n * (n - 1) // 2:
+                continue
+            expected = set()
+            for p, q in cls.pairs:
+                stab = g.two_point_stabilizer(p, q)
+                if stab.order() == 1:
+                    expected.add((p, q))
+                else:
+                    expected.add(tuple(x for x in range(n) if all(
+                        h(x) == x for h in stab.generators)))
+            lines = geometry_from_class(g, cls.pairs).lines
+            assert lines == tuple(sorted(expected))
+            complete += cls.stab_order > 1
+    assert complete > 0
+
+
+def test_symmetry_must_preserve_lines():
+    square = ((0, 1), (0, 3), (1, 2), (2, 3))
+    rotation = Permutation((1, 2, 3, 0))
+    geom = IncidenceGeometry(4, square, symmetry=(rotation,))
+    assert geom == IncidenceGeometry(4, square)
+    with pytest.raises(ValueError):
+        IncidenceGeometry(4, ((0, 1), (2, 3)), symmetry=(rotation,))
+    with pytest.raises(ValueError):
+        IncidenceGeometry(4, square, symmetry=(Permutation((1, 2, 0)),))
+    with pytest.raises(ValueError):
+        IncidenceGeometry(4, ((0, 1, 2, 3), (1, 3)))
+
+
+def test_analyze_table_computes_stats_once_per_class(monkeypatch, k19_to_9):
+    from cosetgeom import cli, geometry
+    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
+    calls = []
+    stats = geometry.incidence_graph_stats
+    monkeypatch.setattr(geometry, "incidence_graph_stats",
+                        lambda geom: calls.append(geom) or stats(geom))
+    report = cli.analyze_table(t)
+    assert len(calls) == len(report["classes"]) == 2
