@@ -8,12 +8,15 @@ groups g1, g2 and their distinguished finite-index subgroups h1, h2.
 The arithmetic metadata (p, q, d, gamma, covolume) is reference data
 only; nothing here computes traces or covolumes.  known_results records
 the verified subgroup counts at each index; where a published count
-differs from the verified one, both are kept.
+differs from the verified one, both are kept.  These records are the
+claims ``cosetgeom reproduce`` checks: a class passes the geometry
+filter when the named geometry is among the names ``recognize`` gives
+its pair classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .words import Presentation, SubgroupSpec, parse_presentation, parse_word
 
@@ -27,9 +30,15 @@ class KnownResult:
     """A verified enumeration fact at one index.
 
     count is the number of conjugacy classes at the index that satisfy
-    the filter (order and/or geometry); raw_count is the total number of
-    classes at the index when the filter is proper; published_count is
-    kept when a published table states a different number.
+    the filter (image order and/or a geometry among the recognized names
+    of its pair classes); raw_count is the total number of classes at
+    the index when the filter is proper; published_count is kept when a
+    published table states a different number.  The remaining fields
+    hold published data about the counted classes: generator pairs
+    (x, y) in 1-based cycle notation, each the action of some counted
+    class up to simultaneous relabeling, and the passport, signature
+    (B, W, F, g) and modular data (nu2, nu3, c, f) of every counted
+    class's dessin.
     """
 
     index: int
@@ -38,6 +47,10 @@ class KnownResult:
     geometry: str | None = None
     raw_count: int | None = None
     published_count: int | None = None
+    pairs: tuple = ()
+    passport: str | None = None
+    signature: tuple | None = None
+    modular_data: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -68,12 +81,8 @@ class CensusEntry:
             "covolume": self.covolume,
             "geometries": self.geometries,
             "known_results": [
-                {k: v for k, v in (
-                    ("index", r.index), ("count", r.count),
-                    ("order", r.order), ("geometry", r.geometry),
-                    ("raw_count", r.raw_count),
-                    ("published_count", r.published_count),
-                ) if v is not None}
+                {f.name: getattr(r, f.name) for f in fields(r)
+                 if getattr(r, f.name) not in (None, ())}
                 for r in self.known_results
             ],
             "subgroups": {n: [str(g) for g in s.generators]
@@ -100,9 +109,11 @@ _ENTRIES = (
             KnownResult(index=6, count=4, published_count=5),
             KnownResult(index=7, count=2, order=168, geometry="Fano plane"),
             KnownResult(index=10, count=1, order=60,
-                        geometry="Mermin pentagram", raw_count=2),
+                        geometry="Mermin pentagram", raw_count=2,
+                        signature=(4, 6, 2, 0), modular_data=(1, 2, 2, 4)),
             KnownResult(index=21, count=1, order=336, geometry="GH(2,1)",
-                        raw_count=10),
+                        raw_count=10,
+                        passport="[3^7, 2^9 1^3, 8^2 4^1 1^1]"),
         ),
     ),
     _entry(
@@ -117,7 +128,11 @@ _ENTRIES = (
         p=2, q=4, d=1, gamma="-1+i", covolume="0.45798",
         geometries="Hesse, Petersen",
         known_results=(
-            KnownResult(index=4, count=4, raw_count=7),
+            KnownResult(index=4, count=4, order=8, raw_count=7,
+                        pairs=(("(2,3)", "(1,2)(3,4)"),
+                               ("(1,2)(3,4)", "(2,3)"),
+                               ("(1,2,4,3)", "(1,2)(3,4)"),
+                               ("(1,2,4,3)", "(2,3)"))),
             KnownResult(index=9, count=2, order=144,
                         geometry="Hesse configuration"),
             KnownResult(index=10, count=2, order=120,

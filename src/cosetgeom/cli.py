@@ -24,7 +24,8 @@ from .dessins import to_dot as dessin_dot
 from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
                        pair_classes, polygon_check, recognize)
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
-from .perms import PermGroup, identify, simultaneously_conjugate
+from .perms import (PermGroup, identify, parse_cycles,
+                    simultaneously_conjugate)
 from .toddcox import CosetLimitExceeded, todd_coxeter
 from .words import SubgroupSpec, parse_word
 
@@ -34,6 +35,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 DEFAULT_MAX_COSETS = 10 ** 6
+# the coset cap of every reproduce replay; only a cap, since the
+# enumerator allocates rows as it defines cosets
+REPLAY_MAX_COSETS = 4 * 10 ** 6
 
 
 class UsageError(Exception):
@@ -67,10 +71,13 @@ def cmd_census(args):
 
 # -- subgroups ------------------------------------------------------------
 
+def _group(table):
+    return PermGroup(table.perm_rep(), degree=table.n)
+
+
 def _subgroup_record(table):
     px, py = table.perm_rep()
-    group = PermGroup([px, py], degree=table.n)
-    fp = group.fingerprint()
+    fp = _group(table).fingerprint()
     return {
         "index": table.n,
         "generators": {"x": str(px), "y": str(py)},
@@ -118,13 +125,6 @@ def _load_certificate(path, presentation):
     return SubgroupSpec(presentation, words)
 
 
-def _check_class(cls, count):
-    """The 0-based index of the 1-based --class, or a UsageError."""
-    if not 1 <= cls <= count:
-        raise UsageError("no pair class %d (%d classes)" % (cls, count))
-    return cls - 1
-
-
 def _find_table(entry, args):
     if args.certificate:
         spec = _load_certificate(args.certificate, entry.presentation)
@@ -138,42 +138,61 @@ def _find_table(entry, args):
         entry.presentation, args.index, node_budget=args.node_budget)
         if t.n == args.index]
     if not (1 <= args.which <= len(tables)):
-        raise SystemExit(
+        raise UsageError(
             "no subgroup (index=%d, which=%d); %d classes at that index"
             % (args.index, args.which, len(tables)))
     return tables[args.which - 1]
 
 
-def analyze_table(table, mode=DEFAULT_MODE):
-    """Full JSON-ready report for one subgroup's coset table."""
-    px, py = table.perm_rep()
-    group = PermGroup([px, py], degree=table.n)
-    fp = group.fingerprint()
+def _chosen_classes(group, cls=None):
+    """All pair classes, or only the 1-based class cls."""
+    classes = pair_classes(group)
+    if cls is None:
+        return classes
+    if not 1 <= cls <= len(classes):
+        raise UsageError("no pair class %d (%d classes)" % (cls, len(classes)))
+    return [classes[cls - 1]]
+
+
+def dessin_report(table):
+    """The dessin part of a report: passport, signature, modular data."""
     d = dessin_from_table(table)
     sig = signature(d)
     report = {
-        "index": table.n,
-        "order": fp.order,
-        "identified_as": identify(fp),
-        "dessin": {
-            "passport": str(passport(d)),
-            "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
-        },
-        "classes": [],
+        "passport": str(passport(d)),
+        "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
     }
     for role in ("black", "white"):
         try:
             md = modular_data(d, order2_role=role)
         except RoleMismatch:
             continue
-        report["dessin"]["modular_data"] = {
+        report["modular_data"] = {
             "order2_role": role, "nu2": md.nu2, "nu3": md.nu3,
             "c": md.c, "f": md.f,
             "fixed_points_order2": md.fixed_points_order2,
             "fixed_points_order3": md.fixed_points_order3,
         }
         break
-    for cls in pair_classes(group):
+    return report
+
+
+def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
+    """Full JSON-ready report for one subgroup's coset table.
+
+    only_class restricts the report to that 1-based pair class; the
+    other classes' geometries are never built.
+    """
+    group = _group(table)
+    fp = group.fingerprint()
+    report = {
+        "index": table.n,
+        "order": fp.order,
+        "identified_as": identify(fp),
+        "dessin": dessin_report(table),
+        "classes": [],
+    }
+    for cls in _chosen_classes(group, only_class):
         geom = geometry_from_class(group, cls.pairs)
         stats = geom.stats
         poly = polygon_check(geom)
@@ -206,20 +225,14 @@ def cmd_analyze(args):
     except (SearchBudgetExceeded, CosetLimitExceeded) as exc:
         return _die_budget(exc)
     if args.export == "dot":
-        px, py = table.perm_rep()
-        group = PermGroup([px, py], degree=table.n)
-        classes = pair_classes(group)
-        which = 0 if args.cls is None else _check_class(args.cls,
-                                                        len(classes))
-        geom = geometry_from_class(group, classes[which].pairs)
+        group = _group(table)
+        geom = geometry_from_class(group,
+                                   _chosen_classes(group, args.cls)[0].pairs)
         print(contextuality_dot(labeling_from_table(table, geom), args.mode))
         print(dessin_dot(dessin_from_table(table)))
         return EXIT_OK
-    report = analyze_table(table, mode=args.mode)
-    if args.cls is not None:
-        which = _check_class(args.cls, len(report["classes"]))
-        report["classes"] = [report["classes"][which]]
-    _emit(report, args.json)
+    _emit(analyze_table(table, mode=args.mode, only_class=args.cls),
+          args.json)
     return EXIT_OK
 
 
@@ -263,151 +276,100 @@ def bundled_certificate(id, index, which=1):
     return SubgroupSpec(pres, words)
 
 
-class _Harness:
-    def __init__(self):
-        self.checks = []
-
-    def check(self, claim_id, source, expected, thunk):
-        t0 = time.perf_counter()
-        try:
-            computed = thunk()
-        except Exception as exc:           # a crash is a failed check
-            computed = "error: %s" % exc
-        dt = time.perf_counter() - t0
-        ok = computed == expected
-        self.checks.append({
-            "claim": claim_id,
-            "source": source,
-            "expected": expected,
-            "computed": computed,
-            "pass": ok,
-            "runtime_s": round(dt, 3),
-        })
-        status = "ok  " if ok else "FAIL"
-        print("%s %-28s expected=%r computed=%r (%.2fs)"
-              % (status, claim_id, expected, computed, dt))
-
-    def report(self):
-        failed = sum(1 for c in self.checks if not c["pass"])
-        return {
-            "checks": self.checks,
-            "summary": {"total": len(self.checks), "failed": failed},
-        }
+def _dessin_claims(table):
+    """The dessin values a KnownResult can record, from dessin_report."""
+    report = dessin_report(table)
+    sig, md = report["signature"], report.get("modular_data")
+    return {"passport": report["passport"],
+            "signature": (sig["B"], sig["W"], sig["F"], sig["g"]),
+            "modular_data": md and (md["nu2"], md["nu3"], md["c"], md["f"])}
 
 
-def _order_of(table):
-    px, py = table.perm_rep()
-    return PermGroup([px, py], degree=table.n).order()
+def _compare(entry, r):
+    """(source, expected, computed) for one KnownResult.
+
+    The tables at r.index come from a bundled certificate, else the
+    entry's distinguished subgroups, else the low-index search.  The
+    count is of the tables of index r.index whose group has order
+    r.order and whose pair classes include the geometry r.geometry (each
+    filter only when set, and named in the count's key); the published
+    pairs and dessin values are checked on those counted tables.
+    """
+    try:
+        specs = (bundled_certificate(entry.id, r.index),)
+        source = "certificate"
+    except FileNotFoundError:
+        specs = tuple(spec for _, spec in entry.subgroups)
+        source = "subgroup" if specs else "search"
+    if specs:
+        tables = [todd_coxeter(s, max_cosets=REPLAY_MAX_COSETS)
+                  for s in specs]
+    else:
+        tables = [t for t in low_index_subgroups(entry.presentation, r.index)
+                  if t.n == r.index]
+    hits = []
+    for t in tables:
+        group = _group(t)
+        if (t.n == r.index
+                and (r.order is None or group.order() == r.order)
+                and (r.geometry is None or r.geometry in {
+                    recognize(geometry_from_class(group, c.pairs))
+                    for c in pair_classes(group)})):
+            hits.append(t)
+    filters = ["%s=%s" % (k, getattr(r, k)) for k in ("order", "geometry")
+               if getattr(r, k) is not None]
+    key = "count(%s)" % ", ".join(filters) if filters else "count"
+    expected, computed = {key: r.count}, {key: len(hits)}
+    if not specs:
+        expected["raw_count"] = r.count if r.raw_count is None else r.raw_count
+        computed["raw_count"] = len(tables)
+    if r.pairs:
+        expected["pairs"] = len(r.pairs)
+        computed["pairs"] = sum(
+            any(simultaneously_conjugate(
+                t.perm_rep(), tuple(parse_cycles(c, r.index) for c in pair))
+                for t in hits)
+            for pair in r.pairs)
+    keys = ("passport", "signature", "modular_data")
+    dessin = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
+    if dessin:
+        expected["dessin"] = [dessin] * r.count
+        computed["dessin"] = [{k: claims[k] for k in dessin}
+                              for claims in map(_dessin_claims, hits)]
+    return source, expected, computed
 
 
-def _recognized(table):
-    px, py = table.perm_rep()
-    group = PermGroup([px, py], degree=table.n)
-    return sorted({recognize(geometry_from_class(group, c.pairs))
-                   for c in pair_classes(group)} - {None})
+def _check(entry, r):
+    claim = "%s@%d" % (entry.id, r.index)
+    source = expected = None
+    t0 = time.perf_counter()
+    try:
+        source, expected, computed = _compare(entry, r)
+    except Exception as exc:           # a crash is a failed check
+        computed = "error: %s" % exc
+    dt = time.perf_counter() - t0
+    ok = computed == expected
+    print("%s %-8s %-11s expected=%r computed=%r (%.2fs)"
+          % ("ok  " if ok else "FAIL", claim, source, expected, computed, dt))
+    return {"claim": claim, "source": source, "expected": expected,
+            "computed": computed, "pass": ok, "runtime_s": round(dt, 3)}
 
 
 def run_reproduce(suite, json_path=None):
-    h = _Harness()
-
-    def classes(id, max_index, exact=None):
-        entry = census_entry(id)
-        tables = low_index_subgroups(entry.presentation, max_index)
-        if exact is not None:
-            tables = [t for t in tables if t.n == exact]
-        return tables
-
-    # k4 index 4: the four published permutation pairs occur
-    def k4_at_4():
-        tables = classes("k4", 4, exact=4)
-        published = [("(2,3)", "(1,2)(3,4)"), ("(1,2)(3,4)", "(2,3)"),
-                     ("(1,2,4,3)", "(1,2)(3,4)"), ("(1,2,4,3)", "(2,3)")]
-        from .perms import parse_cycles
-        hits = 0
-        for gx, gy in published:
-            pair_b = (parse_cycles(gx, 4), parse_cycles(gy, 4))
-            if any(simultaneously_conjugate(t.perm_rep(), pair_b)
-                   for t in tables):
-                hits += 1
-        return hits
-    h.check("k4.index4.published_pairs", "census known_results k4@4", 4,
-            k4_at_4)
-    h.check("k4.index9.order144", "census known_results k4@9", [144, 144],
-            lambda: [_order_of(t) for t in classes("k4", 9, exact=9)
-                     if _order_of(t) == 144])
-    h.check("k4.index9.hesse", "census known_results k4@9",
-            ["Hesse configuration"],
-            lambda: _recognized(classes("k4", 9, exact=9)[0]))
-    h.check("k4.index10.petersen_s5", "census known_results k4@10", 2,
-            lambda: sum(1 for t in classes("k4", 10, exact=10)
-                        if _order_of(t) == 120
-                        and "Petersen graph" in _recognized(t)))
-    h.check("k4.index15.petersen_line_graph", "census known_results k4@15", 2,
-            lambda: sum(1 for t in classes("k4", 15, exact=15)
-                        if "Petersen line graph" in _recognized(t)))
-    h.check("k19.index9.order36_grid", "census known_results k19@9",
-            [36, ["GQ(2,1)"]],
-            lambda: next([_order_of(t), _recognized(t)]
-                         for t in classes("k19", 9, exact=9)
-                         if _order_of(t) == 36))
-    h.check("k1.index6.count", "census known_results k1@6 (verified)", 4,
-            lambda: len(classes("k1", 6, exact=6)))
-    h.check("k1.index7.fano", "census known_results k1@7", 2,
-            lambda: sum(1 for t in classes("k1", 7, exact=7)
-                        if _order_of(t) == 168
-                        and "Fano plane" in _recognized(t)))
-    h.check("k1.index10.pentagram", "census known_results k1@10", 1,
-            lambda: sum(1 for t in classes("k1", 10, exact=10)
-                        if _order_of(t) == 60
-                        and "Mermin pentagram" in _recognized(t)))
-
-    def k1_21():
-        table = todd_coxeter(bundled_certificate("k1", 21))
-        d = dessin_from_table(table)
-        return [table.n, _order_of(table), str(passport(d)),
-                "GH(2,1)" in _recognized(table)]
-    h.check("k1.index21.certificate", "census known_results k1@21",
-            [21, 336, "[3^7, 2^9 1^3, 8^2 4^1 1^1]", True], k1_21)
-
-    def pentagram_dessin():
-        table = next(t for t in classes("k1", 10, exact=10)
-                     if _order_of(t) == 60)
-        d = dessin_from_table(table)
-        sig = signature(d)
-        md = modular_data(d, order2_role="white")
-        return [sig.as_tuple(), md.nu2, md.nu3, md.c, md.f]
-    h.check("k1.pentagram.dessin", "census known_results k1@10",
-            [(4, 6, 2, 0), 1, 2, 2, 4], pentagram_dessin)
-
-    def k5_45():
-        table = todd_coxeter(bundled_certificate("k5", 45))
-        return [table.n, _order_of(table), "GO(2,1)" in _recognized(table)]
-    h.check("k5.index45.certificate", "census known_results k5@45",
-            [45, 360, True], k5_45)
-
-    if suite == "full":
-        def g1_h1():
-            table = todd_coxeter(census_entry("g1").subgroup("h1"),
-                                 max_cosets=4 * 10 ** 6)
-            return [table.n, _order_of(table)]
-        h.check("g1.h1.index_order", "census known_results g1@1755",
-                [1755, 17971200], g1_h1)
-
-        def g2_h2():
-            table = todd_coxeter(census_entry("g2").subgroup("h2"))
-            return [table.n, _order_of(table)]
-        h.check("g2.h2.index_order", "census known_results g2@100",
-                [100, 604800], g2_h2)
-
-    report = h.report()
+    """Check every census KnownResult; the fast suite skips the entries
+    with distinguished subgroups (the index-1755 and index-100 runs)."""
+    checks = []
+    for entry in list_census():
+        if suite == "fast" and entry.subgroups:
+            continue
+        checks.extend(_check(entry, r) for r in entry.known_results)
+    failed = sum(1 for c in checks if not c["pass"])
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    failed = report["summary"]["failed"]
+        _emit({"checks": checks,
+               "summary": {"total": len(checks), "failed": failed}},
+              json_path)
     print("reproduce %s: %d/%d checks passed"
-          % (suite, report["summary"]["total"] - failed,
-             report["summary"]["total"]))
+          % (suite, len(checks) - failed, len(checks)))
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

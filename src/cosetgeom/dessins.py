@@ -167,15 +167,3 @@ def to_dot(d: Dessin) -> str:
                      % (black_of[p] + 1, white_of[p] + 1, p + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_json_dict(d: Dessin) -> dict:
-    p = passport(d)
-    sig = signature(d)
-    return {
-        "n": d.n,
-        "sigma_black": str(d.sigma_black),
-        "sigma_white": str(d.sigma_white),
-        "passport": str(p),
-        "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
-    }

@@ -337,30 +337,3 @@ def recognize(geom: IncidenceGeometry):
         if key == tuple(params):
             return name
     return None
-
-
-def collinearity_dot(geom: IncidenceGeometry) -> str:
-    lines = ["graph collinearity {"]
-    for p in range(geom.n):
-        lines.append("  p%d;" % (p + 1))
-    edges = set()
-    for line in geom.lines:
-        for a, b in combinations(line, 2):
-            edges.add((a, b))
-    for a, b in sorted(edges):
-        lines.append("  p%d -- p%d;" % (a + 1, b + 1))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def incidence_dot(geom: IncidenceGeometry) -> str:
-    out = ["graph incidence {"]
-    for p in range(geom.n):
-        out.append('  p%d [shape=circle];' % (p + 1))
-    for li in range(len(geom.lines)):
-        out.append('  L%d [shape=box];' % (li + 1))
-    for li, line in enumerate(sorted(geom.lines)):
-        for p in line:
-            out.append("  p%d -- L%d;" % (p + 1, li + 1))
-    out.append("}")
-    return "\n".join(out) + "\n"

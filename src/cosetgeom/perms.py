@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 
 from sympy.combinatorics import Permutation as _SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup as _SymGroup
@@ -158,10 +158,6 @@ def cycle_type_str(ct) -> str:
     return " ".join(parts)
 
 
-def cycle_type(p: Permutation):
-    return p.cycle_type()
-
-
 def _closure_bytes(gens):
     """All elements of <gens> as bytes images; degree must be <= 256."""
     n = gens[0].degree
@@ -187,23 +183,6 @@ def brute_force_order(gens) -> int:
     if not gens:
         return 1
     return len(_closure_bytes(gens))
-
-
-def _order_of_bytes(e) -> int:
-    n = len(e)
-    seen = [False] * n
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = e[j]
-            length += 1
-        out = lcm(out, length)
-    return out
 
 
 class PermGroup:
@@ -251,9 +230,6 @@ class PermGroup:
                         nxt.append(q)
             frontier = nxt
         return frozenset(orb)
-
-    def contains(self, p: Permutation) -> bool:
-        return bool(self._sym.contains(_SymPerm(p.images)))
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         stab = self._sym.stabilizer(point)
@@ -308,10 +284,6 @@ class PermGroup:
 
 def _pad(array_form, degree):
     return tuple(array_form) + tuple(range(len(array_form), degree))
-
-
-def group_order(gens, degree=None) -> int:
-    return PermGroup(gens, degree=degree).order()
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,6 @@ class CosetTable:
     def presentation(self) -> Presentation:
         return self.subgroup.parent
 
-    def apply(self, coset: int, letter: int) -> int:
-        return self.action[coset][letter]
-
     def word_action(self, w: Word, coset: int) -> int:
         c = coset
         for l in w.letters:
@@ -66,17 +63,6 @@ class CosetTable:
                 assert self.word_action(r, c) == c, "relator not closed"
         for g in self.subgroup.generators:
             assert self.word_action(g, 0) == 0, "subgroup generator leaves coset 0"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.n,
-            "action": [[d + 1 for d in row] for row in self.action],
-            "subgroup_words": [str(g) for g in self.subgroup.generators],
-        }
-
-
-def word_action(table: CosetTable, w: Word, coset: int) -> int:
-    return table.word_action(w, coset)
 
 
 class _Enumerator:

@@ -19,11 +19,10 @@ commutator a^-1*b^-1*a*b.  Whitespace is insignificant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 X, XI, Y, YI = 0, 1, 2, 3
 
-LETTER_NAMES = {X: "x", XI: "x^-1", Y: "y", YI: "y^-1"}
 GEN_LETTERS = {"x": X, "y": Y}
 
 
@@ -110,14 +109,6 @@ class Word:
 
     def __repr__(self):
         return "Word(%s)" % str(self)
-
-
-IDENTITY = Word()
-
-
-def free_reduce(letters) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(letters)
 
 
 def commutator_word(a: Word, b: Word) -> Word:

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from importlib import resources
 
 import pytest
 
-from cosetgeom.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main)
+from cosetgeom import cli
+from cosetgeom.census import census_entry
+from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
+                           EXIT_USAGE, main)
 
 
 def run(capsys, *argv):
@@ -16,6 +20,16 @@ def test_census_all(capsys):
     code, out = run(capsys, "census")
     assert code == EXIT_OK
     assert len(json.loads(out)) == 7
+
+
+def test_census_k4_published_pairs(capsys):
+    code, out = run(capsys, "census", "k4")
+    assert code == EXIT_OK
+    (at4,) = [r for r in json.loads(out)[0]["known_results"]
+              if r["index"] == 4]
+    assert at4["order"] == 8 and at4["raw_count"] == 7
+    assert at4["pairs"][0] == ["(2,3)", "(1,2)(3,4)"]
+    assert len(at4["pairs"]) == 4
 
 
 def test_census_unknown_id(capsys):
@@ -64,8 +78,8 @@ def test_analyze_class_restriction(capsys):
 
 
 def test_analyze_missing_subgroup(capsys):
-    code = main(["analyze", "k4", "--index", "9", "--which", "99"])
-    assert code == 1
+    assert usage_error(capsys, "analyze", "k4", "--index", "9",
+                       "--which", "99") == EXIT_USAGE
 
 
 def test_analyze_with_certificate(capsys, tmp_path):
@@ -113,6 +127,24 @@ def usage_error(capsys, *argv):
     return code
 
 
+def test_analyze_class_builds_one_geometry(capsys, monkeypatch):
+    _, full = run(capsys, "analyze", "k5", "--index", "45",
+                  "--certificate", K5_CERT)
+    calls = []
+    build = cli.geometry_from_class
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(cli, "geometry_from_class", counted)
+    code, out = run(capsys, "analyze", "k5", "--index", "45",
+                    "--certificate", K5_CERT, "--class", "2")
+    assert code == EXIT_OK and len(calls) == 1
+    full = json.loads(full)
+    full["classes"] = full["classes"][1:2]
+    assert json.loads(out) == full
+
+
 def test_analyze_class_zero_is_usage_error(capsys):
     assert usage_error(capsys, "analyze", "k5", "--index", "45",
                        "--certificate", K5_CERT, "--class", "0") == EXIT_USAGE
@@ -152,3 +184,25 @@ def test_dead_flags_removed():
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == EXIT_USAGE
+
+
+def test_reproduce_fast(capsys, tmp_path):
+    path = tmp_path / "reproduce.json"
+    assert cli.run_reproduce("fast", json_path=str(path)) == EXIT_OK
+    checks = json.loads(path.read_text())["checks"]
+    claims = ["%s@%d" % (id, r.index) for id in ("k1", "k4", "k5", "k19")
+              for r in census_entry(id).known_results]
+    assert [c["claim"] for c in checks] == claims
+    assert len(claims) == 10 and all(c["pass"] for c in checks)
+
+
+def test_reproduce_wrong_count_fails(capsys, tmp_path, monkeypatch):
+    k5 = census_entry("k5")
+    wrong = dataclasses.replace(k5.known_results[0], count=2)
+    monkeypatch.setattr(cli, "list_census", lambda: [
+        dataclasses.replace(k5, known_results=(wrong,))])
+    path = tmp_path / "reproduce.json"
+    assert cli.run_reproduce("fast", json_path=str(path)) \
+        == EXIT_CHECK_FAILED
+    (check,) = json.loads(path.read_text())["checks"]
+    assert check["claim"] == "k5@45" and check["pass"] is False

@@ -1,0 +1,49 @@
+"""No module-level name in the package goes unused.
+
+A function, class or constant defined at the top level of a module under
+src/cosetgeom counts as used when some file under src/, tests/ or
+perfbench/ loads it by name, reads it as an attribute, or imports it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cosetgeom"
+
+
+def _defined(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unused_module_level_names():
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used.update(_used(ast.parse(path.read_text())))
+    unused = sorted(
+        "%s.%s" % (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in _defined(ast.parse(path.read_text()))
+        if name not in used and not name.startswith("__"))
+    assert unused == []

@@ -6,7 +6,6 @@ from conftest import group_of, order_of
 from cosetgeom.geometry import (IncidenceGeometry, geometry_from_class,
                                 incidence_graph_stats, maximal_cliques,
                                 pair_classes, polygon_check, recognize)
-from cosetgeom.geometry import collinearity_dot, incidence_dot
 from cosetgeom.perms import PermGroup, Permutation, parse_cycles
 
 
@@ -162,8 +161,6 @@ def test_double_count_identity(k1_to_10):
 def test_exports():
     geom = IncidenceGeometry(3, ((0, 1), (1, 2)))
     assert geom.to_json_dict() == {"points": 3, "lines": [[1, 2], [2, 3]]}
-    assert collinearity_dot(geom).startswith("graph collinearity {")
-    assert "p1 -- L1" in incidence_dot(geom)
 
 
 @pytest.fixture(scope="module")
