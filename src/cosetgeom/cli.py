@@ -113,21 +113,26 @@ def cmd_subgroups(args):
 
 # -- analyze --------------------------------------------------------------
 
-def _load_certificate(path, presentation):
+def _load_certificate(path, entry):
+    """The certificate's words under entry's relators; an "id" key, as
+    discover writes it, must name entry."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or "subgroup_words" not in data:
             raise ValueError("no subgroup_words list")
+        if data.get("id", entry.id) != entry.id:
+            raise ValueError("written for %r, not %r"
+                             % (data["id"], entry.id))
         words = tuple(parse_word(w) for w in data["subgroup_words"])
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError("bad certificate %s: %s" % (path, exc)) from None
-    return SubgroupSpec(presentation, words)
+    return SubgroupSpec(entry.presentation, words)
 
 
 def _find_table(entry, args):
     if args.certificate:
-        spec = _load_certificate(args.certificate, entry.presentation)
+        spec = _load_certificate(args.certificate, entry)
         table = todd_coxeter(spec, max_cosets=args.max_cosets)
         if table.n != args.index:
             raise SystemExit(

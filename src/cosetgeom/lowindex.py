@@ -7,12 +7,19 @@ propagate deductions, and a first-in-class test prunes tables that are
 not lexicographically minimal over the choice of base coset, so each
 conjugacy class is produced exactly once.  Completed tables are already
 in BFS-standard numbering by construction.
+
+Entries are only ever added inside a subtree of the search.  So a base
+coset whose renumbering is found larger than the table at an entry
+defined on both sides, with every earlier entry defined and equal,
+stays larger in every extension; the first-in-class test hands only the
+undecided base cosets down to the children.  Rows are allocated as
+cosets are created, never up front by max_index.
 """
 
 from __future__ import annotations
 
-from .toddcox import CosetTable, NLETTERS, LETTER_ORDER, schreier_generators
-from .words import Presentation, SubgroupSpec, inv_letter
+from .toddcox import CosetTable, NLETTERS, schreier_generators
+from .words import Presentation, SubgroupSpec
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -20,7 +27,8 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def _rotations_by_letter(relators):
-    """For each letter, the cyclic rotations of each relator starting with it."""
+    """For each letter, (rotation, rotation^-1) letter tuples of each
+    relator rotation starting with it."""
     by_letter = [[] for _ in range(NLETTERS)]
     seen = [set() for _ in range(NLETTERS)]
     for rel in relators:
@@ -29,7 +37,8 @@ def _rotations_by_letter(relators):
             rot = w[i:] + w[:i]
             if rot not in seen[l]:
                 seen[l].add(rot)
-                by_letter[l].append(rot)
+                inverse = tuple(k ^ 1 for k in reversed(rot))
+                by_letter[l].append((rot, inverse))
     return by_letter
 
 
@@ -40,152 +49,162 @@ class _Search:
         self.node_budget = node_budget
         self.nodes = 0
         self.rot = _rotations_by_letter(pres.relators)
-        self.table = [[None] * NLETTERS for _ in range(max_index)]
+        self.table = [[None] * NLETTERS]
         self.ncosets = 1
         self.trail = []
+        # scratch renumbering of the first-in-class test: new -> old and
+        # old -> new, -1 where unset; one entry per allocated row
+        self.mu = [0]
+        self.nu = [-1]
         self.results = []
-
-    # -- table edits with undo ------------------------------------------
-
-    def _set(self, a, l, b):
-        self.table[a][l] = b
-        self.table[b][inv_letter(l)] = a
-        self.trail.append((a, l, b))
-
-    def _undo_to(self, mark, ncosets):
-        while len(self.trail) > mark:
-            a, l, b = self.trail.pop()
-            self.table[a][l] = None
-            self.table[b][inv_letter(l)] = None
-        self.ncosets = ncosets
 
     # -- deduction propagation ------------------------------------------
 
-    def _scan(self, a, word):
-        """Scan a relator rotation from coset a; False on forced coincidence."""
-        table = self.table
-        f, i = a, 0
-        j = len(word) - 1
-        b = a
-        while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
-                i += 1
-            if i > j:
-                return f == b
-            while j >= i and table[b][inv_letter(word[j])] is not None:
-                b = table[b][inv_letter(word[j])]
-                j -= 1
-            if j < i:
-                return f == b
-            if j == i:
-                ded = self.pending
-                ded.append((f, word[i], b))
-                return True
-            return True  # more than one gap: nothing to conclude yet
-
     def _propagate(self, a, l, b):
-        """Set entry (a, l) = b and process all consequences."""
-        self.pending = [(a, l, b)]
-        while self.pending:
-            f, l, b = self.pending.pop()
-            cur = self.table[f][l]
-            if cur is None:
-                back = self.table[b][inv_letter(l)]
-                if back is not None and back != f:
+        """Set entry (a, l) = b and process all consequences.
+
+        Every entry set goes on the trail; False on a forced coincidence.
+        """
+        table, trail, rot = self.table, self.trail, self.rot
+        pending = [(a, l, b)]
+        while pending:
+            f, l, b = pending.pop()
+            cur = table[f][l]
+            if cur is not None:
+                if cur != b:
                     return False
-                self._set(f, l, b)
-            elif cur != b:
-                return False
-            else:
                 continue
-            for rot in self.rot[l]:
-                if not self._scan(f, rot):
-                    return False
-            for rot in self.rot[inv_letter(l)]:
-                if not self._scan(b, rot):
-                    return False
+            back = table[b][l ^ 1]
+            if back is not None and back != f:
+                return False
+            table[f][l] = b
+            table[b][l ^ 1] = f
+            trail.append((f, l, b))
+            # scan every relator rotation through the new edge, from
+            # both of its ends
+            for c, rots in ((f, rot[l]), (b, rot[l ^ 1])):
+                for word, inverse in rots:
+                    size = len(word)
+                    x, i = c, 0
+                    while i < size:
+                        y = table[x][word[i]]
+                        if y is None:
+                            break
+                        x = y
+                        i += 1
+                    else:
+                        if x != c:
+                            return False
+                        continue
+                    # scan back from c along the inverse for the rest
+                    rest = size - i
+                    y, j = c, 0
+                    while j < rest:
+                        z = table[y][inverse[j]]
+                        if z is None:
+                            break
+                        y = z
+                        j += 1
+                    if j == rest:
+                        if x != y:
+                            return False
+                    elif j == rest - 1:
+                        # one undefined entry left: the relator forces it
+                        pending.append((x, word[i], y))
         return True
 
     # -- first-in-class pruning -----------------------------------------
 
-    def _first_in_class(self):
-        """False if a base-coset change gives a lex-smaller table."""
-        table = self.table
-        n = self.ncosets
-        for beta in range(1, n):
-            mu = [beta] + [-1] * (n - 1)   # new -> old
-            nu = [-1] * n                  # old -> new
+    def _first_in_class(self, live):
+        """The base cosets of live still undecided, or None if one of
+        them gives a lex-smaller table."""
+        table, mu, nu = self.table, self.mu, self.nu
+        undecided = []
+        for beta in live:
+            mu[0] = beta
             nu[beta] = 0
             count = 1
-            decided = False
-            for alpha in range(n):
-                if alpha >= count:
-                    break  # candidate numbering ran out of reached cosets
+            order = 0          # sign of the first difference, new - old
+            alpha = 0
+            while alpha < count:
                 row_old = table[alpha]
-                row_new_src = table[mu[alpha]]
+                row_new = table[mu[alpha]]
                 for l in range(NLETTERS):
-                    gamma = row_new_src[l]
+                    gamma = row_new[l]
                     orig = row_old[l]
                     if gamma is None or orig is None:
-                        decided = True  # inconclusive on a partial table
-                        break
+                        break      # undecided on a partial table
                     g = nu[gamma]
                     if g == -1:
                         nu[gamma] = g = count
                         mu[count] = gamma
                         count += 1
-                    if g < orig:
-                        return False
-                    if g > orig:
-                        decided = True
+                    if g != orig:
+                        order = 1 if g > orig else -1
                         break
-                if decided:
-                    break
-        return True
+                else:
+                    alpha += 1
+                    continue
+                break
+            for k in range(count):
+                nu[mu[k]] = -1
+            if order < 0:
+                return None
+            if order == 0:
+                undecided.append(beta)
+        return undecided
 
     # -- main backtracking ----------------------------------------------
 
-    def _frontier(self):
-        for a in range(self.ncosets):
-            row = self.table[a]
-            for l in LETTER_ORDER:
-                if row[l] is None:
-                    return a, l
-        return None
-
     def run(self):
-        self._extend()
+        self._extend(0, [])
         return self.results
 
-    def _extend(self):
-        spot = self._frontier()
-        if spot is None:
+    def _extend(self, start, live):
+        """Branch on the first undefined entry at row-major position
+        >= start; live holds the base cosets not yet decided larger."""
+        table = self.table
+        n = self.ncosets
+        end = n * NLETTERS
+        spot = start
+        while spot < end and table[spot // NLETTERS][spot % NLETTERS] \
+                is not None:
+            spot += 1
+        if spot == end:
             self._emit()
             return
-        a, l = spot
-        candidates = [b for b in range(self.ncosets)
-                      if self.table[b][inv_letter(l)] is None]
-        if self.ncosets < self.max_index:
-            candidates.append(self.ncosets)
+        a, l = divmod(spot, NLETTERS)
+        candidates = [b for b in range(n) if table[b][l ^ 1] is None]
+        if n < self.max_index:
+            candidates.append(n)
+        trail = self.trail
         for b in candidates:
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
                 raise SearchBudgetExceeded(
                     "node budget %d exceeded" % self.node_budget)
-            mark = len(self.trail)
-            saved_n = self.ncosets
-            if b == self.ncosets:
-                self.ncosets += 1
-            ok = self._propagate(a, l, b) and self._first_in_class()
-            if ok:
-                self._extend()
-            self._undo_to(mark, saved_n)
+            mark = len(trail)
+            bases = live
+            if b == n:
+                self.ncosets = n + 1
+                bases = live + [n]
+                if n == len(table):
+                    table.append([None] * NLETTERS)
+                    self.mu.append(0)
+                    self.nu.append(-1)
+            if self._propagate(a, l, b):
+                bases = self._first_in_class(bases)
+                if bases is not None:
+                    self._extend(spot + 1, bases)
+            for f, k, d in trail[mark:]:
+                table[f][k] = None
+                table[d][k ^ 1] = None
+            del trail[mark:]
+            self.ncosets = n
 
     def _emit(self):
         n = self.ncosets
-        action = tuple(tuple(self.table[a][l] for l in range(NLETTERS))
-                       for a in range(n))
+        action = tuple(tuple(row) for row in self.table[:n])
         table = CosetTable(n=n, action=action,
                            subgroup=SubgroupSpec(self.pres, ()))
         spec = schreier_generators(table)

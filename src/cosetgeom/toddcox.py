@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, Presentation, SubgroupSpec, inv_letter
+from .words import _reduce, Word, Presentation, SubgroupSpec, inv_letter
 
 NLETTERS = 4
 LETTER_ORDER = (0, 1, 2, 3)  # x, x^-1, y, y^-1
@@ -215,14 +215,10 @@ def todd_coxeter(spec: SubgroupSpec, max_cosets: int = 10 ** 6) -> CosetTable:
     return CosetTable(n=len(rows), action=action, subgroup=spec)
 
 
-def transversal(table: CosetTable):
-    """Shortest coset representative words, BFS in canonical letter order.
-
-    reps[0] = e and applying reps[i] from coset 0 lands on coset i.
-    """
-    n = table.n
-    reps = [None] * n
-    reps[0] = Word()
+def _transversal_letters(table: CosetTable):
+    """Letter tuples of the BFS transversal; see transversal."""
+    reps = [None] * table.n
+    reps[0] = ()
     order = [0]
     qi = 0
     while qi < len(order):
@@ -231,9 +227,17 @@ def transversal(table: CosetTable):
         for l in LETTER_ORDER:
             d = table.action[c][l]
             if reps[d] is None:
-                reps[d] = Word(reps[c].letters + (l,))
+                reps[d] = reps[c] + (l,)
                 order.append(d)
     return reps
+
+
+def transversal(table: CosetTable):
+    """Shortest coset representative words, BFS in canonical letter order.
+
+    reps[0] = e and applying reps[i] from coset 0 lands on coset i.
+    """
+    return [Word(r, reduced=True) for r in _transversal_letters(table)]
 
 
 def schreier_generators(table: CosetTable) -> SubgroupSpec:
@@ -241,17 +245,18 @@ def schreier_generators(table: CosetTable) -> SubgroupSpec:
 
     Guarantees todd_coxeter on the result rebuilds a table of equal index.
     """
-    reps = transversal(table)
+    reps = _transversal_letters(table)
     gens = []
     seen = set()
     for c in range(table.n):
         for l in LETTER_ORDER:
             d = table.action[c][l]
-            w = Word(reps[c].letters + (l,)) * reps[d].inverse()
-            if w.is_identity():
+            w = _reduce(reps[c] + (l,)
+                        + tuple(m ^ 1 for m in reversed(reps[d])))
+            if not w:
                 continue
-            if w.letters in seen or w.inverse().letters in seen:
+            if w in seen or tuple(m ^ 1 for m in reversed(w)) in seen:
                 continue
-            seen.add(w.letters)
-            gens.append(w)
+            seen.add(w)
+            gens.append(Word(w, reduced=True))
     return SubgroupSpec(parent=table.presentation, generators=tuple(gens))

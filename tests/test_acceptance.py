@@ -5,7 +5,6 @@ the shipped data are split into strict-xfail tests whose reasons record
 the computed truth; everything else must pass within its time budget.
 """
 
-import os
 import time
 from fractions import Fraction
 

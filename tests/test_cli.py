@@ -176,6 +176,22 @@ def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
                        "--certificate", str(path)) == EXIT_USAGE
 
 
+def test_certificate_for_another_id_is_usage_error(capsys, tmp_path):
+    k1_cert = resources.files("cosetgeom").joinpath(
+        "data", "certificates", "k1", "21-1.json").read_text()
+    path = tmp_path / "21-1.json"
+    path.write_text(k1_cert)
+    assert usage_error(capsys, "analyze", "k4", "--index", "21",
+                       "--certificate", str(path)) == EXIT_USAGE
+
+
+def test_huge_max_index_stays_within_node_budget(capsys):
+    code = main(["subgroups", "k1", "--max-index", "1000000",
+                 "--node-budget", "50"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET and err.count("\n") == 1, err
+
+
 def test_dead_flags_removed():
     from cosetgeom.cli import build_parser
     for argv in (["analyze", "k4", "--index", "4", "--seed", "1"],

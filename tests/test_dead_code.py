@@ -3,6 +3,8 @@
 A function, class or constant defined at the top level of a module under
 src/cosetgeom counts as used when some file under src/, tests/ or
 perfbench/ loads it by name, reads it as an attribute, or imports it.
+A name imported into a file under tests/ must be read in that file.
+(src/ is not held to that: the package __init__ re-exports on purpose.)
 """
 
 import ast
@@ -46,4 +48,24 @@ def test_no_unused_module_level_names():
         for path in PACKAGE.glob("*.py")
         for name in _defined(ast.parse(path.read_text()))
         if name not in used and not name.startswith("__"))
+    assert unused == []
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_test_imports():
+    unused = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused.extend("%s: %s" % (path.name, name)
+                      for name in _imported(tree) if name not in read)
     assert unused == []

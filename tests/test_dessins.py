@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import order_of
 from cosetgeom.dessins import (Dessin, RoleMismatch, dessin_from_table,
                                modular_data, passport, signature, to_dot)
 from cosetgeom.perms import Permutation, parse_cycles

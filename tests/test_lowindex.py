@@ -1,8 +1,11 @@
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from conftest import order_of
+from cosetgeom import census_entry
 from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
 from cosetgeom.toddcox import todd_coxeter
 from cosetgeom.words import parse_presentation
@@ -66,3 +69,58 @@ def test_node_budget(k1_pres):
 def test_bad_max_index(k1_pres):
     with pytest.raises(ValueError):
         low_index_subgroups(k1_pres, 0)
+
+
+# Search-tree size and output of the search as recorded before any speed
+# work on it: a faster search must try the same nodes, so that
+# --node-budget keeps its meaning, and emit the same tables and words.
+@pytest.mark.parametrize("cid, max_index, nodes, classes", [
+    ("k4", 16, 11658, 190),
+    ("k5", 12, 5079, 219),
+    ("k1", 14, 1080, 35),
+])
+def test_search_tree_is_pinned(cid, max_index, nodes, classes):
+    pres = census_entry(cid).presentation
+    tables = low_index_subgroups(pres, max_index, node_budget=nodes)
+    assert len(tables) == classes
+    with pytest.raises(SearchBudgetExceeded):
+        low_index_subgroups(pres, max_index, node_budget=nodes - 1)
+    if cid == "k4":
+        key = [(t.n, t.action, tuple(g.letters for g in t.subgroup.generators))
+               for t in tables]
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+            "fb2562e4d84804cbe8237b575e875cae44c2a845e02589a757db4f242821db3f")
+
+
+@pytest.mark.parametrize("cid, max_index", [("k1", 8), ("k4", 8), ("k19", 6)])
+def test_class_counts_match_sympy(cid, max_index):
+    # sympy's Sims-style low-index search as an independent oracle
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.fp_groups import \
+        low_index_subgroups as sympy_low_index
+    from sympy.combinatorics.free_groups import free_group
+
+    free, x, y = free_group("x, y")
+    letters = (x, x ** -1, y, y ** -1)
+    pres = census_entry(cid).presentation
+    relators = []
+    for r in pres.relators:
+        w = free.identity
+        for l in r.letters:
+            w = w * letters[l]
+        relators.append(w)
+    theirs = Counter(len(c.table) for c in
+                     sympy_low_index(FpGroup(free, relators), max_index))
+    ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
+    assert ours == theirs
+
+
+def test_no_preallocation_by_max_index(k1_pres):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            low_index_subgroups(k1_pres, 10 ** 6, node_budget=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

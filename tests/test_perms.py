@@ -1,8 +1,8 @@
 import pytest
 
-from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation,
-                             brute_force_order, cycle_type_str, fingerprint,
-                             identify, parse_cycles, simultaneously_conjugate)
+from cosetgeom.perms import (NAMED_GROUPS, PermGroup, brute_force_order,
+                             cycle_type_str, identify, parse_cycles,
+                             simultaneously_conjugate)
 
 
 def test_parse_and_print_cycles():

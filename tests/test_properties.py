@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import group_of

@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import order_of
 from cosetgeom.toddcox import (CosetLimitExceeded, schreier_generators,
                                todd_coxeter, transversal)
 from cosetgeom.words import SubgroupSpec, parse_presentation, parse_word
