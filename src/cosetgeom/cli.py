@@ -34,10 +34,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_MAX_COSETS = 10 ** 6
-# the coset cap of every reproduce replay; only a cap, since the
-# enumerator allocates rows as it defines cosets
-REPLAY_MAX_COSETS = 4 * 10 ** 6
+# the coset cap of analyze (--max-cosets) and of every reproduce replay;
+# only a cap, since the enumerator allocates rows as it defines cosets
+MAX_COSETS = 4 * 10 ** 6
 
 
 class UsageError(Exception):
@@ -307,7 +306,7 @@ def _compare(entry, r):
         specs = tuple(spec for _, spec in entry.subgroups)
         source = "subgroup" if specs else "search"
     if specs:
-        tables = [todd_coxeter(s, max_cosets=REPLAY_MAX_COSETS)
+        tables = [todd_coxeter(s, max_cosets=MAX_COSETS)
                   for s in specs]
     else:
         tables = [t for t in low_index_subgroups(entry.presentation, r.index)
@@ -414,7 +413,7 @@ def build_parser():
     a.add_argument("--export", choices=("dot", "json"), default="json")
     a.add_argument("--certificate", metavar="PATH")
     a.add_argument("--node-budget", type=int, default=None)
-    a.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    a.add_argument("--max-cosets", type=int, default=MAX_COSETS)
     a.add_argument("--json", metavar="PATH")
     a.set_defaults(func=cmd_analyze)
 

@@ -6,7 +6,9 @@ in row-major order (letter order x, x^-1, y, y^-1), relator scans
 propagate deductions, and a first-in-class test prunes tables that are
 not lexicographically minimal over the choice of base coset, so each
 conjugacy class is produced exactly once.  Completed tables are already
-in BFS-standard numbering by construction.
+in BFS-standard numbering by construction.  The depth-first search runs
+on an explicit stack, so Python's recursion limit does not bound how
+deep a search path may go.
 
 Entries are only ever added inside a subtree of the search.  So a base
 coset whose renumbering is found larger than the table at an entry
@@ -157,12 +159,51 @@ class _Search:
     # -- main backtracking ----------------------------------------------
 
     def run(self):
-        self._extend(0, [])
+        """Depth-first search on an explicit stack of branch points.
+
+        A branch point is (a, l, spot, n, live, candidates, mark): the
+        undefined entry (a, l) at row-major position spot, the coset
+        count n and the undecided base cosets live when it was reached,
+        the values b still to try for it, and the trail length to undo
+        to before each try.
+        """
+        table, trail = self.table, self.trail
+        propagate, first_in_class = self._propagate, self._first_in_class
+        budget = self.node_budget
+        stack = []
+        self._branch(0, [], stack)
+        while stack:
+            a, l, spot, n, live, candidates, mark = stack[-1]
+            while len(trail) > mark:
+                f, k, d = trail.pop()
+                table[f][k] = None
+                table[d][k ^ 1] = None
+            self.ncosets = n
+            b = next(candidates, None)
+            if b is None:
+                stack.pop()
+                continue
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise SearchBudgetExceeded("node budget %d exceeded" % budget)
+            bases = live
+            if b == n:
+                self.ncosets = n + 1
+                bases = live + [n]
+                if n == len(table):
+                    table.append([None] * NLETTERS)
+                    self.mu.append(0)
+                    self.nu.append(-1)
+            if propagate(a, l, b):
+                bases = first_in_class(bases)
+                if bases is not None:
+                    self._branch(spot + 1, bases, stack)
         return self.results
 
-    def _extend(self, start, live):
-        """Branch on the first undefined entry at row-major position
-        >= start; live holds the base cosets not yet decided larger."""
+    def _branch(self, start, live, stack):
+        """Push the branch point at the first undefined entry at
+        row-major position >= start, or emit the table if it is full;
+        live holds the base cosets not yet decided larger."""
         table = self.table
         n = self.ncosets
         end = n * NLETTERS
@@ -177,30 +218,8 @@ class _Search:
         candidates = [b for b in range(n) if table[b][l ^ 1] is None]
         if n < self.max_index:
             candidates.append(n)
-        trail = self.trail
-        for b in candidates:
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                raise SearchBudgetExceeded(
-                    "node budget %d exceeded" % self.node_budget)
-            mark = len(trail)
-            bases = live
-            if b == n:
-                self.ncosets = n + 1
-                bases = live + [n]
-                if n == len(table):
-                    table.append([None] * NLETTERS)
-                    self.mu.append(0)
-                    self.nu.append(-1)
-            if self._propagate(a, l, b):
-                bases = self._first_in_class(bases)
-                if bases is not None:
-                    self._extend(spot + 1, bases)
-            for f, k, d in trail[mark:]:
-                table[f][k] = None
-                table[d][k ^ 1] = None
-            del trail[mark:]
-            self.ncosets = n
+        stack.append((a, l, spot, n, live, iter(candidates),
+                      len(self.trail)))
 
     def _emit(self):
         n = self.ncosets

@@ -2,10 +2,17 @@
 
 Permutations act on 0..n-1 internally; cycle notation is printed and
 parsed 1-based ("(2,3,5,4)(6,7,8,9)", identity "()").  Group order,
-stabilizers and transitivity are delegated to sympy's stabilizer-chain
-machinery; exact element-order histograms use a breadth-first closure
-over bytes-encoded permutations, which is fast enough for every group
-of order <= 10^6 met here.
+stabilizers, transitivity and the transversals that sampling draws from
+come from sympy's stabilizer-chain machinery.
+
+Fingerprints never build a Permutation per element.  They work on raw
+images: bytes up to degree 256, where one composition is a single
+bytes.translate in C, and tuples composed by one itemgetter above that.
+An exact histogram walks the powers of one element per cyclic subgroup
+of the closure, giving every power its order at once; a sampled element
+is composed from one transversal image per chain level, and its order
+is taken by the same power walk; the derived subgroup is the normal
+closure of the generators' commutators, grown as a closure too.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
+from operator import itemgetter
+from math import gcd, lcm
 
 from sympy.combinatorics import Permutation as _SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup as _SymGroup
@@ -158,31 +166,150 @@ def cycle_type_str(ct) -> str:
     return " ".join(parts)
 
 
-def _closure_bytes(gens):
-    """All elements of <gens> as bytes images; degree must be <= 256."""
-    n = gens[0].degree
-    assert n <= 256
-    gb = [bytes(g.images) + bytes(range(n, 256)) for g in gens]
-    ident = bytes(range(n))
-    seen = {ident}
-    frontier = [ident]
+class _Bytes:
+    """Images of degree <= 256 as bytes.
+
+    An element is its n image bytes and its table those bytes padded to
+    256, so step(e, table) = e.translate(table), e then the table's
+    permutation, is one call in C.
+    """
+
+    def __init__(self, degree):
+        self.identity = bytes(range(degree))
+        self._pad = bytes(range(degree, 256))
+
+    encode = staticmethod(bytes)
+
+    def table(self, element):
+        return element + self._pad
+
+    step = staticmethod(bytes.translate)
+
+
+class _Tuples:
+    """Images of degree > 256 as tuples; an element is its own table.
+
+    step(e, table) is e then table, read by one itemgetter over e's
+    images (a single point would come back bare, hence degree > 256).
+    """
+
+    def __init__(self, degree):
+        self.identity = tuple(range(degree))
+
+    encode = staticmethod(tuple)
+
+    @staticmethod
+    def table(element):
+        return element
+
+    @staticmethod
+    def step(element, table):
+        return itemgetter(*element)(table)
+
+
+def _encoding(degree):
+    return _Bytes(degree) if degree <= 256 else _Tuples(degree)
+
+
+def _grow(enc, elements, tables, x):
+    """Close elements, the group generated by tables, under x as well.
+
+    x joins tables and True is returned, unless x is already in.  The
+    elements times x not met yet are the new ones; everything reached
+    from them by the tables is added.
+    """
+    if x in elements:
+        return False
+    step = enc.step
+    t = enc.table(x)
+    tables.append(t)
+    frontier = [h for h in {step(e, t) for e in elements}
+                if h not in elements]
+    elements.update(frontier)
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gb:
-                h = e.translate(g)  # h(i) = g(e(i))
-                if h not in seen:
-                    seen.add(h)
+            for u in tables:
+                h = step(e, u)  # h(i) = u(e(i))
+                if h not in elements:
+                    elements.add(h)
                     nxt.append(h)
         frontier = nxt
-    return seen
+    return True
+
+
+def _closure(enc, gens):
+    """All elements of <gens> (Permutations), encoded by enc, and the
+    generators that enlarged it; a generator already in the group of
+    the ones before it is skipped."""
+    elements, tables, kept = {enc.identity}, [], []
+    for g in gens:
+        if _grow(enc, elements, tables, enc.encode(g.images)):
+            kept.append(g)
+    return elements, kept
+
+
+def _powers(enc, element):
+    """element, element^2, ..., up to and including the identity."""
+    step, table, identity = enc.step, enc.table(element), enc.identity
+    out = [element]
+    p = element
+    while p != identity:
+        p = step(p, table)
+        out.append(p)
+    return out
+
+
+def _order_histogram(enc, elements):
+    """{order: count} over the elements, a closed set.
+
+    One power walk per cyclic subgroup met: the walk from e finds its
+    order k, and e^j gets order k // gcd(j, k).
+    """
+    hist = {}
+    done = set()
+    for e in elements:
+        if e in done:
+            continue
+        powers = _powers(enc, e)
+        k = len(powers)
+        for j, p in enumerate(powers, 1):
+            if p not in done:
+                done.add(p)
+                o = k // gcd(j, k)
+                hist[o] = hist.get(o, 0) + 1
+    return hist
+
+
+def _derived_order(enc, gens):
+    """|G'| for G = <gens>: the normal closure of the generators'
+    pairwise commutators.
+
+    The closure grows as each new generator of G' arrives, and that
+    generator's conjugates by G's generators join the queue.
+    """
+    step = enc.step
+    inverses = [enc.encode(g.inverse().images) for g in gens]
+    tables = [enc.table(enc.encode(g.images)) for g in gens]
+    inverse_tables = [enc.table(i) for i in inverses]
+    queue = [step(step(step(inverses[i], inverse_tables[j]), tables[i]),
+                  tables[j])
+             for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    elements, derived = {enc.identity}, []
+    while queue:
+        x = queue.pop()
+        if _grow(enc, elements, derived, x):
+            t = derived[-1]
+            queue.extend(step(step(i, t), g) for i, g in zip(inverses, tables))
+    return len(elements)
+
 
 def brute_force_order(gens) -> int:
     """Group order by explicit closure enumeration (independent of chains)."""
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
         return 1
-    return len(_closure_bytes(gens))
+    return len(_closure(_encoding(gens[0].degree), gens)[0])
 
 
 class PermGroup:
@@ -243,34 +370,23 @@ class PermGroup:
         return self.point_stabilizer(p).point_stabilizer(q)
 
     def elements(self):
-        """All elements; only for groups of order <= EXACT_ORDER_BOUND."""
-        if not self.generators:
-            return [Permutation.identity(self.degree)]
-        if self.degree > 256:
-            return [Permutation(_pad(e.array_form, self.degree))
-                    for e in self._sym.elements]
-        return [Permutation(tuple(e)) for e in _closure_bytes(self.generators)]
+        """All elements as images: bytes for degree <= 256, else tuples.
 
-    def random_elements(self, count, seed=SAMPLE_SEED):
-        """Uniform random elements via the stabilizer-chain transversals."""
-        self._sym.schreier_sims()
-        # per level: the sorted orbit points drawn from, and their images
-        levels = [(sorted(tr), {k: _pad(t.array_form, self.degree)
-                                for k, t in tr.items()})
-                  for tr in self._sym.basic_transversals]
-        rng = random.Random(seed)
-        ident = tuple(range(self.degree))
-        out = []
-        for _ in range(count):
-            e = ident
-            for keys, images in levels:
-                e = tuple([e[i] for i in images[rng.choice(keys)]])
-            out.append(Permutation(e))
-        return out
+        Only for groups of order <= EXACT_ORDER_BOUND.
+        """
+        return _closure(_encoding(self.degree), self.generators)[0]
 
     def derived_index(self) -> int:
-        derived = self._sym.derived_subgroup()
-        return self.order() // int(derived.order())
+        """|G : G'|; only for groups of order <= EXACT_ORDER_BOUND.
+
+        The commutators are taken over the generators left after dropping
+        each one, but the last, that lies in the group of the ones
+        before; sympy's stabilizers come with many redundant ones.
+        """
+        enc = _encoding(self.degree)
+        gens = self.generators
+        basis = _closure(enc, gens[:-1])[1] + list(gens[-1:])
+        return self.order() // _derived_order(enc, basis)
 
     def fingerprint(self) -> "Fingerprint":
         if self._fingerprint is None:
@@ -301,20 +417,40 @@ class Fingerprint:
         return frozenset(o for o, _ in self.element_order_histogram)
 
 
+def _sampled_histogram(g: PermGroup, count):
+    """{order: count} over count uniform random elements.
+
+    Each element takes one random.Random(SAMPLE_SEED).choice per level of
+    the stabilizer chain and is composed from the transversal images.
+    """
+    g._sym.schreier_sims()
+    enc = _encoding(g.degree)
+    # per level: the sorted orbit points drawn from, and their tables
+    levels = [(sorted(tr), {k: enc.table(enc.encode(_pad(t.array_form,
+                                                         g.degree)))
+                            for k, t in tr.items()})
+              for tr in g._sym.basic_transversals]
+    rng = random.Random(SAMPLE_SEED)
+    start = enc.table(enc.identity)
+    step = enc.step
+    hist = {}
+    for _ in range(count):
+        e = start
+        for keys, tables in levels:
+            e = step(tables[rng.choice(keys)], e)
+        o = len(_powers(enc, e[:g.degree]))
+        hist[o] = hist.get(o, 0) + 1
+    return hist
+
+
 def fingerprint(g: PermGroup) -> Fingerprint:
     order = g.order()
     if order <= EXACT_ORDER_BOUND:
-        hist = {}
-        for e in g.elements():
-            o = e.order()
-            hist[o] = hist.get(o, 0) + 1
+        hist = _order_histogram(_encoding(g.degree), g.elements())
         exact, sample = True, 0
         derived_index = g.derived_index()
     else:
-        hist = {}
-        for e in g.random_elements(SAMPLE_SIZE):
-            o = e.order()
-            hist[o] = hist.get(o, 0) + 1
+        hist = _sampled_histogram(g, SAMPLE_SIZE)
         exact, sample = False, SAMPLE_SIZE
         derived_index = None
     return Fingerprint(

@@ -20,6 +20,26 @@ def order_of(table):
     return group_of(table).order()
 
 
+def sympy_fp_group(pres):
+    """pres as a sympy FpGroup, and the map from a Word to its free group.
+
+    sympy is a test-only oracle; building an FpGroup is slow, so build one
+    per presentation.
+    """
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, x, y = free_group("x, y")
+    letters = (x, x ** -1, y, y ** -1)
+
+    def word(w):
+        out = free.identity
+        for l in w.letters:
+            out = out * letters[l]
+        return out
+    return FpGroup(free, [word(r) for r in pres.relators]), word
+
+
 @pytest.fixture(scope="session")
 def k1_pres():
     return census_entry("k1").presentation
@@ -48,3 +68,13 @@ def k4_to_9(k4_pres):
 @pytest.fixture(scope="session")
 def k19_to_9(k19_pres):
     return low_index_subgroups(k19_pres, 9)
+
+
+@pytest.fixture(scope="session")
+def census_tables(k1_to_10, k4_to_9):
+    """Tables of k1 <= 10, k4 <= 9 and the bundled k1@21 and k5@45."""
+    from cosetgeom.cli import bundled_certificate
+    from cosetgeom.toddcox import todd_coxeter
+    return list(k1_to_10) + list(k4_to_9) + [
+        todd_coxeter(bundled_certificate(cid, n))
+        for cid, n in (("k1", 21), ("k5", 45))]

@@ -192,6 +192,15 @@ def test_huge_max_index_stays_within_node_budget(capsys):
     assert code == EXIT_BUDGET and err.count("\n") == 1, err
 
 
+def test_max_cosets_is_a_budget(capsys):
+    code = main(["analyze", "k5", "--index", "45", "--certificate", K5_CERT,
+                 "--max-cosets", "10"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET and err.count("\n") == 1, err
+    assert cli.build_parser().parse_args(
+        ["analyze", "k5", "--index", "45"]).max_cosets == cli.MAX_COSETS
+
+
 def test_dead_flags_removed():
     from cosetgeom.cli import build_parser
     for argv in (["analyze", "k4", "--index", "4", "--seed", "1"],

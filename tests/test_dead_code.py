@@ -3,6 +3,9 @@
 A function, class or constant defined at the top level of a module under
 src/cosetgeom counts as used when some file under src/, tests/ or
 perfbench/ loads it by name, reads it as an attribute, or imports it.
+A method (any function defined in a class body, dunders aside) counts
+as used when some such file reads its name: as a name, an attribute,
+an import or a string constant, as getattr(owner, "name") needs.
 A name imported into a file under tests/ must be read in that file.
 (src/ is not held to that: the package __init__ re-exports on purpose.)
 """
@@ -38,16 +41,44 @@ def _used(tree):
             yield node.name
 
 
-def test_no_unused_module_level_names():
-    used = set()
+def _methods(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield "%s.%s" % (node.name, item.name), item.name
+
+
+def _trees():
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            used.update(_used(ast.parse(path.read_text())))
+            yield ast.parse(path.read_text())
+
+
+def test_no_unused_module_level_names():
+    used = set()
+    for tree in _trees():
+        used.update(_used(tree))
     unused = sorted(
         "%s.%s" % (path.stem, name)
         for path in PACKAGE.glob("*.py")
         for name in _defined(ast.parse(path.read_text()))
         if name not in used and not name.startswith("__"))
+    assert unused == []
+
+
+def test_no_unused_methods():
+    read = set()
+    for tree in _trees():
+        read.update(_used(tree))
+        read.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str))
+    unused = sorted(
+        "%s.%s" % (path.stem, qualname)
+        for path in PACKAGE.glob("*.py")
+        for qualname, name in _methods(ast.parse(path.read_text()))
+        if name not in read and not name.startswith("__"))
     assert unused == []
 
 

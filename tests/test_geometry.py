@@ -164,14 +164,9 @@ def test_exports():
 
 
 @pytest.fixture(scope="module")
-def census_groups(k1_to_10, k4_to_9):
+def census_groups(census_tables):
     """Groups of k1 <= 10, k4 <= 9 and the bundled k1@21 and k5@45."""
-    from cosetgeom.cli import bundled_certificate
-    from cosetgeom.toddcox import todd_coxeter
-    tables = list(k1_to_10) + list(k4_to_9) + [
-        todd_coxeter(bundled_certificate(cid, n))
-        for cid, n in (("k1", 21), ("k5", 45))]
-    return [group_of(t) for t in tables if t.n >= 3]
+    return [group_of(t) for t in census_tables if t.n >= 3]
 
 
 def test_stats_from_orbit_representatives(census_groups):

@@ -1,10 +1,11 @@
 import hashlib
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import order_of
+from conftest import order_of, sympy_fp_group
 from cosetgeom import census_entry
 from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
 from cosetgeom.toddcox import todd_coxeter
@@ -95,22 +96,12 @@ def test_search_tree_is_pinned(cid, max_index, nodes, classes):
 @pytest.mark.parametrize("cid, max_index", [("k1", 8), ("k4", 8), ("k19", 6)])
 def test_class_counts_match_sympy(cid, max_index):
     # sympy's Sims-style low-index search as an independent oracle
-    from sympy.combinatorics.fp_groups import FpGroup
     from sympy.combinatorics.fp_groups import \
         low_index_subgroups as sympy_low_index
-    from sympy.combinatorics.free_groups import free_group
 
-    free, x, y = free_group("x, y")
-    letters = (x, x ** -1, y, y ** -1)
     pres = census_entry(cid).presentation
-    relators = []
-    for r in pres.relators:
-        w = free.identity
-        for l in r.letters:
-            w = w * letters[l]
-        relators.append(w)
-    theirs = Counter(len(c.table) for c in
-                     sympy_low_index(FpGroup(free, relators), max_index))
+    group, _ = sympy_fp_group(pres)
+    theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
     assert ours == theirs
 
@@ -124,3 +115,27 @@ def test_no_preallocation_by_max_index(k1_pres):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_search_hits_budget_not_recursion_limit():
+    # Python's stack must not grow with the search depth.  At the default
+    # recursion limit a path deep enough to show it (about 1000 cosets of
+    # the modular group) costs minutes, so the limit is lowered to 100
+    # frames above this one; a search that recursed once per definition
+    # raises RecursionError at node 163 of this one.
+    pres = parse_presentation("< x, y | x^2, y^3 >")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            low_index_subgroups(pres, 70, node_budget=163)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import sympy_fp_group
 from cosetgeom.toddcox import (CosetLimitExceeded, schreier_generators,
                                todd_coxeter, transversal)
 from cosetgeom.words import SubgroupSpec, parse_presentation, parse_word
@@ -72,3 +73,23 @@ def test_equal_subgroups_give_identical_tables():
     a = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^2 >", "y"))
     b = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^2 >", "y^-1"))
     assert a.action == b.action
+
+
+def test_index_matches_sympy_coset_enumeration(k4_to_9):
+    # sympy's HLT coset enumeration as an independent oracle, on the
+    # bundled certificates and the Schreier certificates of k4 <= 9
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+
+    from cosetgeom.cli import bundled_certificate
+
+    specs = [bundled_certificate(cid, n)
+             for cid, n in (("k1", 21), ("k5", 45))]
+    specs += [t.subgroup for t in k4_to_9]
+    oracles = {}
+    for s in specs:
+        if s.parent not in oracles:
+            oracles[s.parent] = sympy_fp_group(s.parent)
+        group, word = oracles[s.parent]
+        theirs = coset_enumeration_r(group, [word(g) for g in s.generators])
+        theirs.compress()
+        assert todd_coxeter(s).n == len(theirs.table)
