@@ -6,7 +6,13 @@ parameter gamma and covolume, plus the two large finitely presented
 groups g1, g2 and their distinguished finite-index subgroups h1, h2.
 
 The arithmetic metadata (p, q, d, gamma, covolume) is reference data
-only; nothing here computes traces or covolumes.  known_results records
+only; nothing here computes traces or covolumes.  The tests check it:
+y -> diag(l, 1/l) with l = e^(i pi/p) and x -> [[a, 1], [c, d]] with
+a + d = 2cos(pi/q), ad - c = 1 and c = -gamma/(l - 1/l)^2 give
+tr[y, x] - 2 = gamma, and every relator of k1, k2, k4 and k5 is +-I.
+For k19 the relators ([y,x]*y)^2 and (x^-1*[y,x]*y)^2 are not, so its
+metadata and presentation disagree (recorded as a strict xfail, with
+the metadata left as published).  known_results records
 the verified subgroup counts at each index; where a published count
 differs from the verified one, both are kept.  These records are the
 claims ``cosetgeom reproduce`` checks: a class passes the geometry

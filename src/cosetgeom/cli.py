@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -76,7 +77,8 @@ def _group(table):
 
 def _subgroup_record(table):
     px, py = table.perm_rep()
-    fp = _group(table).fingerprint()
+    group = _group(table)
+    fp = group.fingerprint()
     return {
         "index": table.n,
         "generators": {"x": str(px), "y": str(py)},
@@ -88,18 +90,21 @@ def _subgroup_record(table):
             "derived_index": fp.derived_index,
             "transitive": fp.transitive,
         },
-        "identified_as": identify(fp),
+        "identified_as": identify(group),
         "certificate_words": [str(g) for g in table.subgroup.generators],
     }
 
 
-def _check_index(flag, value):
-    if value < 1:
-        raise UsageError("%s must be >= 1" % flag)
+def _check_min(flag, value, least):
+    """A flag below least is a usage error; None means unset.  Budgets
+    take least 0: a zero budget is a budget, exceeded (exit 3)."""
+    if value is not None and value < least:
+        raise UsageError("%s must be >= %d" % (flag, least))
 
 
 def cmd_subgroups(args):
-    _check_index("--max-index", args.max_index)
+    _check_min("--max-index", args.max_index, 1)
+    _check_min("--node-budget", args.node_budget, 0)
     entry = census_entry(args.id)
     try:
         tables = low_index_subgroups(entry.presentation, args.max_index,
@@ -188,11 +193,10 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     other classes' geometries are never built.
     """
     group = _group(table)
-    fp = group.fingerprint()
     report = {
         "index": table.n,
-        "order": fp.order,
-        "identified_as": identify(fp),
+        "order": group.order(),
+        "identified_as": identify(group),
         "dessin": dessin_report(table),
         "classes": [],
     }
@@ -222,7 +226,9 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
 
 
 def cmd_analyze(args):
-    _check_index("--index", args.index)
+    _check_min("--index", args.index, 1)
+    _check_min("--node-budget", args.node_budget, 0)
+    _check_min("--max-cosets", args.max_cosets, 0)
     entry = census_entry(args.id)
     try:
         table = _find_table(entry, args)
@@ -243,8 +249,8 @@ def cmd_analyze(args):
 # -- discover -------------------------------------------------------------
 
 def cmd_discover(args):
-    import os
-    _check_index("--index", args.index)
+    _check_min("--index", args.index, 1)
+    _check_min("--node-budget", args.node_budget, 0)
     entry = census_entry(args.id)
     try:
         tables = [t for t in low_index_subgroups(
@@ -253,18 +259,23 @@ def cmd_discover(args):
     except SearchBudgetExceeded as exc:
         return _die_budget(exc)
     outdir = args.out or os.path.join("certificates", args.id)
-    os.makedirs(outdir, exist_ok=True)
-    for k, table in enumerate(tables, 1):
-        path = os.path.join(outdir, "%d-%d.json" % (args.index, k))
-        with open(path, "w") as fh:
-            json.dump({
-                "id": args.id,
-                "index": args.index,
-                "which": k,
-                "subgroup_words": [str(g) for g in table.subgroup.generators],
-            }, fh, indent=2)
-            fh.write("\n")
-        print(path)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for k, table in enumerate(tables, 1):
+            path = os.path.join(outdir, "%d-%d.json" % (args.index, k))
+            with open(path, "w") as fh:
+                json.dump({
+                    "id": args.id,
+                    "index": args.index,
+                    "which": k,
+                    "subgroup_words": [str(g)
+                                       for g in table.subgroup.generators],
+                }, fh, indent=2)
+                fh.write("\n")
+            print(path)
+    except OSError as exc:
+        raise UsageError("cannot write certificates to %s: %s"
+                         % (outdir, exc.strerror)) from None
     return EXIT_OK
 
 

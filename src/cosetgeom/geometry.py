@@ -2,13 +2,16 @@
 
 Unordered point pairs are partitioned by the fingerprint of their
 two-point stabilizer; each class is an edge set on the points and yields
-a line system.  On a complete class graph the lines are the fixed-point
-sets of the two-point stabilizers (falling back to the edges themselves
-when those stabilizers are trivial); one stabilizer is computed per orbit
-of the group on the pairs and carried to the rest of the orbit by the
-generators.  Otherwise the lines are the maximum-size maximal cliques of
-the class graph (Bron-Kerbosch with pivoting).  Both branches are checked
-against the named line systems they must reproduce.
+a line system.  Fingerprints are taken on demand: the orbits of the
+group on pairs are bucketed by stabilizer order, and only a bucket
+holding several orbits is split by fingerprint.  On a complete class
+graph the lines are the fixed-point sets of the two-point stabilizers
+(falling back to the edges themselves when those stabilizers are
+trivial); one stabilizer is computed per orbit of the group on the pairs
+and carried to the rest of the orbit by the generators.  Otherwise the
+lines are the maximum-size maximal cliques of the class graph
+(Bron-Kerbosch with pivoting, on int bitsets).  Both branches are
+checked against the named line systems they must reproduce.
 
 A geometry carries the point permutations that preserve it (its
 ``symmetry``: the generators of the group it was built from).
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .perms import PermGroup, Fingerprint
+from .perms import PermGroup
 
 
 def _image(perm, points):
@@ -122,7 +125,6 @@ class PairClass:
 
     pairs: tuple
     stab_order: int
-    stab_fingerprint: Fingerprint
 
 
 @dataclass(frozen=True)
@@ -145,43 +147,69 @@ class PolygonCheck:
 
 
 def pair_classes(g: PermGroup):
-    """Pair classes sorted by (stabilizer order desc, class size asc)."""
+    """Pair classes sorted by (stabilizer order desc, class size asc).
+
+    Pair orbits are bucketed by two-point-stabilizer order; only orbits
+    sharing a bucket are fingerprinted, and merged on equal fingerprints
+    (equal fingerprints have equal orders, so a lone orbit is a class).
+    """
     if not g.is_transitive():
         raise ValueError("group must be transitive")
-    # orbits of the group on unordered pairs, then merge by fingerprint
-    by_fp = {}
+    by_order = {}
     for seed, orbit in _orbits(combinations(range(g.degree), 2),
                                g.generators, _image):
-        fp = g.two_point_stabilizer(*seed).fingerprint()
-        by_fp.setdefault(fp, set()).update(orbit)
-    classes = [
-        PairClass(pairs=tuple(sorted(pairs)), stab_order=fp.order,
-                  stab_fingerprint=fp)
-        for fp, pairs in by_fp.items()
-    ]
+        stab = g.two_point_stabilizer(*seed)
+        by_order.setdefault(stab.order(), []).append((stab, orbit))
+    classes = []
+    for order, bucket in by_order.items():
+        merged = {}
+        for stab, orbit in bucket:
+            key = stab.fingerprint() if len(bucket) > 1 else None
+            merged.setdefault(key, set()).update(orbit)
+        classes.extend(PairClass(pairs=tuple(sorted(pairs)), stab_order=order)
+                       for pairs in merged.values())
     classes.sort(key=lambda c: (-c.stab_order, len(c.pairs), c.pairs))
     return classes
 
 
 def _bron_kerbosch(adj, r, p, x, out):
-    if not p and not x:
-        out.append(tuple(sorted(r)))
-        return
-    pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
-        p = p - {v}
-        x = x | {v}
+    """Extend clique r by candidates p (non-empty), excluding x; sets are
+    int bitsets.  The pivot u in p | x leaves the fewest candidates, p
+    minus the neighbours of u; a branch with no candidates left is not
+    entered, and is a maximal clique when nothing is excluded."""
+    best = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        k = (adj[u] & p).bit_count()
+        if k > best:
+            best, pivot = k, u
+    candidates = p & ~adj[pivot]
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        v = low.bit_length() - 1
+        near = adj[v]
+        if p & near:
+            _bron_kerbosch(adj, r + (v,), p & near, x & near, out)
+        elif not x & near:
+            out.append(tuple(sorted(r + (v,))))
+        p ^= low
+        x |= low
 
 
 def maximal_cliques(n, edges):
-    """All maximal cliques, deterministic order (Bron-Kerbosch, pivoting)."""
-    adj = {v: set() for v in range(n)}
+    """All maximal cliques, sorted (Bron-Kerbosch with pivoting)."""
+    if n == 0:
+        return [()]
+    adj = [0] * n
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     out = []
-    _bron_kerbosch(adj, set(), set(range(n)), set(), out)
+    _bron_kerbosch(adj, (), (1 << n) - 1, 0, out)
     return sorted(out)
 
 

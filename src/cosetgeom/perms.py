@@ -13,6 +13,9 @@ of the closure, giving every power its order at once; a sampled element
 is composed from one transversal image per chain level, and its order
 is taken by the same power walk; the derived subgroup is the normal
 closure of the generators' commutators, grown as a closure too.
+
+Fingerprints are computed when asked for and cached per group:
+identify(group) fingerprints only a group whose order is in its table.
 """
 
 from __future__ import annotations
@@ -102,13 +105,6 @@ class Permutation:
 
     def fixed_points(self):
         return tuple(i for i in range(self.degree) if self.images[i] == i)
-
-    def relabel(self, sigma: "Permutation") -> "Permutation":
-        """Conjugate: the same permutation after renaming i -> sigma(i)."""
-        img = [0] * self.degree
-        for i in range(self.degree):
-            img[sigma.images[i]] = sigma.images[self.images[i]]
-        return Permutation(tuple(img))
 
     def __str__(self):
         cycs = self.cycles()
@@ -304,14 +300,6 @@ def _derived_order(enc, gens):
     return len(elements)
 
 
-def brute_force_order(gens) -> int:
-    """Group order by explicit closure enumeration (independent of chains)."""
-    gens = [g for g in gens if not g.is_identity()]
-    if not gens:
-        return 1
-    return len(_closure(_encoding(gens[0].degree), gens)[0])
-
-
 class PermGroup:
     """A permutation group with stabilizer-chain order and stabilizers."""
 
@@ -476,15 +464,17 @@ NAMED_GROUPS = (
 )
 
 
-def identify(fp: Fingerprint):
+def identify(g: PermGroup):
     """Name from the built-in table, or None.
 
-    Sampled histograms match when the observed orders are a subset of the
+    Only a group whose order is in the table is fingerprinted.  Sampled
+    histograms match when the observed orders are a subset of the
     expected order set; exact ones require equality.
     """
     for name, order, orders in NAMED_GROUPS:
-        if fp.order != order:
+        if g.order() != order:
             continue
+        fp = g.fingerprint()
         if fp.exact:
             if fp.element_orders() == orders:
                 return name

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from cosetgeom import census_entry, low_index_subgroups
-from cosetgeom.perms import PermGroup
+from cosetgeom.perms import PermGroup, Permutation
 
 FULL_SUITE = os.environ.get("COSETGEOM_FULL") == "1"
 
@@ -18,6 +18,27 @@ def group_of(table):
 
 def order_of(table):
     return group_of(table).order()
+
+
+def brute_force_order(gens):
+    """Group order by closing over products of Permutations, an oracle
+    independent of stabilizer chains and of the bytes closure."""
+    gens = list(gens)
+    elements = {Permutation.identity(gens[0].degree)}
+    frontier = list(elements)
+    while frontier:
+        frontier = [h for h in {e * g for e in frontier for g in gens}
+                    if h not in elements]
+        elements.update(frontier)
+    return len(elements)
+
+
+def relabel(p, sigma):
+    """Conjugate p: the same permutation after renaming i -> sigma(i)."""
+    img = [0] * p.degree
+    for i in range(p.degree):
+        img[sigma(i)] = sigma(p(i))
+    return Permutation(img)
 
 
 def sympy_fp_group(pres):
@@ -61,6 +82,11 @@ def k1_to_10(k1_pres):
 
 
 @pytest.fixture(scope="session")
+def k1_to_12(k1_pres):
+    return low_index_subgroups(k1_pres, 12)
+
+
+@pytest.fixture(scope="session")
 def k4_to_9(k4_pres):
     return low_index_subgroups(k4_pres, 9)
 
@@ -78,3 +104,9 @@ def census_tables(k1_to_10, k4_to_9):
     return list(k1_to_10) + list(k4_to_9) + [
         todd_coxeter(bundled_certificate(cid, n))
         for cid, n in (("k1", 21), ("k5", 45))]
+
+
+@pytest.fixture(scope="session")
+def differential_tables(census_tables, k19_to_9):
+    """census_tables plus k19 <= 9, the inputs of the differential tests."""
+    return list(census_tables) + list(k19_to_9)

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from mpmath import cos, exp, matrix, mp, mpc, pi, sqrt
 
 from cosetgeom.census import (CENSUS_IDS, UnknownId, census_entry,
                               list_census)
@@ -70,3 +73,67 @@ def test_json_dump_shape():
     assert d["id"] == "k4"
     assert "presentation" in d and "known_results" in d
     assert all("index" in r and "count" in r for r in d["known_results"])
+
+
+def _gamma(text):
+    """A census gamma string ("-1+i", "(-3+sqrt(3)i)/2", ...) as an mpc."""
+    expr = re.sub(r"(sqrt\(\d+\))?i",
+                  lambda m: (m.group(1) + "*" if m.group(1) else "") + "I",
+                  text)
+    return eval(expr, {"__builtins__": {}, "sqrt": sqrt, "I": mpc(0, 1)})
+
+
+def _generators(entry):
+    """(f, g, gamma): y -> f = diag(lam, 1/lam) with lam = e^(i pi/p), and
+    x -> g = [[a, 1], [c, d]] with a + d = 2cos(pi/q), ad - c = 1 and
+    c = -gamma/(lam - 1/lam)^2, so that tr[f, g] - 2 = gamma."""
+    lam = exp(mpc(0, 1) * pi / entry.p)
+    gamma = _gamma(entry.gamma)
+    c = -gamma / (lam - 1 / lam) ** 2
+    t = 2 * cos(pi / entry.q)
+    a = (t + sqrt(t * t - 4 * (1 + c))) / 2
+    return (matrix([[lam, 0], [0, 1 / lam]]), matrix([[a, 1], [c, t - a]]),
+            gamma)
+
+
+def _inverse(m):
+    return matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+KLEINIAN = ("k1", "k2", "k4", "k5", "k19")
+
+
+@pytest.mark.parametrize("id", KLEINIAN)
+def test_commutator_parameter_is_gamma(id):
+    with mp.workdps(50):
+        f, g, gamma = _generators(census_entry(id))
+        comm = _inverse(f) * _inverse(g) * f * g
+        assert abs(comm[0, 0] + comm[1, 1] - 2 - gamma) < mp.mpf(10) ** -45
+        assert abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1) \
+            < mp.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("id", [
+    *KLEINIAN[:-1],
+    pytest.param("k19", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="k19's p, q, gamma fail ([y,x]*y)^2 and (x^-1*[y,x]*y)^2; "
+               "its other four relators hold")),
+])
+def test_relators_are_plus_or_minus_identity(id):
+    """The census (p, q, gamma) give a representation in SL(2, C) in
+    which every relator is +-I, to 50 digits."""
+    entry = census_entry(id)
+    with mp.workdps(50):
+        f, g, _ = _generators(entry)
+        letters = (g, _inverse(g), f, _inverse(f))
+        eye = matrix([[1, 0], [0, 1]])
+        failing = []
+        for r in entry.presentation.relators:
+            m = eye
+            for l in r.letters:
+                m = m * letters[l]
+            if min(mp.mnorm(m - eye, 1), mp.mnorm(m + eye, 1)) \
+                    > mp.mpf(10) ** -40:
+                failing.append(str(r))
+        assert failing == []

@@ -4,7 +4,8 @@ from importlib import resources
 
 import pytest
 
-from cosetgeom import cli
+from conftest import group_of
+from cosetgeom import cli, perms
 from cosetgeom.census import census_entry
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
                            EXIT_USAGE, main)
@@ -201,6 +202,47 @@ def test_max_cosets_is_a_budget(capsys):
         ["analyze", "k5", "--index", "45"]).max_cosets == cli.MAX_COSETS
 
 
+def test_discover_out_is_an_existing_file(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert usage_error(capsys, "discover", "k1", "--index", "3",
+                       "--out", str(taken)) == EXIT_USAGE
+
+
+def test_discover_out_cannot_be_created(capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert usage_error(capsys, "discover", "k1", "--index", "3",
+                       "--out", str(blocker / "certs")) == EXIT_USAGE
+
+
+# argv up to the budget's value; discover writes into the working directory
+BUDGET_ARGV = {
+    "subgroups-node-budget": ("subgroups", "k1", "--max-index", "3",
+                              "--node-budget"),
+    "analyze-node-budget": ("analyze", "k1", "--index", "3",
+                            "--node-budget"),
+    "discover-node-budget": ("discover", "k1", "--index", "3",
+                             "--node-budget"),
+    "analyze-max-cosets": ("analyze", "k5", "--index", "45",
+                           "--certificate", K5_CERT, "--max-cosets"),
+}
+
+
+@pytest.mark.parametrize("argv", BUDGET_ARGV.values(), ids=list(BUDGET_ARGV))
+def test_negative_budget_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert usage_error(capsys, *argv, "-1") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", BUDGET_ARGV.values(), ids=list(BUDGET_ARGV))
+def test_zero_budget_is_exceeded(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET and err.count("\n") == 1, err
+
+
 def test_dead_flags_removed():
     from cosetgeom.cli import build_parser
     for argv in (["analyze", "k4", "--index", "4", "--seed", "1"],
@@ -231,3 +273,15 @@ def test_reproduce_wrong_count_fails(capsys, tmp_path, monkeypatch):
         == EXIT_CHECK_FAILED
     (check,) = json.loads(path.read_text())["checks"]
     assert check["claim"] == "k5@45" and check["pass"] is False
+
+
+def test_analyze_s12_computes_no_sampled_fingerprint(monkeypatch, k1_to_12):
+    # k1@12 acts as S12; neither it nor its S10 pair stabilizer is read
+    (t,) = [t for t in k1_to_12 if group_of(t).order() == 479001600]
+
+    def refuse(*args):
+        raise AssertionError("sampled fingerprint computed")
+    monkeypatch.setattr(perms, "_sampled_histogram", refuse)
+    report = cli.analyze_table(t)
+    assert report["order"] == 479001600 and report["identified_as"] is None
+    assert [c["stabilizer_order"] for c in report["classes"]] == [3628800]

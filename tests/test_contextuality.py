@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import group_of, order_of
-from cosetgeom.contextuality import (CosetLabeling, calibrate_mode,
+from cosetgeom.contextuality import (MODES, CosetLabeling, calibrate_mode,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
                                      to_dot)
 from cosetgeom.geometry import geometry_from_class, pair_classes, recognize
-from cosetgeom.toddcox import transversal
+from cosetgeom.toddcox import schreier_generators, transversal
+from cosetgeom.words import commutator_word
 
 
 def labelings_of(table):
@@ -138,3 +140,31 @@ def test_dot_export(k19_to_9):
     dot = to_dot(lab, "coset")
     assert dot.startswith("graph contextuality {")
     assert "red" in dot
+
+
+def _commutes_by_words(lab, line, mode):
+    """line_commutes by building each commutator word and acting with it
+    letter by letter, the oracle for the coset-permutation version."""
+    table, reps = lab.table, lab.transversal
+    cosets = range(table.n) if mode == "perm" else (0,)
+    return all(table.word_action(commutator_word(reps[i], reps[j]), k) == k
+               for i, j in combinations(sorted(line), 2) for k in cosets)
+
+
+def test_line_commutes_matches_commutator_words(differential_tables):
+    # each geometry under its BFS transversal, and under h * reps for a
+    # subgroup generator h, whose words are not built letter by letter
+    # from one another
+    verdicts = set()
+    for t in differential_tables:
+        h = schreier_generators(t).generators[:1]
+        for _, lab in labelings_of(t):
+            labs = [lab] + [CosetLabeling(lab.geometry, tuple(
+                g * r for r in lab.transversal), t) for g in h]
+            for lab2 in labs:
+                for line in lab2.geometry.lines:
+                    for mode in MODES:
+                        got = line_commutes(lab2, line, mode)
+                        assert got == _commutes_by_words(lab2, line, mode)
+                        verdicts.add((mode, got))
+    assert len(verdicts) == 4

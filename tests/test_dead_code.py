@@ -6,6 +6,9 @@ perfbench/ loads it by name, reads it as an attribute, or imports it.
 A method (any function defined in a class body, dunders aside) counts
 as used when some such file reads its name: as a name, an attribute,
 an import or a string constant, as getattr(owner, "name") needs.
+A dataclass field counts as read when some such file reads it as an
+attribute or names it in a string constant (for getattr or fields());
+passing it as a constructor keyword does not count.
 A name imported into a file under tests/ must be read in that file.
 (src/ is not held to that: the package __init__ re-exports on purpose.)
 """
@@ -80,6 +83,43 @@ def test_no_unused_methods():
         for qualname, name in _methods(ast.parse(path.read_text()))
         if name not in read and not name.startswith("__"))
     assert unused == []
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        if isinstance(deco, ast.Call):
+            deco = deco.func
+        if isinstance(deco, ast.Name) and deco.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name):
+                    yield "%s.%s" % (node.name, item.target.id), \
+                        item.target.id
+
+
+def test_no_unread_dataclass_fields():
+    read = set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    unread = sorted(
+        "%s.%s" % (path.stem, qualname)
+        for path in PACKAGE.glob("*.py")
+        for qualname, name in _dataclass_fields(ast.parse(path.read_text()))
+        if name not in read)
+    assert unread == []
 
 
 def _imported(tree):

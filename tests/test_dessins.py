@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import relabel
 from cosetgeom.dessins import (Dessin, RoleMismatch, dessin_from_table,
                                modular_data, passport, signature, to_dot)
 from cosetgeom.perms import Permutation, parse_cycles
@@ -80,7 +81,8 @@ def test_passport_sums_to_n(k1_to_10):
 def test_signature_relabel_invariant():
     d = pentagram_dessin()
     sigma = parse_cycles("(1,10)(2,9)", 10)
-    d2 = Dessin(10, d.sigma_black.relabel(sigma), d.sigma_white.relabel(sigma))
+    d2 = Dessin(10, relabel(d.sigma_black, sigma),
+                relabel(d.sigma_white, sigma))
     assert signature(d2) == signature(d)
 
 

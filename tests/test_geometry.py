@@ -2,10 +2,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import group_of, order_of
-from cosetgeom.geometry import (IncidenceGeometry, geometry_from_class,
-                                incidence_graph_stats, maximal_cliques,
-                                pair_classes, polygon_check, recognize)
+from conftest import group_of, order_of, relabel
+from cosetgeom.geometry import (IncidenceGeometry, _image, _orbits,
+                                geometry_from_class, incidence_graph_stats,
+                                maximal_cliques, pair_classes, polygon_check,
+                                recognize)
 from cosetgeom.perms import PermGroup, Permutation, parse_cycles
 
 
@@ -138,7 +139,7 @@ def test_geometry_conjugation_invariance(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
     g = group_of(t)
     sigma = parse_cycles("(1,9)(2,8)", 9)
-    g2 = PermGroup([p.relabel(sigma) for p in g.generators])
+    g2 = PermGroup([relabel(p, sigma) for p in g.generators])
     names = sorted(recognize(geometry_from_class(g, c.pairs)) or "-"
                    for c in pair_classes(g))
     names2 = sorted(recognize(geometry_from_class(g2, c.pairs)) or "-"
@@ -221,3 +222,68 @@ def test_analyze_table_computes_stats_once_per_class(monkeypatch, k19_to_9):
                         lambda geom: calls.append(geom) or stats(geom))
     report = cli.analyze_table(t)
     assert len(calls) == len(report["classes"]) == 2
+
+
+def _fingerprint_merged_classes(g):
+    """(stabilizer order, pairs) of each pair class, sorted as
+    pair_classes sorts them: every pair orbit's stabilizer is
+    fingerprinted, and orbits are merged on the whole Fingerprint."""
+    by_fp = {}
+    for seed, orbit in _orbits(combinations(range(g.degree), 2),
+                               g.generators, _image):
+        fp = g.two_point_stabilizer(*seed).fingerprint()
+        by_fp.setdefault(fp, set()).update(orbit)
+    return sorted(((fp.order, tuple(sorted(pairs)))
+                   for fp, pairs in by_fp.items()),
+                  key=lambda c: (-c[0], len(c[1]), c[1]))
+
+
+def test_pair_classes_match_fingerprint_merge(differential_tables):
+    for t in differential_tables:
+        g = group_of(t)
+        assert [(c.stab_order, c.pairs) for c in pair_classes(g)] \
+            == _fingerprint_merged_classes(group_of(t))
+
+
+def test_pair_classes_split_equal_stabilizer_orders():
+    # no census group has two pair orbits whose stabilizers share an order
+    # but not a fingerprint; this index-12 action of
+    # < x, y | x^4, y^4, [x,y]^2 > (order 1296) has two, of order 36
+    gens = ("(1,2,4,3)(5,6,9,8)(7,10,12,11)", "(1,2,5,3)(4,6,9,7)(8,10,12,11)")
+    g = PermGroup([parse_cycles(c, 12) for c in gens])
+    classes = pair_classes(g)
+    assert g.order() == 1296
+    assert [c.stab_order for c in classes] == [54, 36, 36]
+    assert [(c.stab_order, c.pairs) for c in classes] \
+        == _fingerprint_merged_classes(PermGroup(g.generators))
+
+
+def _set_bron_kerbosch(adj, r, p, x, out):
+    """Bron-Kerbosch with pivoting on Python sets, the oracle for the
+    bitset version."""
+    if not p and not x:
+        out.append(tuple(sorted(r)))
+        return
+    pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
+    for v in sorted(p - adj[pivot]):
+        _set_bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
+        p = p - {v}
+        x = x | {v}
+
+
+def _set_maximal_cliques(n, edges):
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+    _set_bron_kerbosch(adj, set(), set(range(n)), set(), out)
+    return sorted(out)
+
+
+def test_maximal_cliques_match_set_bron_kerbosch(differential_tables):
+    graphs = [(0, ()), (5, ())]
+    for t in differential_tables:
+        graphs.extend((t.n, cls.pairs) for cls in pair_classes(group_of(t)))
+    for n, edges in graphs:
+        assert maximal_cliques(n, edges) == _set_maximal_cliques(n, edges)
