@@ -1,13 +1,18 @@
 """Permutations, permutation groups and isomorphism-class fingerprints.
 
 Permutations act on 0..n-1 internally; cycle notation is printed and
-parsed 1-based ("(2,3,5,4)(6,7,8,9)", identity "()").  Group order,
-stabilizers, transitivity and the transversals that sampling draws from
-come from sympy's stabilizer-chain machinery.
+parsed 1-based ("(2,3,5,4)(6,7,8,9)", identity "()").
 
-Fingerprints never build a Permutation per element.  They work on raw
+Group work never builds a Permutation per element.  It runs on raw
 images: bytes up to degree 256, where one composition is a single
 bytes.translate in C, and tuples composed by one itemgetter above that.
+Group order, stabilizers and the transversals that sampling draws from
+come from a deterministic Schreier-Sims stabilizer chain (_Chain); for
+an empty base prefix it reproduces sympy's base, strong generators and
+transversals exactly, so sampled fingerprints keep their draws.  A
+point stabilizer is the second level of a chain whose base starts at
+the point, and comes with its order.
+
 An exact histogram walks the powers of one element per cyclic subgroup
 of the closure, giving every power its order at once; a sampled element
 is composed from one transversal image per chain level, and its order
@@ -25,10 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from math import gcd, lcm
-
-from sympy.combinatorics import Permutation as _SymPerm
-from sympy.combinatorics.perm_groups import PermutationGroup as _SymGroup
+from math import gcd, lcm, prod
 
 EXACT_ORDER_BOUND = 10 ** 6
 SAMPLE_SIZE = 10 ** 4
@@ -179,6 +181,9 @@ class _Bytes:
     def table(self, element):
         return element + self._pad
 
+    def inverse_table(self, element):
+        return bytes.maketrans(element, self.identity)
+
     step = staticmethod(bytes.translate)
 
 
@@ -197,6 +202,10 @@ class _Tuples:
     @staticmethod
     def table(element):
         return element
+
+    @staticmethod
+    def inverse_table(element):
+        return tuple(sorted(range(len(element)), key=element.__getitem__))
 
     @staticmethod
     def step(element, table):
@@ -232,17 +241,6 @@ def _grow(enc, elements, tables, x):
                     nxt.append(h)
         frontier = nxt
     return True
-
-
-def _closure(enc, gens):
-    """All elements of <gens> (Permutations), encoded by enc, and the
-    generators that enlarged it; a generator already in the group of
-    the ones before it is skipped."""
-    elements, tables, kept = {enc.identity}, [], []
-    for g in gens:
-        if _grow(enc, elements, tables, enc.encode(g.images)):
-            kept.append(g)
-    return elements, kept
 
 
 def _powers(enc, element):
@@ -300,11 +298,177 @@ def _derived_order(enc, gens):
     return len(elements)
 
 
-class PermGroup:
-    """A permutation group with stabilizer-chain order and stabilizers."""
+def _first_moved(element):
+    return next(i for i, x in enumerate(element) if x != i)
 
-    def __init__(self, generators, degree=None, _sym=None):
-        generators = [g for g in generators if not g.is_identity()]
+
+class _Chain:
+    """Base and strong generating set of <gens> by deterministic
+    incremental Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003, ch. 4), on elements encoded by enc.
+
+    gens are encoded elements, none the identity and none repeated.  The
+    base starts with base_prefix; each generator fixing the base so far
+    adds its first moved point.  _levels[l] holds the strong generators,
+    with their tables, that generate the stabilizer of base[:l], and
+    _orbits[l] maps each point of that group's orbit of base[l] to an
+    element taking base[l] there, found breadth-first over _levels[l].
+
+    For an empty prefix the base, strong_gens and transversals() are
+    those of sympy's schreier_sims_incremental and basic_transversals.
+    Level i is checked only once every deeper level is complete, so a
+    Schreier generator that sifted to the identity sifts to it again: a
+    level resumes its check where it found a new strong generator
+    instead of starting over, and finds the same ones sympy does.
+    """
+
+    def __init__(self, enc, gens, base_prefix=()):
+        self.enc = enc
+        base = list(base_prefix)
+        for g in gens:
+            if all(g[b] == b for b in base):
+                base.append(_first_moved(g))
+        self.base = base
+        self.strong_gens = list(gens)
+        self._levels = self._distribute(gens)
+        self._orbits = [None] * len(base)
+        self._inverses = [None] * len(base)
+        self._cursor = [None] * len(base)
+        for level in range(len(base)):
+            self._reset(level)
+        self._transversals = None
+        i = len(base) - 1
+        while i >= 0:
+            found = self._check(i)
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            if j == len(base):
+                base.append(_first_moved(h))
+                for per_level in (self._levels, self._orbits,
+                                  self._inverses, self._cursor):
+                    per_level.append([])
+            self.strong_gens.append(h)
+            t = enc.table(h)
+            for level in range(i + 1, j + 1):
+                self._levels[level].append((h, t))
+                self._reset(level)
+            i = j
+
+    def _distribute(self, gens):
+        """Per level, each of gens with its table, if it fixes the base
+        points before that level (the last level takes the rest)."""
+        base = self.base
+        levels = [[] for _ in base]
+        for g in gens:
+            t = self.enc.table(g)
+            depth = 0
+            while depth < len(base) - 1 and g[base[depth]] == base[depth]:
+                depth += 1
+            for level in range(depth + 1):
+                levels[level].append((g, t))
+        return levels
+
+    def _transversal(self, gens, point):
+        step = self.enc.step
+        tr = {point: self.enc.identity}
+        orbit = [point]
+        for x in orbit:
+            u = tr[x]
+            for g, t in gens:
+                y = g[x]
+                if y not in tr:
+                    tr[y] = step(u, t)
+                    orbit.append(y)
+        return tr
+
+    def _reset(self, level):
+        self._orbits[level] = self._transversal(self._levels[level],
+                                                self.base[level])
+        self._inverses[level] = {}
+        self._cursor[level] = (0, 0)
+
+    def _inverse(self, level, point):
+        inverses = self._inverses[level]
+        t = inverses.get(point)
+        if t is None:
+            t = inverses[point] = self.enc.inverse_table(
+                self._orbits[level][point])
+        return t
+
+    def _sift(self, h, start):
+        """(residue, level) after stripping h from level start on: the
+        level whose orbit lacks h's image of its base point, or len(base)
+        when h fixes the whole base; (None, None) when h is in the chain."""
+        step = self.enc.step
+        base = self.base
+        for level in range(start, len(base)):
+            b = base[level]
+            beta = h[b]
+            if beta == b:
+                continue
+            u = self._orbits[level].get(beta)
+            if u is None:
+                return h, level
+            if h == u:
+                return None, None
+            h = step(h, self._inverse(level, beta))
+        return h, len(base)
+
+    def _check(self, i):
+        """The first Schreier generator of level i, from the cursor on,
+        that does not sift to the identity through the deeper levels, as
+        (residue, level it stopped at); None when there is none."""
+        step = self.enc.step
+        gens, orbit = self._levels[i], self._orbits[i]
+        points = list(orbit)
+        b, k = self._cursor[i]
+        while b < len(points):
+            beta = points[b]
+            u = orbit[beta]
+            while k < len(gens):
+                g, t = gens[k]
+                k += 1
+                g1 = step(u, t)
+                gb = g[beta]
+                if g1 != orbit[gb]:
+                    h, j = self._sift(step(g1, self._inverse(i, gb)), i + 1)
+                    if h is not None:
+                        self._cursor[i] = (b, k)
+                        return h, j
+            b, k = b + 1, 0
+        self._cursor[i] = (b, 0)
+        return None
+
+    def order(self, level=0):
+        """The order of the stabilizer of base[:level]."""
+        return prod(len(orbit) for orbit in self._orbits[level:])
+
+    def stabilizer_gens(self):
+        """Strong generators of the stabilizer of base[0]."""
+        return [g for g, _ in self._levels[1]] if len(self.base) > 1 else []
+
+    def transversals(self):
+        """Per base point, {point: element}, as sympy's basic_transversals:
+        breadth-first over the strong generators redistributed by the
+        first base point they move."""
+        if self._transversals is None:
+            self._transversals = [
+                self._transversal(gens, b) for gens, b in
+                zip(self._distribute(self.strong_gens), self.base)]
+        return self._transversals
+
+
+class PermGroup:
+    """A permutation group with stabilizer-chain order and stabilizers.
+
+    Generators are kept in order with identities and repeats dropped.
+    """
+
+    def __init__(self, generators, degree=None):
+        generators = list(dict.fromkeys(g for g in generators
+                                        if not g.is_identity()))
         if degree is None:
             if not generators:
                 raise ValueError("degree required for the trivial group")
@@ -313,24 +477,36 @@ class PermGroup:
             raise ValueError("mixed degrees")
         self.degree = degree
         self.generators = tuple(generators)
-        if _sym is not None:
-            self._sym = _sym
-        elif generators:
-            self._sym = _SymGroup([_SymPerm(g.images) for g in generators])
-        else:
-            self._sym = _SymGroup([_SymPerm(list(range(degree)))])
-        self._order = None
+        self._order = None if generators else 1
+        self._stabilizers = {}
+        self._chain = None
         self._fingerprint = None
 
+    def chain(self, base_prefix=()) -> _Chain:
+        """A stabilizer chain whose base starts with base_prefix.
+
+        The chain for the empty prefix, which sampling reads, is kept.
+        Its base starts at the first point the first generator moves, so
+        it is also the chain for that one point.
+        """
+        enc = _encoding(self.degree)
+        gens = [enc.encode(g.images) for g in self.generators]
+        first = _first_moved(gens[0]) if gens else None
+        if tuple(base_prefix) not in ((), (first,)):
+            return _Chain(enc, gens, base_prefix)
+        if self._chain is None:
+            self._chain = _Chain(enc, gens)
+        return self._chain
+
     def order(self) -> int:
+        """The product of the orbit lengths of the chain that
+        point_stabilizer(0) builds."""
         if self._order is None:
-            self._order = int(self._sym.order())
+            self.point_stabilizer(0)
         return self._order
 
     def is_transitive(self) -> bool:
-        if not self.generators:
-            return self.degree == 1
-        return bool(self._sym.is_transitive())
+        return len(self.orbit(0)) == self.degree
 
     def orbit(self, point: int):
         orb = {point}
@@ -347,10 +523,20 @@ class PermGroup:
         return frozenset(orb)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        stab = self._sym.stabilizer(point)
-        gens = [Permutation(_pad(g.array_form, self.degree))
-                for g in stab.generators]
-        return PermGroup(gens, degree=self.degree)
+        """The stabilizer of point, generated by the second level of a
+        chain whose base starts at point; kept per point.  Its order, and
+        this group's, come with the chain."""
+        stab = self._stabilizers.get(point)
+        if stab is None:
+            if not self.generators:
+                return self
+            chain = self.chain((point,))
+            stab = PermGroup([Permutation(h) for h in chain.stabilizer_gens()],
+                             degree=self.degree)
+            stab._order = chain.order(1)
+            self._order = chain.order()
+            self._stabilizers[point] = stab
+        return stab
 
     def two_point_stabilizer(self, p: int, q: int) -> "PermGroup":
         if p == q:
@@ -362,19 +548,16 @@ class PermGroup:
 
         Only for groups of order <= EXACT_ORDER_BOUND.
         """
-        return _closure(_encoding(self.degree), self.generators)[0]
+        enc = _encoding(self.degree)
+        elements, tables = {enc.identity}, []
+        for g in self.generators:
+            _grow(enc, elements, tables, enc.encode(g.images))
+        return elements
 
     def derived_index(self) -> int:
-        """|G : G'|; only for groups of order <= EXACT_ORDER_BOUND.
-
-        The commutators are taken over the generators left after dropping
-        each one, but the last, that lies in the group of the ones
-        before; sympy's stabilizers come with many redundant ones.
-        """
-        enc = _encoding(self.degree)
-        gens = self.generators
-        basis = _closure(enc, gens[:-1])[1] + list(gens[-1:])
-        return self.order() // _derived_order(enc, basis)
+        """|G : G'|; only for groups of order <= EXACT_ORDER_BOUND."""
+        return self.order() // _derived_order(_encoding(self.degree),
+                                              self.generators)
 
     def fingerprint(self) -> "Fingerprint":
         if self._fingerprint is None:
@@ -384,10 +567,6 @@ class PermGroup:
     def __repr__(self):
         return "PermGroup(degree=%d, gens=[%s])" % (
             self.degree, ", ".join(str(g) for g in self.generators))
-
-
-def _pad(array_form, degree):
-    return tuple(array_form) + tuple(range(len(array_form), degree))
 
 
 @dataclass(frozen=True)
@@ -411,13 +590,10 @@ def _sampled_histogram(g: PermGroup, count):
     Each element takes one random.Random(SAMPLE_SEED).choice per level of
     the stabilizer chain and is composed from the transversal images.
     """
-    g._sym.schreier_sims()
     enc = _encoding(g.degree)
     # per level: the sorted orbit points drawn from, and their tables
-    levels = [(sorted(tr), {k: enc.table(enc.encode(_pad(t.array_form,
-                                                         g.degree)))
-                            for k, t in tr.items()})
-              for tr in g._sym.basic_transversals]
+    levels = [(sorted(tr), {k: enc.table(t) for k, t in tr.items()})
+              for tr in g.chain().transversals()]
     rng = random.Random(SAMPLE_SEED)
     start = enc.table(enc.identity)
     step = enc.step

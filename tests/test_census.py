@@ -1,7 +1,8 @@
 import re
 
 import pytest
-from mpmath import cos, exp, matrix, mp, mpc, pi, sqrt
+from mpmath import (catalan, cos, dirichlet, exp, matrix, mp, mpc, mpf, pi,
+                    sqrt, zeta)
 
 from cosetgeom.census import (CENSUS_IDS, UnknownId, census_entry,
                               list_census)
@@ -137,3 +138,27 @@ def test_relators_are_plus_or_minus_identity(id):
                     > mp.mpf(10) ** -40:
                 failing.append(str(r))
         assert failing == []
+
+
+def _bianchi_covolume(d):
+    """Covolume of PSL(2, O_d) for d = 1, 3 by Humbert's formula
+    |D|^(3/2) zeta(2) L(2, chi_D) / (4 pi^2), D the discriminant of
+    Q(sqrt(-d)) (Maclachlan & Reid 2003, section 11.1)."""
+    disc, chi = {1: (4, [0, 1, 0, -1]), 3: (3, [0, 1, -1])}[d]
+    return mpf(disc) ** 1.5 * zeta(2) * dirichlet(2, chi) / (4 * pi ** 2)
+
+
+def test_bianchi_covolumes():
+    assert abs(dirichlet(2, [0, 1, 0, -1]) - catalan) < mpf(10) ** -12
+    assert abs(_bianchi_covolume(1) - mpf("0.3053219")) < mpf(10) ** -7
+    assert abs(_bianchi_covolume(3) - mpf("0.1691569")) < mpf(10) ** -7
+
+
+@pytest.mark.parametrize("id, ratio", [
+    ("k4", mpf(3) / 2), ("k5", 3), ("k1", 2), ("k2", 4), ("k19", mpf(5) / 4)])
+def test_covolume_is_a_bianchi_multiple(id, ratio):
+    """The published covolume is a multiple of PSL(2, O_d)'s, d the
+    entry's own, to the 5 * 10^-5 its five printed digits allow."""
+    entry = census_entry(id)
+    assert abs(mpf(entry.covolume) - ratio * _bianchi_covolume(entry.d)) \
+        < mpf("5e-5")

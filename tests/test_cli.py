@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -285,3 +288,15 @@ def test_analyze_s12_computes_no_sampled_fingerprint(monkeypatch, k1_to_12):
     report = cli.analyze_table(t)
     assert report["order"] == 479001600 and report["identified_as"] is None
     assert [c["stabilizer_order"] for c in report["classes"]] == [3628800]
+
+
+def test_cli_imports_no_sympy():
+    """sympy is a test-only oracle: the command line never loads it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import cosetgeom.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

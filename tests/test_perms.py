@@ -111,16 +111,77 @@ def _sympy_orders(sym):
         yield by_type[ct]
 
 
+def _sym_group(g):
+    return SymGroup([SymPerm(list(h.images)) for h in g.generators]
+                    or [SymPerm(list(range(g.degree)))])
+
+
 def test_exact_fingerprints_match_sympy(census_groups_and_stabilizers):
     for g in census_groups_and_stabilizers:
         fp = g.fingerprint()
         assert fp.exact and fp.sample_size == 0
-        sym = SymGroup([SymPerm(list(h.images)) for h in g.generators]
-                       or [SymPerm(list(range(g.degree)))])
+        sym = _sym_group(g)
         hist = Counter(_sympy_orders(sym))
         assert fp.element_order_histogram == tuple(sorted(hist.items()))
         assert fp.order == sym.order()
         assert fp.derived_index == sym.order() // sym.derived_subgroup().order()
+
+
+@pytest.fixture(scope="module")
+def s12(k1_to_12):
+    """k1@12's group, the symmetric group S12."""
+    (g,) = [g for g in map(group_of, k1_to_12) if g.order() == 479001600]
+    return g
+
+
+def test_chain_matches_sympy(differential_tables, s12):
+    """sympy's stabilizer chain as oracle: orders, transitivity, point
+    and two-point stabilizer orders, and for the empty base prefix the
+    same base, strong generators and transversal elements, in order."""
+    for g in [group_of(t) for t in differential_tables if t.n > 1] + [s12]:
+        sym = _sym_group(g)
+        assert g.order() == sym.order()
+        assert g.is_transitive() == sym.is_transitive()
+        chain = g.chain()
+        assert chain.base == sym.base
+        assert [tuple(h) for h in chain.strong_gens] \
+            == [tuple(h.array_form) for h in sym.strong_gens]
+        assert [[(p, tuple(u)) for p, u in tr.items()]
+                for tr in chain.transversals()] \
+            == [[(p, tuple(u.array_form)) for p, u in tr.items()]
+                for tr in sym.basic_transversals]
+        for p in range(g.degree):
+            assert g.point_stabilizer(p).order() \
+                == sym.stabilizer(p).order()
+        sym0 = sym.stabilizer(0)
+        for q in range(1, g.degree):
+            assert g.two_point_stabilizer(0, q).order() \
+                == sym0.stabilizer(q).order()
+
+
+def test_stabilizers_have_few_generators(differential_tables):
+    """Each strong generator of a stabilizer enlarges the group of the
+    ones before it, so there are at most log2 of the order of them."""
+    for g in map(group_of, differential_tables):
+        for p in range(g.degree):
+            stabs = [g.point_stabilizer(p)] + [
+                g.two_point_stabilizer(p, q)
+                for q in range(g.degree) if q != p]
+            for s in stabs:
+                assert len(s.generators) <= max(1, s.order().bit_length() - 1)
+
+
+def test_psl2_257_on_the_projective_line():
+    """Degree 258 > 256, so the chain runs on tuples: PSL(2,257) on
+    GF(257) and infinity (point 257), by x -> x+1 and x -> -1/x."""
+    p, inf = 257, 257
+    shift = Permutation([(x + 1) % p for x in range(p)] + [inf])
+    flip = Permutation([inf] + [-pow(x, p - 2, p) % p for x in range(1, p)]
+                       + [0])
+    g = PermGroup([shift, flip])
+    assert g.order() == 8487168
+    assert g.point_stabilizer(inf).order() == 32896
+    assert g.two_point_stabilizer(inf, 0).order() == 128
 
 
 S12_SAMPLED = (
@@ -129,19 +190,18 @@ S12_SAMPLED = (
     (18, 491), (20, 356), (21, 247), (24, 404), (28, 349), (30, 602),
     (35, 307), (42, 244), (60, 161))
 S10_SAMPLED = (
-    (2, 20), (3, 94), (4, 583), (5, 234), (6, 1569), (7, 243), (8, 1197),
-    (9, 1172), (10, 1400), (12, 1166), (14, 754), (15, 284), (20, 499),
-    (21, 461), (30, 324))
+    (2, 30), (3, 94), (4, 530), (5, 224), (6, 1581), (7, 228), (8, 1239),
+    (9, 1094), (10, 1458), (12, 1106), (14, 790), (15, 326), (20, 506),
+    (21, 446), (30, 348))
 
 
-def test_sampled_fingerprints_are_pinned(k1_to_12):
+def test_sampled_fingerprints_are_pinned(s12):
     # k1@12: S12 and the S10 stabilizer of a pair, both sampled
-    (g,) = [g for g in map(group_of, k1_to_12) if g.order() == 479001600]
-    s10 = g.two_point_stabilizer(0, 1)
+    s10 = s12.two_point_stabilizer(0, 1)
     assert s10.order() == 3628800
-    assert g.fingerprint().element_order_histogram == S12_SAMPLED
+    assert s12.fingerprint().element_order_histogram == S12_SAMPLED
     assert s10.fingerprint().element_order_histogram == S10_SAMPLED
-    for h in (g, s10):
+    for h in (s12, s10):
         fp = h.fingerprint()
         assert not fp.exact and fp.sample_size == 10 ** 4
         assert fp.derived_index is None

@@ -1,13 +1,15 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
 from conftest import group_of
 from cosetgeom.contextuality import labeling_from_table, line_commutes
 from cosetgeom.dessins import dessin_from_table, signature
 from cosetgeom.geometry import geometry_from_class, pair_classes
-from cosetgeom.perms import Permutation
+from cosetgeom.perms import PermGroup, Permutation
 from cosetgeom.words import Word, _reduce
 
 letters = st.lists(st.integers(min_value=0, max_value=3), max_size=40)
@@ -48,6 +50,21 @@ def test_permutation_roundtrip(images):
     p = Permutation(images)
     assert p * p.inverse() == Permutation.identity(7)
     assert sum(p.cycle_type()) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_chain_matches_sympy_on_random_pairs(pair):
+    g = PermGroup([Permutation(images) for images in pair],
+                  degree=len(pair[0]))
+    sym = SymGroup([SymPerm(list(images)) for images in pair])
+    assert g.order() == sym.order()
+    assert g.chain().base == sym.base
+    assert [[(p, tuple(u)) for p, u in tr.items()]
+            for tr in g.chain().transversals()] \
+        == [[(p, tuple(u.array_form)) for p, u in tr.items()]
+            for tr in sym.basic_transversals]
 
 
 def test_coset_table_invariants(k1_to_10, k4_to_9, k19_to_9):
