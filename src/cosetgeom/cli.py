@@ -27,7 +27,7 @@ from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
 from .perms import (PermGroup, identify, parse_cycles,
                     simultaneously_conjugate)
-from .toddcox import CosetLimitExceeded, todd_coxeter
+from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter
 from .words import SubgroupSpec, parse_word
 
 EXIT_OK = 0
@@ -35,13 +35,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# the coset cap of analyze (--max-cosets) and of every reproduce replay;
-# only a cap, since the enumerator allocates rows as it defines cosets
-MAX_COSETS = 4 * 10 ** 6
-
 
 class UsageError(Exception):
     """Bad arguments or input files; main() prints it and exits 2."""
+
+
+class CheckFailed(Exception):
+    """A result that fails its check; main() prints it and exits 1."""
 
 
 def _die_budget(exc):
@@ -139,7 +139,7 @@ def _find_table(entry, args):
         spec = _load_certificate(args.certificate, entry)
         table = todd_coxeter(spec, max_cosets=args.max_cosets)
         if table.n != args.index:
-            raise SystemExit(
+            raise CheckFailed(
                 "certificate replay gave index %d, expected %d"
                 % (table.n, args.index))
         return table
@@ -317,8 +317,7 @@ def _compare(entry, r):
         specs = tuple(spec for _, spec in entry.subgroups)
         source = "subgroup" if specs else "search"
     if specs:
-        tables = [todd_coxeter(s, max_cosets=MAX_COSETS)
-                  for s in specs]
+        tables = [todd_coxeter(s) for s in specs]
     else:
         tables = [t for t in low_index_subgroups(entry.presentation, r.index)
                   if t.n == r.index]
@@ -450,13 +449,11 @@ def main(argv=None):
     except (UnknownId, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except CheckFailed as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (CosetLimitExceeded, SearchBudgetExceeded) as exc:
         return _die_budget(exc)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print("error: %s" % exc.code, file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        raise
 
 
 if __name__ == "__main__":

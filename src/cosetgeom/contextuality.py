@@ -129,27 +129,6 @@ def contextuality_report(labeling: CosetLabeling,
                                maximal=maximal)
 
 
-def calibrate_mode(cases):
-    """Count per-line agreements of each mode against expected verdicts.
-
-    cases: iterable of (labeling, {line: expected_commutes}).  Returns
-    {"perm": (agree, total), "coset": (agree, total)}.  Kept as a
-    harness-level diagnostic; the recorded outcome on the published
-    verdict tables is that neither mode matches them all, so the default
-    mode is a convention, not a calibration result.
-    """
-    out = {}
-    for mode in MODES:
-        agree = total = 0
-        for labeling, expected in cases:
-            for line, want in expected.items():
-                got = line_commutes(labeling, tuple(line), mode)
-                agree += (got == want)
-                total += 1
-        out[mode] = (agree, total)
-    return out
-
-
 def to_dot(labeling: CosetLabeling, mode: str = DEFAULT_MODE) -> str:
     """Incidence DOT with non-commuting ("thick") lines drawn bold."""
     report = contextuality_report(labeling, mode)

@@ -6,18 +6,19 @@ parsed 1-based ("(2,3,5,4)(6,7,8,9)", identity "()").
 Group work never builds a Permutation per element.  It runs on raw
 images: bytes up to degree 256, where one composition is a single
 bytes.translate in C, and tuples composed by one itemgetter above that.
-Group order, stabilizers and the transversals that sampling draws from
-come from a deterministic Schreier-Sims stabilizer chain (_Chain); for
-an empty base prefix it reproduces sympy's base, strong generators and
-transversals exactly, so sampled fingerprints keep their draws.  A
-point stabilizer is the second level of a chain whose base starts at
-the point, and comes with its order.
+Every group computation runs on a deterministic Schreier-Sims
+stabilizer chain (_Chain); for an empty base prefix it reproduces
+sympy's base, strong generators and transversals exactly, so sampled
+fingerprints keep their draws.  A point stabilizer is the second level
+of a chain whose base starts at the point, and comes with its order.
 
-An exact histogram walks the powers of one element per cyclic subgroup
-of the closure, giving every power its order at once; a sampled element
-is composed from one transversal image per chain level, and its order
-is taken by the same power walk; the derived subgroup is the normal
-closure of the generators' commutators, grown as a closure too.
+Every element is the product of one transversal element per chain
+level: an exact histogram lists them all and walks the powers of one
+element per cyclic subgroup, giving every power its order at once; a
+sampled one draws random products and takes each order by the same
+walk.  The derived subgroup, the normal closure of the generators'
+commutators, grows as a chain that an element joins when it does not
+sift through it.
 
 Fingerprints are computed when asked for and cached per group:
 identify(group) fingerprints only a group whose order is in its table.
@@ -212,37 +213,6 @@ class _Tuples:
         return itemgetter(*element)(table)
 
 
-def _encoding(degree):
-    return _Bytes(degree) if degree <= 256 else _Tuples(degree)
-
-
-def _grow(enc, elements, tables, x):
-    """Close elements, the group generated by tables, under x as well.
-
-    x joins tables and True is returned, unless x is already in.  The
-    elements times x not met yet are the new ones; everything reached
-    from them by the tables is added.
-    """
-    if x in elements:
-        return False
-    step = enc.step
-    t = enc.table(x)
-    tables.append(t)
-    frontier = [h for h in {step(e, t) for e in elements}
-                if h not in elements]
-    elements.update(frontier)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for u in tables:
-                h = step(e, u)  # h(i) = u(e(i))
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return True
-
-
 def _powers(enc, element):
     """element, element^2, ..., up to and including the identity."""
     step, table, identity = enc.step, enc.table(element), enc.identity
@@ -279,23 +249,27 @@ def _derived_order(enc, gens):
     """|G'| for G = <gens>: the normal closure of the generators'
     pairwise commutators.
 
-    The closure grows as each new generator of G' arrives, and that
-    generator's conjugates by G's generators join the queue.
+    G' is a chain, rebuilt each time a queued element it does not
+    contain joins its generators; that element's conjugates by G's
+    generators join the queue.
     """
     step = enc.step
-    inverses = [enc.encode(g.inverse().images) for g in gens]
-    tables = [enc.table(enc.encode(g.images)) for g in gens]
-    inverse_tables = [enc.table(i) for i in inverses]
+    tables = [enc.table(g) for g in gens]
+    inverse_tables = [enc.inverse_table(g) for g in gens]
+    inverses = [step(enc.identity, t) for t in inverse_tables]
     queue = [step(step(step(inverses[i], inverse_tables[j]), tables[i]),
                   tables[j])
              for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    elements, derived = {enc.identity}, []
+    derived = []
+    chain = _Chain(enc, derived)
     while queue:
         x = queue.pop()
-        if _grow(enc, elements, derived, x):
-            t = derived[-1]
+        if x not in chain:
+            derived.append(x)
+            chain = _Chain(enc, derived)
+            t = enc.table(x)
             queue.extend(step(step(i, t), g) for i, g in zip(inverses, tables))
-    return len(elements)
+    return chain.order()
 
 
 def _first_moved(element):
@@ -441,6 +415,11 @@ class _Chain:
         self._cursor[i] = (b, 0)
         return None
 
+    def __contains__(self, h):
+        """Whether h sifts from level 0 to the identity."""
+        residue, _ = self._sift(h, 0)
+        return residue is None or residue == self.enc.identity
+
     def order(self, level=0):
         """The order of the stabilizer of base[:level]."""
         return prod(len(orbit) for orbit in self._orbits[level:])
@@ -463,7 +442,8 @@ class _Chain:
 class PermGroup:
     """A permutation group with stabilizer-chain order and stabilizers.
 
-    Generators are kept in order with identities and repeats dropped.
+    Generators are kept in order with identities and repeats dropped,
+    and encoded once for the chain.
     """
 
     def __init__(self, generators, degree=None):
@@ -477,6 +457,8 @@ class PermGroup:
             raise ValueError("mixed degrees")
         self.degree = degree
         self.generators = tuple(generators)
+        self._enc = _Bytes(degree) if degree <= 256 else _Tuples(degree)
+        self._gens = [self._enc.encode(g.images) for g in generators]
         self._order = None if generators else 1
         self._stabilizers = {}
         self._chain = None
@@ -489,13 +471,12 @@ class PermGroup:
         Its base starts at the first point the first generator moves, so
         it is also the chain for that one point.
         """
-        enc = _encoding(self.degree)
-        gens = [enc.encode(g.images) for g in self.generators]
+        gens = self._gens
         first = _first_moved(gens[0]) if gens else None
         if tuple(base_prefix) not in ((), (first,)):
-            return _Chain(enc, gens, base_prefix)
+            return _Chain(self._enc, gens, base_prefix)
         if self._chain is None:
-            self._chain = _Chain(enc, gens)
+            self._chain = _Chain(self._enc, gens)
         return self._chain
 
     def order(self) -> int:
@@ -544,20 +525,22 @@ class PermGroup:
         return self.point_stabilizer(p).point_stabilizer(q)
 
     def elements(self):
-        """All elements as images: bytes for degree <= 256, else tuples.
+        """All elements as images, bytes for degree <= 256, else tuples,
+        in a list: each the product of one transversal element per chain
+        level, deepest level first.
 
         Only for groups of order <= EXACT_ORDER_BOUND.
         """
-        enc = _encoding(self.degree)
-        elements, tables = {enc.identity}, []
-        for g in self.generators:
-            _grow(enc, elements, tables, enc.encode(g.images))
+        step = self._enc.step
+        elements = [self._enc.identity]
+        for tr in reversed(self.chain().transversals()):
+            tables = [self._enc.table(u) for u in tr.values()]
+            elements = [step(e, t) for t in tables for e in elements]
         return elements
 
     def derived_index(self) -> int:
         """|G : G'|; only for groups of order <= EXACT_ORDER_BOUND."""
-        return self.order() // _derived_order(_encoding(self.degree),
-                                              self.generators)
+        return self.order() // _derived_order(self._enc, self._gens)
 
     def fingerprint(self) -> "Fingerprint":
         if self._fingerprint is None:
@@ -590,7 +573,7 @@ def _sampled_histogram(g: PermGroup, count):
     Each element takes one random.Random(SAMPLE_SEED).choice per level of
     the stabilizer chain and is composed from the transversal images.
     """
-    enc = _encoding(g.degree)
+    enc = g._enc
     # per level: the sorted orbit points drawn from, and their tables
     levels = [(sorted(tr), {k: enc.table(t) for k, t in tr.items()})
               for tr in g.chain().transversals()]
@@ -610,7 +593,7 @@ def _sampled_histogram(g: PermGroup, count):
 def fingerprint(g: PermGroup) -> Fingerprint:
     order = g.order()
     if order <= EXACT_ORDER_BOUND:
-        hist = _order_histogram(_encoding(g.degree), g.elements())
+        hist = _order_histogram(g._enc, g.elements())
         exact, sample = True, 0
         derived_index = g.derived_index()
     else:

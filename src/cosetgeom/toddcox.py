@@ -20,6 +20,11 @@ NLETTERS = 4
 LETTER_ORDER = (0, 1, 2, 3)  # x, x^-1, y, y^-1
 
 
+# the default coset cap, also analyze's --max-cosets; only a cap, since
+# the enumerator allocates rows as it defines cosets
+MAX_COSETS = 4 * 10 ** 6
+
+
 class CosetLimitExceeded(RuntimeError):
     """Enumeration did not complete within the coset cap."""
 
@@ -199,7 +204,8 @@ def _standardize(rows):
     return out
 
 
-def todd_coxeter(spec: SubgroupSpec, max_cosets: int = 10 ** 6) -> CosetTable:
+def todd_coxeter(spec: SubgroupSpec,
+                 max_cosets: int = MAX_COSETS) -> CosetTable:
     """Enumerate the cosets of the subgroup; raises CosetLimitExceeded."""
     enum = _Enumerator(spec.parent.relators, max_cosets)
     enum.run(spec.generators)

@@ -323,7 +323,7 @@ def test_criterion_08_go21_maximal():
 def test_criterion_09_heavy_enumerations():
     t0 = time.perf_counter()
     # HLT defines ~3M cosets before collapsing to index 1755
-    t1 = todd_coxeter(census_entry("g1").subgroup("h1"), max_cosets=4 * 10 ** 6)
+    t1 = todd_coxeter(census_entry("g1").subgroup("h1"))
     assert t1.n == 1755
     assert order_of(t1) == 17971200
     t2 = todd_coxeter(census_entry("g2").subgroup("h2"))
@@ -346,7 +346,7 @@ def test_criterion_09_heavy_enumerations():
                           "the computed signature is exactly half, matching "
                           "the degree-3510 edge action instead")
 def test_criterion_09_published_signature():
-    t1 = todd_coxeter(census_entry("g1").subgroup("h1"), max_cosets=4 * 10 ** 6)
+    t1 = todd_coxeter(census_entry("g1").subgroup("h1"))
     assert signature(dessin_from_table(t1)).as_tuple() == (1846, 1170, 270, 113)
 
 

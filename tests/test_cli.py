@@ -196,6 +196,14 @@ def test_huge_max_index_stays_within_node_budget(capsys):
     assert code == EXIT_BUDGET and err.count("\n") == 1, err
 
 
+def test_certificate_of_another_index_fails_the_check(capsys):
+    code = main(["analyze", "k5", "--index", "44", "--certificate", K5_CERT])
+    err = capsys.readouterr().err
+    assert code == EXIT_CHECK_FAILED
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "45" in err and "44" in err
+
+
 def test_max_cosets_is_a_budget(capsys):
     code = main(["analyze", "k5", "--index", "45", "--certificate", K5_CERT,
                  "--max-cosets", "10"])

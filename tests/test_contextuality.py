@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import group_of, order_of
-from cosetgeom.contextuality import (MODES, CosetLabeling, calibrate_mode,
+from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
                                      to_dot)
@@ -99,17 +99,6 @@ def test_maximal_definition(k19_to_9):
         r = contextuality_report(lab, "coset")
         expected = all((0 in line) == c for line, c in r.per_line)
         assert r.maximal == expected
-
-
-def test_calibrate_mode_counts(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    _, lab = next(labelings_of(t))
-    expected = {line: line_commutes(lab, line, "coset")
-                for line in lab.geometry.lines}
-    out = calibrate_mode([(lab, expected)])
-    assert out["coset"] == (len(expected), len(expected))
-    agree, total = out["perm"]
-    assert total == len(expected)
 
 
 @pytest.mark.xfail(strict=True,

@@ -125,6 +125,7 @@ def test_exact_fingerprints_match_sympy(census_groups_and_stabilizers):
         assert fp.element_order_histogram == tuple(sorted(hist.items()))
         assert fp.order == sym.order()
         assert fp.derived_index == sym.order() // sym.derived_subgroup().order()
+        assert len(set(g.elements())) == g.order()
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,15 @@ def test_psl2_257_on_the_projective_line():
     assert g.order() == 8487168
     assert g.point_stabilizer(inf).order() == 32896
     assert g.two_point_stabilizer(inf, 0).order() == 128
+    # the Borel subgroup x -> a^2 x + b: its derived subgroup is the
+    # translations, and an element a^2 x + b with a^2 != 1 has the order
+    # of a^2 in the squares of GF(257)*, which are cyclic of order 128
+    borel = g.point_stabilizer(inf)
+    fp = borel.fingerprint()
+    assert fp.exact and fp.derived_index == 128
+    assert fp.element_order_histogram == tuple(sorted(
+        [(1, 1), (257, 256)] + [(d, 257 * int(totient(d)))
+                                for d in range(2, 129) if 128 % d == 0]))
 
 
 S12_SAMPLED = (
