@@ -52,8 +52,12 @@ def _die_budget(exc):
 def _emit(obj, json_path=None):
     text = json.dumps(obj, indent=2)
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write JSON to %s: %s"
+                             % (json_path, exc.strerror)) from None
     else:
         print(text)
 
@@ -236,8 +240,8 @@ def cmd_analyze(args):
         return _die_budget(exc)
     if args.export == "dot":
         group = _group(table)
-        geom = geometry_from_class(group,
-                                   _chosen_classes(group, args.cls)[0].pairs)
+        cls = 1 if args.cls is None else args.cls
+        geom = geometry_from_class(group, _chosen_classes(group, cls)[0].pairs)
         print(contextuality_dot(labeling_from_table(table, geom), args.mode))
         print(dessin_dot(dessin_from_table(table)))
         return EXIT_OK

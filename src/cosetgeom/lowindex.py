@@ -16,6 +16,15 @@ defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
 undecided base cosets down to the children.  Rows are allocated as
 cosets are created, never up front by max_index.
+
+The partial table is held by column, one list per letter, and every
+relator rotation is compiled once into the columns it reads.  A new
+entry (a, l) = b is scanned along each rotation that starts with l from
+a and with l^-1 from b, beginning after the new edge; a scan that stops
+one entry short of closing its cycle forces that entry.  A forced entry
+skips the rotation it was read from, which the entry closes: entries
+are only added, so that cycle stays closed, and the deductions reached,
+hence every node's verdict, are those of scanning it again.
 """
 
 from __future__ import annotations
@@ -28,19 +37,33 @@ class SearchBudgetExceeded(RuntimeError):
     """The node budget was hit before the search finished."""
 
 
-def _rotations_by_letter(relators):
-    """For each letter, (rotation, rotation^-1) letter tuples of each
-    relator rotation starting with it."""
+def _compile_rotations(relators, cols):
+    """For each letter l, the relator rotations starting with l, compiled
+    against the column table cols.
+
+    A compiled rotation w is (steps, gaps): steps holds the columns of
+    w[1:], the letters after the edge that starts the scan; gaps[i], for
+    a forward scan stopped before w[i], is (w[i], backward, last, shifted):
+    the columns of the first len(w) - i - 1 letters of w^-1, the column
+    of the letter w[i]^-1 that ends that backward scan, and the compiled
+    rotation of w starting at w[i].  Equal rotations, as of a proper
+    power, are compiled once.
+    """
     by_letter = [[] for _ in range(NLETTERS)]
-    seen = [set() for _ in range(NLETTERS)]
+    compiled = {}
     for rel in relators:
         w = rel.cyclically_reduced().letters
-        for i, l in enumerate(w):
+        for i in range(len(w)):
             rot = w[i:] + w[:i]
-            if rot not in seen[l]:
-                seen[l].add(rot)
-                inverse = tuple(k ^ 1 for k in reversed(rot))
-                by_letter[l].append((rot, inverse))
+            if rot not in compiled:
+                compiled[rot] = (tuple(cols[k] for k in rot[1:]), [None])
+                by_letter[rot[0]].append(compiled[rot])
+    for rot, (_, gaps) in compiled.items():
+        inverse = [cols[k ^ 1] for k in reversed(rot)]
+        for i in range(1, len(rot)):
+            rest = len(rot) - i
+            gaps.append((rot[i], tuple(inverse[:rest - 1]),
+                         inverse[rest - 1], compiled[rot[i:] + rot[:i]]))
     return by_letter
 
 
@@ -50,8 +73,11 @@ class _Search:
         self.max_index = max_index
         self.node_budget = node_budget
         self.nodes = 0
-        self.rot = _rotations_by_letter(pres.relators)
-        self.table = [[None] * NLETTERS]
+        # the partial table by column: cols[l][c] is coset c times letter
+        # l, None while undefined; columns only ever grow in place, since
+        # the compiled rotations hold them
+        self.cols = [[None] for _ in range(NLETTERS)]
+        self.rot = _compile_rotations(pres.relators, self.cols)
         self.ncosets = 1
         self.trail = []
         # scratch renumbering of the first-in-class test: new -> old and
@@ -66,30 +92,37 @@ class _Search:
         """Set entry (a, l) = b and process all consequences.
 
         Every entry set goes on the trail; False on a forced coincidence.
+        A deduction carries the rotation it closes, which is not scanned
+        again: entries are only added, so that cycle stays closed.
         """
-        table, trail, rot = self.table, self.trail, self.rot
-        pending = [(a, l, b)]
+        cols, trail, rot = self.cols, self.trail, self.rot
+        pending = [(a, l, b, None)]
         while pending:
-            f, l, b = pending.pop()
-            cur = table[f][l]
+            f, l, b, closed = pending.pop()
+            col = cols[l]
+            cur = col[f]
             if cur is not None:
                 if cur != b:
                     return False
                 continue
-            back = table[b][l ^ 1]
-            if back is not None and back != f:
+            inv = cols[l ^ 1]
+            prev = inv[b]
+            if prev is not None and prev != f:
                 return False
-            table[f][l] = b
-            table[b][l ^ 1] = f
+            col[f] = b
+            inv[b] = f
             trail.append((f, l, b))
             # scan every relator rotation through the new edge, from
-            # both of its ends
-            for c, rots in ((f, rot[l]), (b, rot[l ^ 1])):
-                for word, inverse in rots:
-                    size = len(word)
-                    x, i = c, 0
-                    while i < size:
-                        y = table[x][word[i]]
+            # both of its ends, starting after the edge itself
+            for c, start, rots in ((f, b, rot[l]), (b, f, rot[l ^ 1])):
+                for r in rots:
+                    if r is closed:
+                        continue
+                    steps, gaps = r
+                    x = start
+                    i = 1
+                    for step in steps:
+                        y = step[x]
                         if y is None:
                             break
                         x = y
@@ -99,20 +132,20 @@ class _Search:
                             return False
                         continue
                     # scan back from c along the inverse for the rest
-                    rest = size - i
-                    y, j = c, 0
-                    while j < rest:
-                        z = table[y][inverse[j]]
-                        if z is None:
+                    letter, backward, last, shifted = gaps[i]
+                    y = c
+                    for step in backward:
+                        y = step[y]
+                        if y is None:
                             break
-                        y = z
-                        j += 1
-                    if j == rest:
-                        if x != y:
+                    else:
+                        if last[y] is not None:
+                            # entries are set in inverse pairs, so this
+                            # one, defined while (x, letter) is not,
+                            # leads back to another coset than x
                             return False
-                    elif j == rest - 1:
                         # one undefined entry left: the relator forces it
-                        pending.append((x, word[i], y))
+                        pending.append((x, letter, y, shifted))
         return True
 
     # -- first-in-class pruning -----------------------------------------
@@ -120,7 +153,7 @@ class _Search:
     def _first_in_class(self, live):
         """The base cosets of live still undecided, or None if one of
         them gives a lex-smaller table."""
-        table, mu, nu = self.table, self.mu, self.nu
+        cols, mu, nu = self.cols, self.mu, self.nu
         undecided = []
         for beta in live:
             mu[0] = beta
@@ -129,11 +162,10 @@ class _Search:
             order = 0          # sign of the first difference, new - old
             alpha = 0
             while alpha < count:
-                row_old = table[alpha]
-                row_new = table[mu[alpha]]
-                for l in range(NLETTERS):
-                    gamma = row_new[l]
-                    orig = row_old[l]
+                m = mu[alpha]
+                for col in cols:
+                    gamma = col[m]
+                    orig = col[alpha]
                     if gamma is None or orig is None:
                         break      # undecided on a partial table
                     g = nu[gamma]
@@ -167,17 +199,18 @@ class _Search:
         the values b still to try for it, and the trail length to undo
         to before each try.
         """
-        table, trail = self.table, self.trail
+        cols, trail = self.cols, self.trail
         propagate, first_in_class = self._propagate, self._first_in_class
         budget = self.node_budget
         stack = []
         self._branch(0, [], stack)
         while stack:
             a, l, spot, n, live, candidates, mark = stack[-1]
-            while len(trail) > mark:
-                f, k, d = trail.pop()
-                table[f][k] = None
-                table[d][k ^ 1] = None
+            if len(trail) > mark:
+                for f, k, d in trail[mark:]:
+                    cols[k][f] = None
+                    cols[k ^ 1][d] = None
+                del trail[mark:]
             self.ncosets = n
             b = next(candidates, None)
             if b is None:
@@ -190,8 +223,9 @@ class _Search:
             if b == n:
                 self.ncosets = n + 1
                 bases = live + [n]
-                if n == len(table):
-                    table.append([None] * NLETTERS)
+                if n == len(cols[0]):
+                    for col in cols:
+                        col.append(None)
                     self.mu.append(0)
                     self.nu.append(-1)
             if propagate(a, l, b):
@@ -204,18 +238,19 @@ class _Search:
         """Push the branch point at the first undefined entry at
         row-major position >= start, or emit the table if it is full;
         live holds the base cosets not yet decided larger."""
-        table = self.table
+        cols = self.cols
         n = self.ncosets
         end = n * NLETTERS
         spot = start
-        while spot < end and table[spot // NLETTERS][spot % NLETTERS] \
+        while spot < end and cols[spot % NLETTERS][spot // NLETTERS] \
                 is not None:
             spot += 1
         if spot == end:
             self._emit()
             return
         a, l = divmod(spot, NLETTERS)
-        candidates = [b for b in range(n) if table[b][l ^ 1] is None]
+        inv = cols[l ^ 1]
+        candidates = [b for b in range(n) if inv[b] is None]
         if n < self.max_index:
             candidates.append(n)
         stack.append((a, l, spot, n, live, iter(candidates),
@@ -223,7 +258,7 @@ class _Search:
 
     def _emit(self):
         n = self.ncosets
-        action = tuple(tuple(row) for row in self.table[:n])
+        action = tuple(zip(*(col[:n] for col in self.cols)))
         table = CosetTable(n=n, action=action,
                            subgroup=SubgroupSpec(self.pres, ()))
         spec = schreier_generators(table)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import _reduce, Word, Presentation, SubgroupSpec, inv_letter
+from .words import Word, Presentation, SubgroupSpec, inv_letter
 
 NLETTERS = 4
 LETTER_ORDER = (0, 1, 2, 3)  # x, x^-1, y, y^-1
@@ -249,20 +249,22 @@ def transversal(table: CosetTable):
 def schreier_generators(table: CosetTable) -> SubgroupSpec:
     """Subgroup generators read off the BFS transversal (a replay certificate).
 
-    Guarantees todd_coxeter on the result rebuilds a table of equal index.
+    One word rep[c]*l*rep[d]^-1 per edge (c, l, d) of the coset graph
+    outside the BFS tree, taken in the direction met first, that is when
+    (c, l) < (d, l^-1).  The transversal is prefix-closed, so the words
+    need no reduction and form a free basis of the subgroup: n + 1 words
+    for index n.  Guarantees todd_coxeter on the result rebuilds a table
+    of equal index.
     """
     reps = _transversal_letters(table)
+    inverses = [tuple(m ^ 1 for m in reversed(r)) for r in reps]
+    # the letter by which BFS reached each coset, -1 at coset 0
+    via = [r[-1] if r else -1 for r in reps]
     gens = []
-    seen = set()
-    for c in range(table.n):
+    for c, row in enumerate(table.action):
         for l in LETTER_ORDER:
-            d = table.action[c][l]
-            w = _reduce(reps[c] + (l,)
-                        + tuple(m ^ 1 for m in reversed(reps[d])))
-            if not w:
+            d = row[l]
+            if via[d] == l or via[c] == l ^ 1 or (d, l ^ 1) < (c, l):
                 continue
-            if w in seen or tuple(m ^ 1 for m in reversed(w)) in seen:
-                continue
-            seen.add(w)
-            gens.append(Word(w, reduced=True))
+            gens.append(Word(reps[c] + (l,) + inverses[d], reduced=True))
     return SubgroupSpec(parent=table.presentation, generators=tuple(gens))

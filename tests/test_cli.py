@@ -106,6 +106,14 @@ def test_analyze_dot_export(capsys):
     assert "graph dessin {" in out
 
 
+def test_dot_export_without_pair_classes_is_usage_error(capsys):
+    # the index-1 table acts on one point: it has no pair class to draw
+    code = main(["analyze", "k1", "--index", "1", "--export", "dot"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "error: no pair class 1 (0 classes)\n", err
+
+
 def test_bundled_certificates_replay():
     from cosetgeom.cli import bundled_certificate
     from cosetgeom.toddcox import todd_coxeter
@@ -225,6 +233,20 @@ def test_discover_out_cannot_be_created(capsys, tmp_path):
     blocker.write_text("")
     assert usage_error(capsys, "discover", "k1", "--index", "3",
                        "--out", str(blocker / "certs")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "k1"),
+    ("subgroups", "k1", "--max-index", "2"),
+    ("analyze", "k1", "--index", "1"),
+    ("reproduce", "fast"),
+], ids=lambda argv: argv[0])
+def test_unwritable_json_path_is_usage_error(capsys, tmp_path, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = str(blocker / "out.json")
+    assert usage_error(capsys, *argv, "--json", path) == EXIT_USAGE
+    assert not os.path.exists(path)
 
 
 # argv up to the budget's value; discover writes into the working directory

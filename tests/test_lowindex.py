@@ -4,12 +4,14 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import order_of, sympy_fp_group
+from conftest import order_of, requires_full, sympy_fp_group
 from cosetgeom import census_entry
 from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
 from cosetgeom.toddcox import todd_coxeter
-from cosetgeom.words import parse_presentation
+from cosetgeom.words import Presentation, Word, parse_presentation
 
 
 def test_k4_counts_by_index(k4_pres):
@@ -72,6 +74,13 @@ def test_bad_max_index(k1_pres):
         low_index_subgroups(k1_pres, 0)
 
 
+def tables_sha256(tables):
+    """sha256 of each table's index, action and certificate words."""
+    key = [(t.n, t.action, tuple(g.letters for g in t.subgroup.generators))
+           for t in tables]
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
 # Search-tree size and output of the search as recorded before any speed
 # work on it: a faster search must try the same nodes, so that
 # --node-budget keeps its meaning, and emit the same tables and words.
@@ -87,10 +96,19 @@ def test_search_tree_is_pinned(cid, max_index, nodes, classes):
     with pytest.raises(SearchBudgetExceeded):
         low_index_subgroups(pres, max_index, node_budget=nodes - 1)
     if cid == "k4":
-        key = [(t.n, t.action, tuple(g.letters for g in t.subgroup.generators))
-               for t in tables]
-        assert hashlib.sha256(repr(key).encode()).hexdigest() == (
+        assert tables_sha256(tables) == (
             "fb2562e4d84804cbe8237b575e875cae44c2a845e02589a757db4f242821db3f")
+
+
+@requires_full
+def test_benchmark_search_tree_is_pinned(k4_pres):
+    # the search of perfbench's "search" workload, k4 <= 24
+    tables = low_index_subgroups(k4_pres, 24, node_budget=291238)
+    assert len(tables) == 587
+    assert tables_sha256(tables) == (
+        "1aa3b89aa18e73d9343f12f90ecedbeffdffe6f69dc3a45f607d5ec43f474a9f")
+    with pytest.raises(SearchBudgetExceeded):
+        low_index_subgroups(k4_pres, 24, node_budget=291237)
 
 
 @pytest.mark.parametrize("cid, max_index", [("k1", 8), ("k4", 8), ("k19", 6)])
@@ -100,6 +118,44 @@ def test_class_counts_match_sympy(cid, max_index):
         low_index_subgroups as sympy_low_index
 
     pres = census_entry(cid).presentation
+    group, _ = sympy_fp_group(pres)
+    theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
+    ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
+    assert ours == theirs
+
+
+@st.composite
+def presentations(draw):
+    """Two-generator presentations with 1-3 relators of length <= 12.
+
+    A relator is a power of a word of length <= 6, so proper powers are
+    common; after each relator may come a rotation of it, or of its
+    inverse, so that two relators share their rotations.
+    """
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)
+                    .map(Word).filter(len))
+        power = Word(base.letters * draw(st.integers(1, 12 // len(base))))
+        relators.append(power)
+        if draw(st.booleans()):
+            w = draw(st.sampled_from([power, power.inverse()])).letters
+            i = draw(st.integers(0, len(w) - 1))
+            rotated = Word(w[i:] + w[:i])
+            if rotated.letters:
+                relators.append(rotated)
+    return Presentation(tuple(relators))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentations(), st.integers(1, 6))
+@example(parse_presentation(       # k4's square and one of its rotations
+    "< x, y | ((y*x^-1)^2*(y^-1*x)^2)^2, (x*(y*x^-1)^2*y^-1*x*y^-1)^2, y^2 >"),
+    6)
+def test_class_counts_match_sympy_on_random_presentations(pres, max_index):
+    from sympy.combinatorics.fp_groups import \
+        low_index_subgroups as sympy_low_index
+
     group, _ = sympy_fp_group(pres)
     theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))

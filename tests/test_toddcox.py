@@ -1,9 +1,12 @@
 import pytest
 
 from conftest import sympy_fp_group
-from cosetgeom.toddcox import (CosetLimitExceeded, schreier_generators,
-                               todd_coxeter, transversal)
-from cosetgeom.words import SubgroupSpec, parse_presentation, parse_word
+from cosetgeom.lowindex import SearchBudgetExceeded, _Search, \
+    low_index_subgroups
+from cosetgeom.toddcox import (LETTER_ORDER, CosetLimitExceeded, CosetTable,
+                               schreier_generators, todd_coxeter, transversal)
+from cosetgeom.words import (SubgroupSpec, Word, _reduce, parse_presentation,
+                             parse_word)
 
 
 def spec(pres_text, *words):
@@ -93,3 +96,68 @@ def test_index_matches_sympy_coset_enumeration(k4_to_9):
         theirs = coset_enumeration_r(group, [word(g) for g in s.generators])
         theirs.compress()
         assert todd_coxeter(s).n == len(theirs.table)
+
+
+def oracle_schreier_generators(table):
+    """The Schreier generators as first built: every edge's word
+    rep[c]*l*rep[d]^-1, freely reduced, kept unless empty or already
+    kept, itself or as its inverse."""
+    reps = [w.letters for w in transversal(table)]
+    gens, seen = [], set()
+    for c in range(table.n):
+        for l in LETTER_ORDER:
+            d = table.action[c][l]
+            w = _reduce(reps[c] + (l,)
+                        + tuple(m ^ 1 for m in reversed(reps[d])))
+            if not w:
+                continue
+            if w in seen or tuple(m ^ 1 for m in reversed(w)) in seen:
+                continue
+            seen.add(w)
+            gens.append(Word(w, reduced=True))
+    return tuple(gens)
+
+
+def modular_tables(max_index, node_budget):
+    """The tables a budgeted search of < x, y | x^2, y^3 > emits before
+    its budget runs out: deep paths reach max_index early."""
+    search = _Search(parse_presentation("< x, y | x^2, y^3 >"), max_index,
+                     node_budget)
+    with pytest.raises(SearchBudgetExceeded):
+        search.run()
+    return search.results
+
+
+@pytest.fixture(scope="module")
+def certificate_tables(differential_tables, k4_pres):
+    modular = modular_tables(40, 1000)
+    assert max(t.n for t in modular) == 40
+    return (list(differential_tables) + low_index_subgroups(k4_pres, 16)
+            + modular)
+
+
+def test_schreier_generators_match_oracle(certificate_tables):
+    for t in certificate_tables:
+        assert schreier_generators(t).generators == \
+            oracle_schreier_generators(t)
+
+
+
+def test_schreier_generators_ignore_numbering(k4_to_9):
+    # cosets 1..n-1 renumbered in reverse: a BFS-tree edge is then met
+    # first from its child, and must still yield no word
+    for t in k4_to_9:
+        new = [0] + list(range(t.n - 1, 0, -1))
+        action = [None] * t.n
+        for c, row in enumerate(t.action):
+            action[new[c]] = tuple(new[d] for d in row)
+        renumbered = CosetTable(t.n, tuple(action), t.subgroup)
+        assert schreier_generators(renumbered).generators == \
+            oracle_schreier_generators(renumbered)
+
+
+def test_certificate_has_schreier_rank(certificate_tables):
+    # Schreier's index formula: a subgroup of index n in the free group
+    # of rank 2 is free of rank n + 1
+    for t in certificate_tables:
+        assert len(schreier_generators(t).generators) == t.n + 1
