@@ -1,7 +1,9 @@
 """Command-line surface: census, subgroups, analyze, discover, reproduce.
 
 Exit codes: 0 success, 1 check or verification failure, 2 usage error,
-3 budget exceeded.
+3 budget exceeded.  main is the one place that maps an exception to its
+exit code; before any work it checks each numeric flag against
+FLAG_MINIMA and that each output path can be written to.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ class CheckFailed(Exception):
     """A result that fails its check; main() prints it and exits 1."""
 
 
-def _die_budget(exc):
-    print("budget exceeded: %s" % exc, file=sys.stderr)
-    return EXIT_BUDGET
+# Per numeric flag, by argparse dest: its name and least value.  A
+# budget's least is 0: a zero budget is a budget, exceeded (exit 3).
+FLAG_MINIMA = {"index": ("--index", 1), "max_index": ("--max-index", 1),
+               "which": ("--which", 1), "cls": ("--class", 1),
+               "node_budget": ("--node-budget", 0),
+               "max_cosets": ("--max-cosets", 0)}
 
 
 def _emit(obj, json_path=None):
@@ -99,22 +104,9 @@ def _subgroup_record(table):
     }
 
 
-def _check_min(flag, value, least):
-    """A flag below least is a usage error; None means unset.  Budgets
-    take least 0: a zero budget is a budget, exceeded (exit 3)."""
-    if value is not None and value < least:
-        raise UsageError("%s must be >= %d" % (flag, least))
-
-
 def cmd_subgroups(args):
-    _check_min("--max-index", args.max_index, 1)
-    _check_min("--node-budget", args.node_budget, 0)
-    entry = census_entry(args.id)
-    try:
-        tables = low_index_subgroups(entry.presentation, args.max_index,
-                                     node_budget=args.node_budget)
-    except SearchBudgetExceeded as exc:
-        return _die_budget(exc)
+    tables = low_index_subgroups(census_entry(args.id).presentation,
+                                 args.max_index, node_budget=args.node_budget)
     _emit([_subgroup_record(t) for t in tables], args.json)
     return EXIT_OK
 
@@ -138,6 +130,13 @@ def _load_certificate(path, entry):
     return SubgroupSpec(entry.presentation, words)
 
 
+def _tables_at(entry, index, node_budget=None):
+    """The low-index search's tables of index exactly index."""
+    return [t for t in low_index_subgroups(entry.presentation, index,
+                                           node_budget=node_budget)
+            if t.n == index]
+
+
 def _find_table(entry, args):
     if args.certificate:
         spec = _load_certificate(args.certificate, entry)
@@ -147,10 +146,8 @@ def _find_table(entry, args):
                 "certificate replay gave index %d, expected %d"
                 % (table.n, args.index))
         return table
-    tables = [t for t in low_index_subgroups(
-        entry.presentation, args.index, node_budget=args.node_budget)
-        if t.n == args.index]
-    if not (1 <= args.which <= len(tables)):
+    tables = _tables_at(entry, args.index, args.node_budget)
+    if args.which > len(tables):
         raise UsageError(
             "no subgroup (index=%d, which=%d); %d classes at that index"
             % (args.index, args.which, len(tables)))
@@ -230,14 +227,7 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
 
 
 def cmd_analyze(args):
-    _check_min("--index", args.index, 1)
-    _check_min("--node-budget", args.node_budget, 0)
-    _check_min("--max-cosets", args.max_cosets, 0)
-    entry = census_entry(args.id)
-    try:
-        table = _find_table(entry, args)
-    except (SearchBudgetExceeded, CosetLimitExceeded) as exc:
-        return _die_budget(exc)
+    table = _find_table(census_entry(args.id), args)
     if args.export == "dot":
         group = _group(table)
         cls = 1 if args.cls is None else args.cls
@@ -253,15 +243,7 @@ def cmd_analyze(args):
 # -- discover -------------------------------------------------------------
 
 def cmd_discover(args):
-    _check_min("--index", args.index, 1)
-    _check_min("--node-budget", args.node_budget, 0)
-    entry = census_entry(args.id)
-    try:
-        tables = [t for t in low_index_subgroups(
-            entry.presentation, args.index, node_budget=args.node_budget)
-            if t.n == args.index]
-    except SearchBudgetExceeded as exc:
-        return _die_budget(exc)
+    tables = _tables_at(census_entry(args.id), args.index, args.node_budget)
     outdir = args.out or os.path.join("certificates", args.id)
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -285,14 +267,15 @@ def cmd_discover(args):
 
 # -- reproduce ------------------------------------------------------------
 
-def bundled_certificate(id, index, which=1):
-    """SubgroupSpec replayed from a certificate shipped with the package."""
-    name = "%d-%d.json" % (index, which)
-    ref = resources.files("cosetgeom").joinpath("data", "certificates", id, name)
-    data = json.loads(ref.read_text())
-    pres = census_entry(id).presentation
-    words = tuple(parse_word(w) for w in data["subgroup_words"])
-    return SubgroupSpec(pres, words)
+def _bundled_path(id, index):
+    return resources.files("cosetgeom").joinpath(
+        "data", "certificates", id, "%d-1.json" % index)
+
+
+def bundled_certificate(id, index):
+    """SubgroupSpec replayed from the certificate shipped with the
+    package for id's first class at index."""
+    return _load_certificate(_bundled_path(id, index), census_entry(id))
 
 
 def _dessin_claims(table):
@@ -314,17 +297,14 @@ def _compare(entry, r):
     filter only when set, and named in the count's key); the published
     pairs and dessin values are checked on those counted tables.
     """
-    try:
+    if _bundled_path(entry.id, r.index).is_file():
         specs = (bundled_certificate(entry.id, r.index),)
         source = "certificate"
-    except FileNotFoundError:
+    else:
         specs = tuple(spec for _, spec in entry.subgroups)
         source = "subgroup" if specs else "search"
-    if specs:
-        tables = [todd_coxeter(s) for s in specs]
-    else:
-        tables = [t for t in low_index_subgroups(entry.presentation, r.index)
-                  if t.n == r.index]
+    tables = ([todd_coxeter(s) for s in specs] if specs
+              else _tables_at(entry, r.index))
     hits = []
     for t in tables:
         group = _group(t)
@@ -446,9 +426,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for dest, (flag, least) in FLAG_MINIMA.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise UsageError("%s must be >= %d" % (flag, least))
+        # output paths that cannot be written fail before the work
+        json_path = getattr(args, "json", None)
+        if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
+            raise UsageError("cannot write JSON to %s: no such directory"
+                             % json_path)
+        out = getattr(args, "out", None)
+        if out and os.path.exists(out) and not os.path.isdir(out):
+            raise UsageError("cannot write certificates to %s: "
+                             "not a directory" % out)
         return args.func(args)
     except (UnknownId, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -457,7 +449,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (CosetLimitExceeded, SearchBudgetExceeded) as exc:
-        return _die_budget(exc)
+        print("budget exceeded: %s" % exc, file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

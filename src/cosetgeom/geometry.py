@@ -30,38 +30,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .perms import PermGroup
+from .perms import PermGroup, _orbit, _orbits
 
 
 def _image(perm, points):
     """The sorted image of a point tuple (a pair, a line, a fixed set)."""
     return tuple(sorted(perm.images[p] for p in points))
-
-
-def _orbit(seed, gens, image):
-    """The orbit of seed under <gens>, acting by image(gen, x)."""
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for gen in gens:
-            y = image(gen, x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
-def _orbits(items, gens, image):
-    """(least element, orbit) for each orbit of <gens> on items."""
-    seen = set()
-    out = []
-    for seed in sorted(items):
-        if seed not in seen:
-            orbit = _orbit(seed, gens, image)
-            seen |= orbit
-            out.append((seed, orbit))
-    return out
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,32 @@ def _derived_order(enc, gens):
     return chain.order()
 
 
+def _orbit(seed, gens, image):
+    """The orbit of seed under <gens>, acting by image(gen, x)."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for gen in gens:
+            y = image(gen, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _orbits(items, gens, image):
+    """(least element, orbit) for each orbit of <gens> on items."""
+    seen = set()
+    out = []
+    for seed in sorted(items):
+        if seed not in seen:
+            orbit = _orbit(seed, gens, image)
+            seen |= orbit
+            out.append((seed, orbit))
+    return out
+
+
 def _first_moved(element):
     return next(i for i, x in enumerate(element) if x != i)
 
@@ -490,18 +516,7 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def orbit(self, point: int):
-        orb = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = g(p)
-                    if q not in orb:
-                        orb.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frozenset(orb)
+        return frozenset(_orbit(point, self._gens, lambda g, p: g[p]))
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """The stabilizer of point, generated by the second level of a
@@ -526,14 +541,15 @@ class PermGroup:
 
     def elements(self):
         """All elements as images, bytes for degree <= 256, else tuples,
-        in a list: each the product of one transversal element per chain
-        level, deepest level first.
+        in a list: each the product of one element per chain level, from
+        the level transversals the chain was built with (not the
+        transversals() that sampling draws from), deepest level first.
 
         Only for groups of order <= EXACT_ORDER_BOUND.
         """
         step = self._enc.step
         elements = [self._enc.identity]
-        for tr in reversed(self.chain().transversals()):
+        for tr in reversed(self.chain()._orbits):
             tables = [self._enc.table(u) for u in tr.values()]
             elements = [step(e, t) for t in tables for e in elements]
         return elements

@@ -1,9 +1,11 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from cosetgeom import census_entry, low_index_subgroups
 from cosetgeom.perms import PermGroup, Permutation
+from cosetgeom.words import Presentation, Word
 
 FULL_SUITE = os.environ.get("COSETGEOM_FULL") == "1"
 
@@ -31,6 +33,29 @@ def brute_force_order(gens):
                     if h not in elements]
         elements.update(frontier)
     return len(elements)
+
+
+@st.composite
+def presentations(draw):
+    """Two-generator presentations with 1-3 relators of length <= 12.
+
+    A relator is a power of a word of length <= 6, so proper powers are
+    common; after each relator may come a rotation of it, or of its
+    inverse, so that two relators share their rotations.
+    """
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)
+                    .map(Word).filter(len))
+        power = Word(base.letters * draw(st.integers(1, 12 // len(base))))
+        relators.append(power)
+        if draw(st.booleans()):
+            w = draw(st.sampled_from([power, power.inverse()])).letters
+            i = draw(st.integers(0, len(w) - 1))
+            rotated = Word(w[i:] + w[:i])
+            if rotated.letters:
+                relators.append(rotated)
+    return Presentation(tuple(relators))
 
 
 def relabel(p, sigma):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -132,11 +133,22 @@ K5_CERT = str(resources.files("cosetgeom").joinpath(
 
 
 def usage_error(capsys, *argv):
-    """Exit code and stderr of a run that must fail with one line."""
+    """Exit code of a run that must fail with one line on stderr and
+    nothing on stdout."""
     code = main(list(argv))
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == "", out
     return code
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a search or a coset enumeration starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before a usage error")
+    monkeypatch.setattr(cli, "low_index_subgroups", refuse)
+    monkeypatch.setattr(cli, "todd_coxeter", refuse)
 
 
 def test_analyze_class_builds_one_geometry(capsys, monkeypatch):
@@ -171,9 +183,24 @@ def test_analyze_class_out_of_range_is_usage_error(capsys):
     ("subgroups", "k4", "--max-index", "0"),
     ("analyze", "k4", "--index", "0"),
     ("discover", "k4", "--index", "0"),
+    ("analyze", "k4", "--index", "9", "--which", "0"),
 ])
-def test_index_zero_is_usage_error(capsys, argv):
+def test_index_zero_is_usage_error(capsys, no_work, argv):
     assert usage_error(capsys, *argv) == EXIT_USAGE
+
+
+def test_every_int_flag_has_a_minimum():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    dests = set()
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.type is int:
+                assert action.dest in cli.FLAG_MINIMA, (name, action.dest)
+                flag, _ = cli.FLAG_MINIMA[action.dest]
+                assert flag in action.option_strings, (name, flag)
+                dests.add(action.dest)
+    assert dests == set(cli.FLAG_MINIMA)
 
 
 @pytest.mark.parametrize("text", [
@@ -221,7 +248,7 @@ def test_max_cosets_is_a_budget(capsys):
         ["analyze", "k5", "--index", "45"]).max_cosets == cli.MAX_COSETS
 
 
-def test_discover_out_is_an_existing_file(capsys, tmp_path):
+def test_discover_out_is_an_existing_file(capsys, no_work, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert usage_error(capsys, "discover", "k1", "--index", "3",
@@ -241,7 +268,8 @@ def test_discover_out_cannot_be_created(capsys, tmp_path):
     ("analyze", "k1", "--index", "1"),
     ("reproduce", "fast"),
 ], ids=lambda argv: argv[0])
-def test_unwritable_json_path_is_usage_error(capsys, tmp_path, argv):
+def test_unwritable_json_path_is_usage_error(capsys, no_work, tmp_path,
+                                             argv):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     path = str(blocker / "out.json")
@@ -263,7 +291,8 @@ BUDGET_ARGV = {
 
 
 @pytest.mark.parametrize("argv", BUDGET_ARGV.values(), ids=list(BUDGET_ARGV))
-def test_negative_budget_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+def test_negative_budget_is_usage_error(capsys, monkeypatch, no_work,
+                                        tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert usage_error(capsys, *argv, "-1") == EXIT_USAGE
 
@@ -306,6 +335,23 @@ def test_reproduce_wrong_count_fails(capsys, tmp_path, monkeypatch):
         == EXIT_CHECK_FAILED
     (check,) = json.loads(path.read_text())["checks"]
     assert check["claim"] == "k5@45" and check["pass"] is False
+
+
+def test_unreadable_bundled_certificate_fails_its_check(capsys, tmp_path,
+                                                        monkeypatch):
+    bad = tmp_path / "45-1.json"
+    bad.write_text("not json")
+    shipped = cli._bundled_path
+    monkeypatch.setattr(cli, "_bundled_path", lambda id, index: (
+        bad if (id, index) == ("k5", 45) else shipped(id, index)))
+    path = tmp_path / "reproduce.json"
+    assert cli.run_reproduce("fast", json_path=str(path)) \
+        == EXIT_CHECK_FAILED
+    checks = json.loads(path.read_text())["checks"]
+    assert len(checks) == 10
+    (failed,) = [c for c in checks if not c["pass"]]
+    assert failed["claim"] == "k5@45"
+    assert failed["computed"].startswith("error: bad certificate %s: " % bad)
 
 
 def test_analyze_s12_computes_no_sampled_fingerprint(monkeypatch, k1_to_12):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import order_of, requires_full, sympy_fp_group
+from conftest import (order_of, presentations, requires_full,
+                      sympy_fp_group)
 from cosetgeom import census_entry
 from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
 from cosetgeom.toddcox import todd_coxeter
-from cosetgeom.words import Presentation, Word, parse_presentation
+from cosetgeom.words import parse_presentation
 
 
 def test_k4_counts_by_index(k4_pres):
@@ -122,29 +123,6 @@ def test_class_counts_match_sympy(cid, max_index):
     theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
     assert ours == theirs
-
-
-@st.composite
-def presentations(draw):
-    """Two-generator presentations with 1-3 relators of length <= 12.
-
-    A relator is a power of a word of length <= 6, so proper powers are
-    common; after each relator may come a rotation of it, or of its
-    inverse, so that two relators share their rotations.
-    """
-    relators = []
-    for _ in range(draw(st.integers(1, 3))):
-        base = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)
-                    .map(Word).filter(len))
-        power = Word(base.letters * draw(st.integers(1, 12 // len(base))))
-        relators.append(power)
-        if draw(st.booleans()):
-            w = draw(st.sampled_from([power, power.inverse()])).letters
-            i = draw(st.integers(0, len(w) - 1))
-            rotated = Word(w[i:] + w[:i])
-            if rotated.letters:
-                relators.append(rotated)
-    return Presentation(tuple(relators))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import sympy_fp_group
+from conftest import presentations, sympy_fp_group
 from cosetgeom.lowindex import SearchBudgetExceeded, _Search, \
     low_index_subgroups
 from cosetgeom.toddcox import (LETTER_ORDER, CosetLimitExceeded, CosetTable,
@@ -96,6 +98,34 @@ def test_index_matches_sympy_coset_enumeration(k4_to_9):
         theirs = coset_enumeration_r(group, [word(g) for g in s.generators])
         theirs.compress()
         assert todd_coxeter(s).n == len(theirs.table)
+
+
+# sympy's cap on the cosets it defines.  Ours caps live cosets, with room
+# for an HLT run that defines its cosets in another order.
+SYMPY_MAX_COSETS = 1000
+
+subgroup_words = st.lists(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).map(Word).filter(len),
+    max_size=2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentations(), subgroup_words)
+@example(parse_presentation("< x, y | x^2, y^3, (x*y)^5 >"), [])   # A5
+def test_index_matches_sympy_on_random_presentations(pres, words):
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+
+    group, word = sympy_fp_group(pres)
+    try:
+        theirs = coset_enumeration_r(group, [word(w) for w in words],
+                                     max_cosets=SYMPY_MAX_COSETS)
+    except ValueError:          # sympy's cap: infinite or large index
+        return
+    theirs.compress()
+    table = todd_coxeter(SubgroupSpec(pres, tuple(words)),
+                         max_cosets=100 * SYMPY_MAX_COSETS)
+    assert table.n == len(theirs.table)
+    table.check_invariants()
 
 
 def oracle_schreier_generators(table):
