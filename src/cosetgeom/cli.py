@@ -88,13 +88,14 @@ def _subgroup_record(table):
     px, py = table.perm_rep()
     group = _group(table)
     fp = group.fingerprint()
+    orders = fp.element_orders()
     return {
         "index": table.n,
         "generators": {"x": str(px), "y": str(py)},
         "order": fp.order,
         "fingerprint": {
             "order": fp.order,
-            "element_orders": sorted(fp.element_orders()),
+            "element_orders": None if orders is None else sorted(orders),
             "exact": fp.exact,
             "derived_index": fp.derived_index,
             "transitive": fp.transitive,
@@ -242,9 +243,22 @@ def cmd_analyze(args):
 
 # -- discover -------------------------------------------------------------
 
+def _discover_dir(args):
+    """Where discover writes: --out, else certificates/<id>."""
+    return args.out or os.path.join("certificates", args.id)
+
+
+def _can_be_dir(path):
+    """Whether path is a directory or its nearest existing ancestor is."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
+
+
 def cmd_discover(args):
     tables = _tables_at(census_entry(args.id), args.index, args.node_budget)
-    outdir = args.out or os.path.join("certificates", args.id)
+    outdir = _discover_dir(args)
     try:
         os.makedirs(outdir, exist_ok=True)
         for k, table in enumerate(tables, 1):
@@ -437,10 +451,13 @@ def main(argv=None):
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"
                              % json_path)
-        out = getattr(args, "out", None)
-        if out and os.path.exists(out) and not os.path.isdir(out):
+        if json_path and os.path.isdir(json_path):
+            raise UsageError("cannot write JSON to %s: is a directory"
+                             % json_path)
+        outdir = _discover_dir(args) if args.func is cmd_discover else None
+        if outdir and not _can_be_dir(outdir):
             raise UsageError("cannot write certificates to %s: "
-                             "not a directory" % out)
+                             "not a directory" % outdir)
         return args.func(args)
     except (UnknownId, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

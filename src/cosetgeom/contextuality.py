@@ -10,9 +10,9 @@ the identity, in one of two senses:
   coset - the commutator word fixes the subgroup coset (it lies in H).
 
 perm implies coset.  Both modes are kept because published verdict
-tables could not be reproduced by either mode alone under any tested
-representative convention (see the repository notes); the default is the
-weaker, well-defined-on-cosets mode.
+tables are not reached by either mode under the BFS transversal (see
+the repository notes); the default is the weaker, well-defined-on-cosets
+mode.
 
 Each labeling computes once the permutation of the cosets by every
 representative and by its inverse; a commutator's action is read from

@@ -7,18 +7,17 @@ Group work never builds a Permutation per element.  It runs on raw
 images: bytes up to degree 256, where one composition is a single
 bytes.translate in C, and tuples composed by one itemgetter above that.
 Every group computation runs on a deterministic Schreier-Sims
-stabilizer chain (_Chain); for an empty base prefix it reproduces
-sympy's base, strong generators and transversals exactly, so sampled
-fingerprints keep their draws.  A point stabilizer is the second level
-of a chain whose base starts at the point, and comes with its order.
+stabilizer chain (_Chain); for an empty base prefix its base and strong
+generators are sympy's.  A point stabilizer is the second level of a
+chain whose base starts at the point, and comes with its order.
 
 Every element is the product of one transversal element per chain
-level: an exact histogram lists them all and walks the powers of one
-element per cyclic subgroup, giving every power its order at once; a
-sampled one draws random products and takes each order by the same
-walk.  The derived subgroup, the normal closure of the generators'
-commutators, grows as a chain that an element joins when it does not
-sift through it.
+level: the element-order histogram lists them all and walks the powers
+of one element per cyclic subgroup, giving every power its order at
+once.  It is computed only up to EXACT_ORDER_BOUND; above it a
+fingerprint has no histogram.  The derived subgroup, the normal closure
+of the generators' commutators, grows as a chain that an element joins
+when it does not sift through it, at every order.
 
 Fingerprints are computed when asked for and cached per group:
 identify(group) fingerprints only a group whose order is in its table.
@@ -26,7 +25,6 @@ identify(group) fingerprints only a group whose order is in its table.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -34,8 +32,6 @@ from operator import itemgetter
 from math import gcd, lcm, prod
 
 EXACT_ORDER_BOUND = 10 ** 6
-SAMPLE_SIZE = 10 ** 4
-SAMPLE_SEED = 20260823
 
 
 class Permutation:
@@ -314,12 +310,11 @@ class _Chain:
     _orbits[l] maps each point of that group's orbit of base[l] to an
     element taking base[l] there, found breadth-first over _levels[l].
 
-    For an empty prefix the base, strong_gens and transversals() are
-    those of sympy's schreier_sims_incremental and basic_transversals.
-    Level i is checked only once every deeper level is complete, so a
-    Schreier generator that sifted to the identity sifts to it again: a
-    level resumes its check where it found a new strong generator
-    instead of starting over, and finds the same ones sympy does.
+    For an empty prefix the base and strong_gens match sympy's
+    schreier_sims_incremental.  Level i is checked only once every
+    deeper level is complete, so a Schreier generator that sifted to the
+    identity sifts to it again: a level resumes its check where it found
+    a new strong generator instead of starting over.
     """
 
     def __init__(self, enc, gens, base_prefix=()):
@@ -336,7 +331,6 @@ class _Chain:
         self._cursor = [None] * len(base)
         for level in range(len(base)):
             self._reset(level)
-        self._transversals = None
         i = len(base) - 1
         while i >= 0:
             found = self._check(i)
@@ -454,16 +448,6 @@ class _Chain:
         """Strong generators of the stabilizer of base[0]."""
         return [g for g, _ in self._levels[1]] if len(self.base) > 1 else []
 
-    def transversals(self):
-        """Per base point, {point: element}, as sympy's basic_transversals:
-        breadth-first over the strong generators redistributed by the
-        first base point they move."""
-        if self._transversals is None:
-            self._transversals = [
-                self._transversal(gens, b) for gens, b in
-                zip(self._distribute(self.strong_gens), self.base)]
-        return self._transversals
-
 
 class PermGroup:
     """A permutation group with stabilizer-chain order and stabilizers.
@@ -493,7 +477,7 @@ class PermGroup:
     def chain(self, base_prefix=()) -> _Chain:
         """A stabilizer chain whose base starts with base_prefix.
 
-        The chain for the empty prefix, which sampling reads, is kept.
+        The chain for the empty prefix, which elements() reads, is kept.
         Its base starts at the first point the first generator moves, so
         it is also the chain for that one point.
         """
@@ -542,8 +526,7 @@ class PermGroup:
     def elements(self):
         """All elements as images, bytes for degree <= 256, else tuples,
         in a list: each the product of one element per chain level, from
-        the level transversals the chain was built with (not the
-        transversals() that sampling draws from), deepest level first.
+        the chain's level transversals, deepest level first.
 
         Only for groups of order <= EXACT_ORDER_BOUND.
         """
@@ -555,7 +538,7 @@ class PermGroup:
         return elements
 
     def derived_index(self) -> int:
-        """|G : G'|; only for groups of order <= EXACT_ORDER_BOUND."""
+        """|G : G'|."""
         return self.order() // _derived_order(self._enc, self._gens)
 
     def fingerprint(self) -> "Fingerprint":
@@ -573,60 +556,38 @@ class Fingerprint:
     """Conjugation-invariant stand-in for an isomorphism class."""
 
     order: int
-    element_order_histogram: tuple   # sorted ((order, count), ...)
-    exact: bool
-    sample_size: int                 # 0 when exact
-    derived_index: int | None        # None when order > exact bound
+    # sorted ((order, count), ...); None above EXACT_ORDER_BOUND
+    element_order_histogram: tuple | None
+    derived_index: int
     transitive: bool
 
+    @property
+    def exact(self):
+        """Whether the element-order histogram was computed."""
+        return self.element_order_histogram is not None
+
     def element_orders(self):
+        """The set of element orders, or None without a histogram."""
+        if not self.exact:
+            return None
         return frozenset(o for o, _ in self.element_order_histogram)
-
-
-def _sampled_histogram(g: PermGroup, count):
-    """{order: count} over count uniform random elements.
-
-    Each element takes one random.Random(SAMPLE_SEED).choice per level of
-    the stabilizer chain and is composed from the transversal images.
-    """
-    enc = g._enc
-    # per level: the sorted orbit points drawn from, and their tables
-    levels = [(sorted(tr), {k: enc.table(t) for k, t in tr.items()})
-              for tr in g.chain().transversals()]
-    rng = random.Random(SAMPLE_SEED)
-    start = enc.table(enc.identity)
-    step = enc.step
-    hist = {}
-    for _ in range(count):
-        e = start
-        for keys, tables in levels:
-            e = step(tables[rng.choice(keys)], e)
-        o = len(_powers(enc, e[:g.degree]))
-        hist[o] = hist.get(o, 0) + 1
-    return hist
 
 
 def fingerprint(g: PermGroup) -> Fingerprint:
     order = g.order()
+    hist = None
     if order <= EXACT_ORDER_BOUND:
-        hist = _order_histogram(g._enc, g.elements())
-        exact, sample = True, 0
-        derived_index = g.derived_index()
-    else:
-        hist = _sampled_histogram(g, SAMPLE_SIZE)
-        exact, sample = False, SAMPLE_SIZE
-        derived_index = None
+        hist = tuple(sorted(_order_histogram(g._enc, g.elements()).items()))
     return Fingerprint(
         order=order,
-        element_order_histogram=tuple(sorted(hist.items())),
-        exact=exact,
-        sample_size=sample,
-        derived_index=derived_index,
+        element_order_histogram=hist,
+        derived_index=g.derived_index(),
         transitive=g.is_transitive(),
     )
 
 
-# Known groups, identified by order plus the set of element orders.
+# Known groups: a name, its order and its set of element orders, or
+# None for a group too large to list its elements.
 NAMED_GROUPS = (
     ("Z3^2:Z2^2", 36, frozenset({1, 2, 3, 6})),
     ("A5", 60, frozenset({1, 2, 3, 5})),
@@ -635,27 +596,28 @@ NAMED_GROUPS = (
     ("PGL(2,7)", 336, frozenset({1, 2, 3, 4, 6, 7, 8})),
     ("A6", 360, frozenset({1, 2, 3, 4, 5})),
     ("J2", 604800, frozenset({1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15})),
-    ("Tits T", 17971200, frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12, 13, 16})),
+    # Tits T rests on two facts only: its order and that it is perfect
+    # (derived index 1).
+    ("Tits T", 17971200, None),
 )
 
 
 def identify(g: PermGroup):
     """Name from the built-in table, or None.
 
-    Only a group whose order is in the table is fingerprinted.  Sampled
-    histograms match when the observed orders are a subset of the
-    expected order set; exact ones require equality.
+    Only a group whose order is in the table is fingerprinted.  A row
+    with an element-order set needs exactly that set; a row without one
+    needs a perfect group.
     """
     for name, order, orders in NAMED_GROUPS:
         if g.order() != order:
             continue
         fp = g.fingerprint()
-        if fp.exact:
-            if fp.element_orders() == orders:
+        if orders is None:
+            if fp.derived_index == 1:
                 return name
-        else:
-            if fp.element_orders() <= orders:
-                return name
+        elif fp.element_orders() == orders:
+            return name
     return None
 
 

@@ -255,19 +255,32 @@ def test_discover_out_is_an_existing_file(capsys, no_work, tmp_path):
                        "--out", str(taken)) == EXIT_USAGE
 
 
-def test_discover_out_cannot_be_created(capsys, tmp_path):
+def test_discover_out_cannot_be_created(capsys, no_work, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert usage_error(capsys, "discover", "k1", "--index", "3",
                        "--out", str(blocker / "certs")) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [
+def test_discover_default_out_cannot_be_created(capsys, monkeypatch,
+                                                no_work, tmp_path):
+    # the default is certificates/<id>, here under a file "certificates"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "certificates").write_text("")
+    assert usage_error(capsys, "discover", "k1", "--index", "3") \
+        == EXIT_USAGE
+
+
+# one command per subcommand with a --json flag
+JSON_ARGV = [
     ("census", "k1"),
     ("subgroups", "k1", "--max-index", "2"),
     ("analyze", "k1", "--index", "1"),
     ("reproduce", "fast"),
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGV, ids=lambda argv: argv[0])
 def test_unwritable_json_path_is_usage_error(capsys, no_work, tmp_path,
                                              argv):
     blocker = tmp_path / "blocker"
@@ -275,6 +288,12 @@ def test_unwritable_json_path_is_usage_error(capsys, no_work, tmp_path,
     path = str(blocker / "out.json")
     assert usage_error(capsys, *argv, "--json", path) == EXIT_USAGE
     assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("argv", JSON_ARGV, ids=lambda argv: argv[0])
+def test_json_path_that_is_a_directory_is_usage_error(capsys, no_work,
+                                                      tmp_path, argv):
+    assert usage_error(capsys, *argv, "--json", str(tmp_path)) == EXIT_USAGE
 
 
 # argv up to the budget's value; discover writes into the working directory
@@ -354,13 +373,13 @@ def test_unreadable_bundled_certificate_fails_its_check(capsys, tmp_path,
     assert failed["computed"].startswith("error: bad certificate %s: " % bad)
 
 
-def test_analyze_s12_computes_no_sampled_fingerprint(monkeypatch, k1_to_12):
+def test_analyze_s12_computes_no_fingerprint(monkeypatch, k1_to_12):
     # k1@12 acts as S12; neither it nor its S10 pair stabilizer is read
     (t,) = [t for t in k1_to_12 if group_of(t).order() == 479001600]
 
     def refuse(*args):
-        raise AssertionError("sampled fingerprint computed")
-    monkeypatch.setattr(perms, "_sampled_histogram", refuse)
+        raise AssertionError("fingerprint computed")
+    monkeypatch.setattr(perms, "fingerprint", refuse)
     report = cli.analyze_table(t)
     assert report["order"] == 479001600 and report["identified_as"] is None
     assert [c["stabilizer_order"] for c in report["classes"]] == [3628800]

@@ -6,11 +6,13 @@ from sympy import totient
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
-from conftest import brute_force_order, group_of, relabel
+from conftest import brute_force_order, group_of, relabel, requires_full
+from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
 from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation,
                              cycle_type_str, identify, parse_cycles,
                              simultaneously_conjugate)
+from cosetgeom.toddcox import todd_coxeter
 
 
 def test_parse_and_print_cycles():
@@ -69,8 +71,10 @@ def test_fingerprint_and_identify_a5():
 def test_named_groups_table_is_consistent():
     seen = set()
     for name, order, orders in NAMED_GROUPS:
-        assert 1 in orders
-        assert all(order % o == 0 for o in orders)
+        # a row without element orders is named by order and perfection
+        if orders is not None:
+            assert 1 in orders
+            assert all(order % o == 0 for o in orders)
         assert (name, order) not in seen
         seen.add((name, order))
 
@@ -119,7 +123,7 @@ def _sym_group(g):
 def test_exact_fingerprints_match_sympy(census_groups_and_stabilizers):
     for g in census_groups_and_stabilizers:
         fp = g.fingerprint()
-        assert fp.exact and fp.sample_size == 0
+        assert fp.exact
         sym = _sym_group(g)
         hist = Counter(_sympy_orders(sym))
         assert fp.element_order_histogram == tuple(sorted(hist.items()))
@@ -138,7 +142,7 @@ def s12(k1_to_12):
 def test_chain_matches_sympy(differential_tables, s12):
     """sympy's stabilizer chain as oracle: orders, transitivity, point
     and two-point stabilizer orders, and for the empty base prefix the
-    same base, strong generators and transversal elements, in order."""
+    same base, strong generators in order and per-level orbits."""
     for g in [group_of(t) for t in differential_tables if t.n > 1] + [s12]:
         sym = _sym_group(g)
         assert g.order() == sym.order()
@@ -147,10 +151,8 @@ def test_chain_matches_sympy(differential_tables, s12):
         assert chain.base == sym.base
         assert [tuple(h) for h in chain.strong_gens] \
             == [tuple(h.array_form) for h in sym.strong_gens]
-        assert [[(p, tuple(u)) for p, u in tr.items()]
-                for tr in chain.transversals()] \
-            == [[(p, tuple(u.array_form)) for p, u in tr.items()]
-                for tr in sym.basic_transversals]
+        assert [set(tr) for tr in chain._orbits] \
+            == [set(orbit) for orbit in sym.basic_orbits]
         for p in range(g.degree):
             assert g.point_stabilizer(p).order() \
                 == sym.stabilizer(p).order()
@@ -194,27 +196,35 @@ def test_psl2_257_on_the_projective_line():
                                 for d in range(2, 129) if 128 % d == 0]))
 
 
-S12_SAMPLED = (
-    (2, 2), (3, 15), (4, 237), (5, 97), (6, 911), (7, 10), (8, 824),
-    (9, 595), (10, 1212), (11, 891), (12, 1646), (14, 262), (15, 137),
-    (18, 491), (20, 356), (21, 247), (24, 404), (28, 349), (30, 602),
-    (35, 307), (42, 244), (60, 161))
-S10_SAMPLED = (
-    (2, 30), (3, 94), (4, 530), (5, 224), (6, 1581), (7, 228), (8, 1239),
-    (9, 1094), (10, 1458), (12, 1106), (14, 790), (15, 326), (20, 506),
-    (21, 446), (30, 348))
-
-
-def test_sampled_fingerprints_are_pinned(s12):
-    # k1@12: S12 and the S10 stabilizer of a pair, both sampled
+def test_over_bound_fingerprints_are_exact(s12):
+    # k1@12: S12 and the S10 stabilizer of a pair, both over the bound,
+    # have an exact derived index and no element-order histogram
     s10 = s12.two_point_stabilizer(0, 1)
     assert s10.order() == 3628800
-    assert s12.fingerprint().element_order_histogram == S12_SAMPLED
-    assert s10.fingerprint().element_order_histogram == S10_SAMPLED
     for h in (s12, s10):
         fp = h.fingerprint()
-        assert not fp.exact and fp.sample_size == 10 ** 4
-        assert fp.derived_index is None
+        assert fp.derived_index == 2
+        assert fp.element_order_histogram is None and not fp.exact
+
+
+def test_large_cyclic_group_is_not_tits():
+    """A cyclic group of the Tits group's order, 2^11 3^3 5^2 13, as
+    disjoint cycles of those lengths: not perfect, so unnamed, and its
+    derived index is its order."""
+    cycles, start = [], 0
+    for length in (2048, 27, 25, 13):
+        cycles.append(list(range(start, start + length)))
+        start += length
+    g = PermGroup([Permutation.from_cycles(cycles, start)])
+    assert g.order() == 17971200
+    assert identify(g) is None
+    assert g.derived_index() == 17971200
+
+
+@requires_full
+def test_g1_h1_is_the_tits_group():
+    t = todd_coxeter(census_entry("g1").subgroup("h1"))
+    assert identify(group_of(t)) == "Tits T"
 
 
 def test_degree_300_cyclic_group():

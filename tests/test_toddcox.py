@@ -7,8 +7,8 @@ from cosetgeom.lowindex import SearchBudgetExceeded, _Search, \
     low_index_subgroups
 from cosetgeom.toddcox import (LETTER_ORDER, CosetLimitExceeded, CosetTable,
                                schreier_generators, todd_coxeter, transversal)
-from cosetgeom.words import (SubgroupSpec, Word, _reduce, parse_presentation,
-                             parse_word)
+from cosetgeom.words import (Presentation, SubgroupSpec, Word, _reduce,
+                             parse_presentation, parse_word)
 
 
 def spec(pres_text, *words):
@@ -109,6 +109,15 @@ subgroup_words = st.lists(
     max_size=2)
 
 
+@st.composite
+def triangle_presentations(draw):
+    """presentations() after x^a, y^b and (x*y)^c, 2 <= a, b, c <= 5: a
+    quotient of a triangle group, so finite quotients are common."""
+    a, b, c = (draw(st.integers(2, 5)) for _ in range(3))
+    triangle = (Word((0,) * a), Word((2,) * b), Word((0, 2) * c))
+    return Presentation(triangle + draw(presentations()).relators)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(presentations(), subgroup_words)
 @example(parse_presentation("< x, y | x^2, y^3, (x*y)^5 >"), [])   # A5
@@ -126,6 +135,14 @@ def test_index_matches_sympy_on_random_presentations(pres, words):
                          max_cosets=100 * SYMPY_MAX_COSETS)
     assert table.n == len(theirs.table)
     table.check_invariants()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(triangle_presentations(), subgroup_words)
+def test_index_matches_sympy_on_triangle_quotients(pres, words):
+    # the check above, on quotients of triangle groups
+    test_index_matches_sympy_on_random_presentations.hypothesis.inner_test(
+        pres, words)
 
 
 def oracle_schreier_generators(table):
