@@ -30,6 +30,10 @@ from .words import Presentation, SubgroupSpec, parse_presentation, parse_word
 class UnknownId(KeyError):
     """No census entry with the requested id."""
 
+    def __str__(self):
+        # the message itself, not KeyError's repr of its argument
+        return str(self.args[0])
+
 
 @dataclass(frozen=True)
 class KnownResult:

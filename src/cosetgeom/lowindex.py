@@ -7,15 +7,18 @@ propagate deductions, and a first-in-class test prunes tables that are
 not lexicographically minimal over the choice of base coset, so each
 conjugacy class is produced exactly once.  Completed tables are already
 in BFS-standard numbering by construction.  The depth-first search runs
-on an explicit stack, so Python's recursion limit does not bound how
-deep a search path may go.
+on an explicit stack of branch points, each trying its values in place,
+so Python's recursion limit does not bound how deep a search path may go.
 
 Entries are only ever added inside a subtree of the search.  So a base
 coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
-undecided base cosets down to the children.  Rows are allocated as
-cosets are created, never up front by max_index.
+undecided base cosets down to the children, each with the one or two
+undefined cells its comparison stopped at.  A descendant compares that
+base again only once they are all defined: until then the comparison
+reads the same cells and stops at the same place.
+Rows are allocated as cosets are created, never up front by max_index.
 
 The partial table is held by column, one list per letter, and every
 relator rotation is compiled once into the columns it reads.  A new
@@ -78,12 +81,13 @@ class _Search:
         # the compiled rotations hold them
         self.cols = [[None] for _ in range(NLETTERS)]
         self.rot = _compile_rotations(pres.relators, self.cols)
-        self.ncosets = 1
         self.trail = []
         # scratch renumbering of the first-in-class test: new -> old and
         # old -> new, -1 where unset; one entry per allocated row
         self.mu = [0]
         self.nu = [-1]
+        # a cell that is always defined, watched by a base to scan
+        self.defined = [0]
         self.results = []
 
     # -- deduction propagation ------------------------------------------
@@ -151,15 +155,28 @@ class _Search:
     # -- first-in-class pruning -----------------------------------------
 
     def _first_in_class(self, live):
-        """The base cosets of live still undecided, or None if one of
-        them gives a lex-smaller table."""
-        cols, mu, nu = self.cols, self.mu, self.nu
+        """The entries of live whose base cosets are still undecided, or
+        None if one of them gives a lex-smaller table.
+
+        An entry is (beta, col, row, col2, row2): the base coset beta and
+        its watched cells col[row] and col2[row2], the undefined cells its
+        last comparison stopped at (one cell twice if only one was).  It
+        is compared again only once both are defined.  A base to compare
+        in any case, as the new coset is, watches self.defined twice.
+        """
+        cols, mu, nu, defined = self.cols, self.mu, self.nu, self.defined
         undecided = []
-        for beta in live:
+        for entry in live:
+            beta, col, row, col2, row2 = entry
+            if col[row] is None or col2[row2] is None:
+                undecided.append(entry)
+                continue
             mu[0] = beta
             nu[beta] = 0
             count = 1
             order = 0          # sign of the first difference, new - old
+            # equal to the end only on a complete table: nothing to watch
+            entry = (beta, defined, 0, defined, 0)
             alpha = 0
             while alpha < count:
                 m = mu[alpha]
@@ -167,7 +184,10 @@ class _Search:
                     gamma = col[m]
                     orig = col[alpha]
                     if gamma is None or orig is None:
-                        break      # undecided on a partial table
+                        # undecided: watch whichever cells are undefined
+                        entry = (beta, col, m if gamma is None else alpha,
+                                 col, alpha if orig is None else m)
+                        break
                     g = nu[gamma]
                     if g == -1:
                         nu[gamma] = g = count
@@ -185,7 +205,7 @@ class _Search:
             if order < 0:
                 return None
             if order == 0:
-                undecided.append(beta)
+                undecided.append(entry)
         return undecided
 
     # -- main backtracking ----------------------------------------------
@@ -195,59 +215,63 @@ class _Search:
 
         A branch point is (a, l, spot, n, live, candidates, mark): the
         undefined entry (a, l) at row-major position spot, the coset
-        count n and the undecided base cosets live when it was reached,
-        the values b still to try for it, and the trail length to undo
-        to before each try.
+        count n and the live entries of its undecided base cosets when it
+        was reached, an iterator over the values b to try for it, and the
+        trail length to undo to before each try.  The top branch point's
+        values are tried in place: a child is entered by pushing it and
+        leaving the loop, which resumes when the child is used up.
         """
-        cols, trail = self.cols, self.trail
+        cols, trail, defined = self.cols, self.trail, self.defined
         propagate, first_in_class = self._propagate, self._first_in_class
+        branch = self._branch
         budget = self.node_budget
+        nodes = self.nodes
         stack = []
-        self._branch(0, [], stack)
+        branch(0, 1, [], stack)
         while stack:
             a, l, spot, n, live, candidates, mark = stack[-1]
-            if len(trail) > mark:
-                for f, k, d in trail[mark:]:
+            for b in candidates:
+                while len(trail) > mark:
+                    f, k, d = trail.pop()
                     cols[k][f] = None
                     cols[k ^ 1][d] = None
-                del trail[mark:]
-            self.ncosets = n
-            b = next(candidates, None)
-            if b is None:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    self.nodes = nodes
+                    raise SearchBudgetExceeded(
+                        "node budget %d exceeded" % budget)
+                size, bases = n, live
+                if b == n:
+                    size, bases = n + 1, live + [(n, defined, 0, defined, 0)]
+                    if n == len(cols[0]):
+                        for col in cols:
+                            col.append(None)
+                        self.mu.append(0)
+                        self.nu.append(-1)
+                if propagate(a, l, b):
+                    bases = first_in_class(bases)
+                    if bases is not None and branch(spot + 1, size, bases,
+                                                    stack):
+                        break
+            else:
                 stack.pop()
-                continue
-            self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                raise SearchBudgetExceeded("node budget %d exceeded" % budget)
-            bases = live
-            if b == n:
-                self.ncosets = n + 1
-                bases = live + [n]
-                if n == len(cols[0]):
-                    for col in cols:
-                        col.append(None)
-                    self.mu.append(0)
-                    self.nu.append(-1)
-            if propagate(a, l, b):
-                bases = first_in_class(bases)
-                if bases is not None:
-                    self._branch(spot + 1, bases, stack)
+        self.nodes = nodes
         return self.results
 
-    def _branch(self, start, live, stack):
+    def _branch(self, start, n, live, stack):
         """Push the branch point at the first undefined entry at
-        row-major position >= start, or emit the table if it is full;
-        live holds the base cosets not yet decided larger."""
+        row-major position >= start of a table with n cosets and return
+        True, or emit the table if it is full; live holds the entries of
+        the base cosets not yet decided larger."""
         cols = self.cols
-        n = self.ncosets
         end = n * NLETTERS
         spot = start
         while spot < end and cols[spot % NLETTERS][spot // NLETTERS] \
                 is not None:
             spot += 1
         if spot == end:
-            self._emit()
-            return
+            self._emit(n)
+            return False
         a, l = divmod(spot, NLETTERS)
         inv = cols[l ^ 1]
         candidates = [b for b in range(n) if inv[b] is None]
@@ -255,9 +279,9 @@ class _Search:
             candidates.append(n)
         stack.append((a, l, spot, n, live, iter(candidates),
                       len(self.trail)))
+        return True
 
-    def _emit(self):
-        n = self.ncosets
+    def _emit(self, n):
         action = tuple(zip(*(col[:n] for col in self.cols)))
         table = CosetTable(n=n, action=action,
                            subgroup=SubgroupSpec(self.pres, ()))

@@ -39,6 +39,8 @@ def test_census_k4_published_pairs(capsys):
 
 def test_census_unknown_id(capsys):
     assert main(["census", "k7"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: unknown census id 'k7' (known: k1, k2, k4, k5, k19, g1, g2)\n")
 
 
 def test_usage_error_exit_code():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (order_of, presentations, requires_full,
-                      sympy_fp_group)
+from conftest import order_of, presentations, sympy_fp_group
 from cosetgeom import census_entry
+from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
 from cosetgeom.toddcox import todd_coxeter
 from cosetgeom.words import parse_presentation
@@ -82,26 +82,45 @@ def tables_sha256(tables):
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
+# tables_sha256 of the output of the test_search_tree_is_pinned rows
+# that pin it
+PINNED_SHAS = {
+    "k4": "fb2562e4d84804cbe8237b575e875cae44c2a845e02589a757db4f242821db3f",
+    "< x, y | x^4, y^4, x*y*x^-1*y^-1 >":
+        "4e5947f5179b0da2914f8646b72e8a5596cd8f03e6ba43d7d470aae3a178dc7f",
+    "< x, y | x^2, y^3 >":
+        "000d6bf72195d0f2a847ef6811782a0391271f141b6d989125adfb477a873b40",
+}
+
+
 # Search-tree size and output of the search as recorded before any speed
 # work on it: a faster search must try the same nodes, so that
 # --node-budget keeps its meaning, and emit the same tables and words.
-@pytest.mark.parametrize("cid, max_index, nodes, classes", [
+# A source is a census id or a presentation.
+@pytest.mark.parametrize("source, max_index, nodes, classes", [
     ("k4", 16, 11658, 190),
     ("k5", 12, 5079, 219),
     ("k1", 14, 1080, 35),
+    # abelian: every subgroup is normal, so on a complete table every
+    # base coset compares equal to the end, which keeps no cell to watch
+    pytest.param("< x, y | x^4, y^4, x*y*x^-1*y^-1 >", 16, 101, 15,
+                 id="z4xz4-16-101-15"),
+    pytest.param("< x, y | x^2, y^3 >", 12, 1050, 175,
+                 id="modular-12-1050-175"),
 ])
-def test_search_tree_is_pinned(cid, max_index, nodes, classes):
-    pres = census_entry(cid).presentation
+def test_search_tree_is_pinned(source, max_index, nodes, classes):
+    if source in CENSUS_IDS:
+        pres = census_entry(source).presentation
+    else:
+        pres = parse_presentation(source)
     tables = low_index_subgroups(pres, max_index, node_budget=nodes)
     assert len(tables) == classes
     with pytest.raises(SearchBudgetExceeded):
         low_index_subgroups(pres, max_index, node_budget=nodes - 1)
-    if cid == "k4":
-        assert tables_sha256(tables) == (
-            "fb2562e4d84804cbe8237b575e875cae44c2a845e02589a757db4f242821db3f")
+    if source in PINNED_SHAS:
+        assert tables_sha256(tables) == PINNED_SHAS[source]
 
 
-@requires_full
 def test_benchmark_search_tree_is_pinned(k4_pres):
     # the search of perfbench's "search" workload, k4 <= 24
     tables = low_index_subgroups(k4_pres, 24, node_budget=291238)
@@ -138,6 +157,30 @@ def test_class_counts_match_sympy_on_random_presentations(pres, max_index):
     theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
     assert ours == theirs
+
+
+def bfs_renumbering(action, base):
+    """action renumbered by a BFS from coset base, visiting each row's
+    letters in column order: the standard table of the conjugate
+    subgroup that fixes base."""
+    new, order = {base: 0}, [base]
+    for c in order:
+        for d in action[c]:
+            if d not in new:
+                new[d] = len(order)
+                order.append(d)
+    return tuple(tuple(new[d] for d in action[c]) for c in order)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentations(), st.integers(1, 6))
+def test_emitted_tables_are_first_in_class(pres, max_index):
+    # first-in-class checked without _first_in_class: each table is the
+    # least in row-major order of its renumberings from every base
+    for t in low_index_subgroups(pres, max_index):
+        assert bfs_renumbering(t.action, 0) == t.action
+        for beta in range(1, t.n):
+            assert t.action <= bfs_renumbering(t.action, beta)
 
 
 def test_no_preallocation_by_max_index(k1_pres):

@@ -110,12 +110,35 @@ subgroup_words = st.lists(
 
 
 @st.composite
-def triangle_presentations(draw):
-    """presentations() after x^a, y^b and (x*y)^c, 2 <= a, b, c <= 5: a
-    quotient of a triangle group, so finite quotients are common."""
-    a, b, c = (draw(st.integers(2, 5)) for _ in range(3))
-    triangle = (Word((0,) * a), Word((2,) * b), Word((0, 2) * c))
-    return Presentation(triangle + draw(presentations()).relators)
+def triangle_quotients(draw):
+    """< x, y | x^a, y^b, (x*y)^c, [x,y]^d >, a quotient of a triangle
+    group, with a subgroup of known index: a transitive pair (px, py) of
+    degree 3..8 is drawn, a, b, c and d are the orders of px, py, px*py
+    and [px, py], and the subgroup is the stabilizer of point 0, given
+    by the Schreier generators of the pair's coset table.
+
+    Returns the subgroup and its index, the degree of the pair.
+    """
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    n = draw(st.integers(3, 8))
+    perm = st.permutations(range(n))
+    px, py = draw(st.tuples(perm, perm).filter(lambda p: PermutationGroup(
+        [Permutation(p[0]), Permutation(p[1])]).is_transitive()))
+    xi, yi = [0] * n, [0] * n
+    for c in range(n):
+        xi[px[c]], yi[py[c]] = c, c
+    action = tuple(zip(px, xi, py, yi))
+    words = [(0,), (2,), (0, 2), (0, 2, 1, 3)]  # x, y, x*y, [x,y]
+    relators = []
+    for w in words:
+        img = list(range(n))
+        for l in w:
+            img = [action[c][l] for c in img]
+        relators.append(Word(w * Permutation(img).order()))
+    pres = Presentation(tuple(relators))
+    table = CosetTable(n=n, action=action, subgroup=SubgroupSpec(pres, ()))
+    return schreier_generators(table), n
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -138,11 +161,20 @@ def test_index_matches_sympy_on_random_presentations(pres, words):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(triangle_presentations(), subgroup_words)
-def test_index_matches_sympy_on_triangle_quotients(pres, words):
-    # the check above, on quotients of triangle groups
-    test_index_matches_sympy_on_random_presentations.hypothesis.inner_test(
-        pres, words)
+@given(triangle_quotients())
+def test_index_matches_sympy_on_triangle_quotients(quotient):
+    # the check above, on subgroups whose index is known in advance
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+
+    spec, index = quotient
+    table = todd_coxeter(spec)
+    assert table.n == index
+    table.check_invariants()
+    group, word = sympy_fp_group(spec.parent)
+    theirs = coset_enumeration_r(group, [word(w) for w in spec.generators],
+                                 max_cosets=SYMPY_MAX_COSETS)
+    theirs.compress()
+    assert len(theirs.table) == index
 
 
 def oracle_schreier_generators(table):
