@@ -10,7 +10,7 @@ from .census import CensusEntry, KnownResult, UnknownId, census_entry, list_cens
 from .contextuality import (ContextualityReport, CosetLabeling,
                             contextuality_report, labeling_from_table,
                             line_commutes)
-from .dessins import (Dessin, ModularData, Passport, RoleMismatch, Signature,
+from .dessins import (Dessin, ModularData, Passport, Signature,
                       dessin_from_table, modular_data, passport, signature)
 from .geometry import (GraphStats, IncidenceGeometry, PairClass, PolygonCheck,
                        geometry_from_class, incidence_graph_stats,

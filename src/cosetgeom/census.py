@@ -131,6 +131,10 @@ _ENTRIES = (
         "< x, y | y^2, x^3, ((y*x^-1)^3*(y^-1*x)^3)^3 >",
         p=2, q=3, d=3, gamma="(-1+sqrt(3)i)/2", covolume="0.67664",
         geometries="GH(2,1), \"J2\"",
+        known_results=(
+            KnownResult(index=21, count=1, order=336, geometry="GH(2,1)",
+                        raw_count=20),
+        ),
     ),
     _entry(
         "k4",

@@ -13,14 +13,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 
 from .census import UnknownId, census_entry, list_census
 from .contextuality import (DEFAULT_MODE, MODES, contextuality_report,
                             labeling_from_table)
 from .contextuality import to_dot as contextuality_dot
-from .dessins import (RoleMismatch, dessin_from_table, modular_data, passport,
-                      signature)
+from .dessins import dessin_from_table, modular_data, passport, signature
 from .dessins import to_dot as dessin_dot
 # incidence_graph_stats is unused here since geometries cache their stats;
 # perfbench/selftest.py checks that the tracer rebinds cli's binding of it
@@ -120,12 +120,14 @@ def _load_certificate(path, entry):
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or "subgroup_words" not in data:
-            raise ValueError("no subgroup_words list")
+        words = isinstance(data, dict) and data.get("subgroup_words")
+        if not isinstance(words, list) \
+                or not all(isinstance(w, str) for w in words):
+            raise ValueError("no subgroup_words list of strings")
         if data.get("id", entry.id) != entry.id:
             raise ValueError("written for %r, not %r"
                              % (data["id"], entry.id))
-        words = tuple(parse_word(w) for w in data["subgroup_words"])
+        words = tuple(parse_word(w) for w in words)
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError("bad certificate %s: %s" % (path, exc)) from None
     return SubgroupSpec(entry.presentation, words)
@@ -173,18 +175,9 @@ def dessin_report(table):
         "passport": str(passport(d)),
         "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
     }
-    for role in ("black", "white"):
-        try:
-            md = modular_data(d, order2_role=role)
-        except RoleMismatch:
-            continue
-        report["modular_data"] = {
-            "order2_role": role, "nu2": md.nu2, "nu3": md.nu3,
-            "c": md.c, "f": md.f,
-            "fixed_points_order2": md.fixed_points_order2,
-            "fixed_points_order3": md.fixed_points_order3,
-        }
-        break
+    md = modular_data(d)
+    if md is not None:
+        report["modular_data"] = asdict(md)
     return report
 
 

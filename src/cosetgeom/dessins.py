@@ -5,7 +5,8 @@ action of x (black vertices) and of y (white vertices).  From the pair
 we read off the passport (cycle structures of black, white and face
 permutations), the signature (B, W, F, g) and, when one generator acts
 with order 2 and the other with order 3, the elliptic-point / cusp /
-fraction counts of the associated modular-curve data.
+fraction counts of the associated modular-curve data; which generator
+has order 2 is read off the passport's cycle lengths.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import Permutation, PermGroup, cycle_type_str
-
-
-class RoleMismatch(ValueError):
-    """The designated generators do not have orders 2 and 3."""
 
 
 @dataclass(frozen=True)
@@ -70,12 +67,15 @@ class Signature:
 class ModularData:
     """Elliptic-point counts, cusps and fraction count.
 
-    nu2 / nu3 are the primary values read off the permutations (fixed
-    points of the order-2 / order-3 generator).  The raw per-generator
-    fixed-point counts are carried alongside so a disagreement with an
-    external table is visible rather than silently resolved.
+    order2_role is the colour ('black' or 'white') of the order-2
+    permutation.  nu2 / nu3 are the primary values read off the
+    permutations (fixed points of the order-3 / order-2 generator).  The
+    raw per-generator fixed-point counts are carried alongside so a
+    disagreement with an external table is visible rather than silently
+    resolved.
     """
 
+    order2_role: str
     nu2: int
     nu3: int
     c: int
@@ -108,32 +108,27 @@ def signature(d: Dessin) -> Signature:
     return Signature(B=B, W=W, F=F, g=euler // 2)
 
 
-def modular_data(d: Dessin, order2_role: str = "white") -> ModularData:
+def modular_data(d: Dessin) -> ModularData | None:
     """Elliptic / cusp / fraction counts for a (2,3)-generated dessin.
 
-    order2_role names the permutation ('black' or 'white') required to
-    square to the identity; the other must cube to the identity.  The
-    pentagram instance fixes the convention: nu2 counts the fixed points
-    of the order-3 permutation and nu3 those of the order-2 one (the
-    valency-one points of the opposite colour), and f = B - nu2 + 1 with
-    B the black count.
+    The order-2 permutation is black when the black cycles have length
+    1 or 2 and the white ones 1 or 3, else white for the converse; None
+    when neither holds.  The pentagram instance fixes the convention:
+    nu2 counts the fixed points of the order-3 permutation and nu3 those
+    of the order-2 one (the valency-one points of the opposite colour),
+    c is the face count and f = B - nu2 + 1 with B the black count.
     """
-    if order2_role not in ("black", "white"):
-        raise ValueError("order2_role must be 'black' or 'white'")
-    p2 = d.sigma_black if order2_role == "black" else d.sigma_white
-    p3 = d.sigma_white if order2_role == "black" else d.sigma_black
-    if not (p2 * p2).is_identity():
-        raise RoleMismatch("%s permutation does not square to identity"
-                           % order2_role)
-    if not (p3 * p3 * p3).is_identity():
-        raise RoleMismatch("companion permutation does not cube to identity")
-    fix2 = len(p2.fixed_points())
-    fix3 = len(p3.fixed_points())
-    sig = signature(d)
-    nu2 = fix3
-    nu3 = fix2
-    return ModularData(nu2=nu2, nu3=nu3, c=sig.F, f=sig.B - nu2 + 1,
-                       fixed_points_order2=fix2, fixed_points_order3=fix3)
+    p = passport(d)
+    for role, cycles2, cycles3 in (("black", p.black_cycles, p.white_cycles),
+                                   ("white", p.white_cycles, p.black_cycles)):
+        if set(cycles2) <= {1, 2} and set(cycles3) <= {1, 3}:
+            fix2, fix3 = cycles2.count(1), cycles3.count(1)
+            return ModularData(order2_role=role, nu2=fix3, nu3=fix2,
+                               c=len(p.face_cycles),
+                               f=len(p.black_cycles) - fix3 + 1,
+                               fixed_points_order2=fix2,
+                               fixed_points_order3=fix3)
+    return None
 
 
 def to_dot(d: Dessin) -> str:

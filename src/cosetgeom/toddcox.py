@@ -1,10 +1,10 @@
 """Todd-Coxeter coset enumeration and coset-table derived data.
 
 The enumerator is the HLT strategy (relator scanning with filling) with
-a standard union-find coincidence queue.  Completed tables are compacted
-and renumbered in BFS order from coset 0 using the canonical letter
-order x, x^-1, y, y^-1, so equal subgroups always yield byte-identical
-tables.
+a standard union-find coincidence queue.  A finished enumeration is
+numbered by one BFS over its live cosets from coset 0 in the canonical
+letter order x, x^-1, y, y^-1, so equal subgroups always yield
+byte-identical tables.
 
 Cosets are 0-based internally and in the Python API; JSON output is
 1-based to match the human-facing reports.
@@ -183,42 +183,26 @@ class _Enumerator:
             a += 1
 
 
-def _standardize(rows):
-    """Renumber a complete action by BFS from coset 0 in letter order."""
-    n = len(rows)
-    order = [0]
-    new_of = {0: 0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for l in LETTER_ORDER:
-            d = rows[c][l]
-            if d not in new_of:
-                new_of[d] = len(order)
-                order.append(d)
-    assert len(order) == n, "coset graph is not connected"
-    out = tuple(
-        tuple(new_of[rows[c][l]] for l in range(NLETTERS)) for c in order
-    )
-    return out
-
-
 def todd_coxeter(spec: SubgroupSpec,
                  max_cosets: int = MAX_COSETS) -> CosetTable:
     """Enumerate the cosets of the subgroup; raises CosetLimitExceeded."""
     enum = _Enumerator(spec.parent.relators, max_cosets)
     enum.run(spec.generators)
-    # collapse to live cosets
-    live = [c for c in range(len(enum.table)) if enum.rep(c) == c]
-    index_of = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = enum.table[c]
-        assert all(d is not None for d in row), "HLT left an undefined entry"
-        rows.append([index_of[enum.rep(d)] for d in row])
-    action = _standardize(rows)
-    return CosetTable(n=len(rows), action=action, subgroup=spec)
+    # number the live cosets in BFS order from coset 0
+    table, rep = enum.table, enum.rep
+    order = [0]
+    new_of = {0: 0}
+    action = []
+    for c in order:
+        assert None not in table[c], "HLT left an undefined entry"
+        row = [rep(d) for d in table[c]]      # columns in LETTER_ORDER
+        for d in row:
+            if d not in new_of:
+                new_of[d] = len(order)
+                order.append(d)
+        action.append(tuple(new_of[d] for d in row))
+    assert len(order) == enum.nalive, "coset graph is not connected"
+    return CosetTable(n=len(order), action=tuple(action), subgroup=spec)
 
 
 def _transversal_letters(table: CosetTable):

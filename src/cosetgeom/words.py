@@ -68,10 +68,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        w = Word()
-        for _ in range(n):
-            w = w * self
-        return w
+        return Word(self.letters * n)
 
     def inverse(self) -> "Word":
         return Word(tuple(l ^ 1 for l in reversed(self.letters)), reduced=True)

@@ -255,7 +255,7 @@ def test_criterion_07_pentagram_dessin():
     (t,) = [x for x in _classes_at("k1", 10) if order_of(x) == 60]
     d = dessin_from_table(t)
     assert signature(d).as_tuple() == (4, 6, 2, 0)
-    md = modular_data(d, order2_role="white")
+    md = modular_data(d)
     assert (md.nu2, md.nu3, md.c, md.f) == (1, 2, 2, 4)
     print("PASS criterion 7: pentagram signature (4,6,2,0) and modular data "
           "nu2=1 nu3=2 c=2 f=4")

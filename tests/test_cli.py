@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,18 @@ def test_subgroups_k4(capsys):
     rec = records[-1]
     assert {"index", "generators", "order", "fingerprint",
             "certificate_words"} <= set(rec)
+
+
+def test_report_json_is_pinned(differential_tables):
+    # the output contract: analyze and subgroups JSON, byte for byte, of
+    # the 85 differential tables (both modular-data roles occur)
+    h = hashlib.sha256()
+    for t in differential_tables:
+        h.update(json.dumps(cli.analyze_table(t), indent=2).encode())
+        h.update(json.dumps(cli._subgroup_record(t), indent=2).encode())
+    assert len(differential_tables) == 85
+    assert h.hexdigest() == (
+        "abf345613f17f2124ea7d03bf3d01f12857d2f3f435b86fe995afa269dc96f83")
 
 
 def test_subgroups_budget_exit(capsys):
@@ -209,6 +222,8 @@ def test_every_int_flag_has_a_minimum():
     '{"id": "k4", "index": 4}',                 # no subgroup_words
     "not json",
     '{"subgroup_words": ["x*"]}',               # unparsable word
+    '{"id": "k4", "subgroup_words": "xy"}',     # a string, not a list
+    '{"subgroup_words": {"x": 1, "y": 2}}',     # an object, not a list
 ])
 def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "cert.json"
@@ -340,10 +355,11 @@ def test_reproduce_fast(capsys, tmp_path):
     path = tmp_path / "reproduce.json"
     assert cli.run_reproduce("fast", json_path=str(path)) == EXIT_OK
     checks = json.loads(path.read_text())["checks"]
-    claims = ["%s@%d" % (id, r.index) for id in ("k1", "k4", "k5", "k19")
+    claims = ["%s@%d" % (id, r.index)
+              for id in ("k1", "k2", "k4", "k5", "k19")
               for r in census_entry(id).known_results]
     assert [c["claim"] for c in checks] == claims
-    assert len(claims) == 10 and all(c["pass"] for c in checks)
+    assert len(claims) == 11 and all(c["pass"] for c in checks)
 
 
 def test_reproduce_wrong_count_fails(capsys, tmp_path, monkeypatch):
@@ -369,7 +385,7 @@ def test_unreadable_bundled_certificate_fails_its_check(capsys, tmp_path,
     assert cli.run_reproduce("fast", json_path=str(path)) \
         == EXIT_CHECK_FAILED
     checks = json.loads(path.read_text())["checks"]
-    assert len(checks) == 10
+    assert len(checks) == 11
     (failed,) = [c for c in checks if not c["pass"]]
     assert failed["claim"] == "k5@45"
     assert failed["computed"].startswith("error: bad certificate %s: " % bad)

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import relabel
-from cosetgeom.dessins import (Dessin, RoleMismatch, dessin_from_table,
-                               modular_data, passport, signature, to_dot)
+from cosetgeom.dessins import (Dessin, dessin_from_table, modular_data,
+                               passport, signature, to_dot)
 from cosetgeom.perms import Permutation, parse_cycles
 
 
@@ -42,25 +42,37 @@ def test_pentagram_signature():
 
 
 def test_pentagram_modular_data():
-    md = modular_data(pentagram_dessin(), order2_role="white")
+    md = modular_data(pentagram_dessin())
+    assert md.order2_role == "white"
     assert (md.nu2, md.nu3, md.c, md.f) == (1, 2, 2, 4)
     assert md.fixed_points_order2 == 2
     assert md.fixed_points_order3 == 1
 
 
 def test_role_mismatch():
-    d = pentagram_dessin()
-    with pytest.raises(RoleMismatch):
-        modular_data(d, order2_role="black")
-    with pytest.raises(ValueError):
-        modular_data(d, order2_role="green")
+    # neither colour has order 2 with the other of order 3
+    four_cycle = Dessin(4, parse_cycles("(1,2,3,4)", 4),
+                        parse_cycles("(1,2)(3,4)", 4))
+    assert modular_data(four_cycle) is None
+    two_involutions = Dessin(3, parse_cycles("(1,2)", 3),
+                             parse_cycles("(2,3)", 3))
+    assert modular_data(two_involutions) is None
+
+
+def test_index1_table_is_black(k1_to_10):
+    # both permutations are the identity, so black is tried first and fits
+    (t,) = [t for t in k1_to_10 if t.n == 1]
+    md = modular_data(dessin_from_table(t))
+    assert md.order2_role == "black"
+    assert (md.nu2, md.nu3, md.c, md.f) == (1, 1, 1, 1)
 
 
 def test_fixed_point_free_modular_data():
     # S3 regular-ish action: order-2 and order-3 with no fixed points
     b = parse_cycles("(1,2,3)(4,5,6)", 6)
     w = parse_cycles("(1,4)(2,6)(3,5)", 6)
-    md = modular_data(Dessin(6, b, w), order2_role="white")
+    md = modular_data(Dessin(6, b, w))
+    assert md.order2_role == "white"
     assert md.nu2 == 0 and md.nu3 == 0
 
 
@@ -94,7 +106,7 @@ def test_index21_dessin(k1_to_10, k1_pres):
         d = dessin_from_table(t)
         p = passport(d)
         if str(p) == "[3^7, 2^9 1^3, 8^2 4^1 1^1]":
-            md = modular_data(d, order2_role="white")
+            md = modular_data(d)
             hits.append((md.nu2, md.nu3, md.c, md.f))
     assert hits == [(0, 3, 4, 8)]
 

@@ -39,7 +39,7 @@ def test_coset_cap_raises():
         todd_coxeter(spec("< x, y | x^2 >"), max_cosets=500)
 
 
-def test_standardized_table_is_bfs_numbered():
+def test_table_is_bfs_numbered():
     table = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^2 >"))
     seen = {0}
     for c in range(table.n):

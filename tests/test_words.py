@@ -52,3 +52,12 @@ def test_parse_errors():
         parse_presentation("< x | x^2 >")
     with pytest.raises(ValueError):
         Presentation((Word(),))
+
+
+def test_power_is_linear():
+    # one free reduction of the repeated letters, not one per factor
+    assert len(parse_word("x^100000")) == 100000
+    w = parse_word("x*y*x^-1")
+    assert w ** 3 == parse_word("x*y^3*x^-1")
+    assert w ** -2 == parse_word("x*y^-2*x^-1")
+    assert w ** 0 == Word()
