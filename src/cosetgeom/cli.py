@@ -169,13 +169,13 @@ def _chosen_classes(group, cls=None):
 
 def dessin_report(table):
     """The dessin part of a report: passport, signature, modular data."""
-    d = dessin_from_table(table)
-    sig = signature(d)
+    p = passport(dessin_from_table(table))
+    sig = signature(p)
     report = {
-        "passport": str(passport(d)),
+        "passport": str(p),
         "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
     }
-    md = modular_data(d)
+    md = modular_data(p)
     if md is not None:
         report["modular_data"] = asdict(md)
     return report

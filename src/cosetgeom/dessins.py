@@ -3,10 +3,11 @@
 A complete coset table on n cosets gives a pair of permutations: the
 action of x (black vertices) and of y (white vertices).  From the pair
 we read off the passport (cycle structures of black, white and face
-permutations), the signature (B, W, F, g) and, when one generator acts
+permutations).  The signature (B, W, F, g) and, when one generator acts
 with order 2 and the other with order 3, the elliptic-point / cusp /
-fraction counts of the associated modular-curve data; which generator
-has order 2 is read off the passport's cycle lengths.
+fraction counts of the associated modular-curve data are derived from
+the passport alone; which generator has order 2 is read off its cycle
+lengths.
 """
 
 from __future__ import annotations
@@ -98,18 +99,20 @@ def passport(d: Dessin) -> Passport:
     )
 
 
-def signature(d: Dessin) -> Signature:
-    p = passport(d)
+def signature(p: Passport) -> Signature:
+    """Cycle counts and genus of a dessin with passport p."""
+    n = sum(p.black_cycles)
     B, W, F = len(p.black_cycles), len(p.white_cycles), len(p.face_cycles)
-    euler = d.n + 2 - B - W - F
+    euler = n + 2 - B - W - F
     if euler < 0 or euler % 2:
         raise AssertionError("Euler relation violated: B+W+F = %d, n = %d"
-                             % (B + W + F, d.n))
+                             % (B + W + F, n))
     return Signature(B=B, W=W, F=F, g=euler // 2)
 
 
-def modular_data(d: Dessin) -> ModularData | None:
-    """Elliptic / cusp / fraction counts for a (2,3)-generated dessin.
+def modular_data(p: Passport) -> ModularData | None:
+    """Elliptic / cusp / fraction counts of a (2,3)-generated dessin with
+    passport p.
 
     The order-2 permutation is black when the black cycles have length
     1 or 2 and the white ones 1 or 3, else white for the converse; None
@@ -118,7 +121,6 @@ def modular_data(d: Dessin) -> ModularData | None:
     of the order-2 one (the valency-one points of the opposite colour),
     c is the face count and f = B - nu2 + 1 with B the black count.
     """
-    p = passport(d)
     for role, cycles2, cycles3 in (("black", p.black_cycles, p.white_cycles),
                                    ("white", p.white_cycles, p.black_cycles)):
         if set(cycles2) <= {1, 2} and set(cycles3) <= {1, 3}:

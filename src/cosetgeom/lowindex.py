@@ -20,14 +20,23 @@ base again only once they are all defined: until then the comparison
 reads the same cells and stops at the same place.
 Rows are allocated as cosets are created, never up front by max_index.
 
-The partial table is held by column, one list per letter, and every
-relator rotation is compiled once into the columns it reads.  A new
-entry (a, l) = b is scanned along each rotation that starts with l from
-a and with l^-1 from b, beginning after the new edge; a scan that stops
-one entry short of closing its cycle forces that entry.  A forced entry
-skips the rotation it was read from, which the entry closes: entries
-are only added, so that cycle stays closed, and the deductions reached,
-hence every node's verdict, are those of scanning it again.
+The partial table is held by column, one list per letter.  An
+involution, a generator l with a relator that cyclically reduces to l^2
+or l^-2, has one self-inverse column for l and l^-1, so setting
+(a, l) = b also sets (b, l) = a; a relator that reads as an even power
+of that column holds in every table and is not compiled.  Every other
+relator rotation is compiled once, by the columns it reads.  A new entry
+(a, l) = b is scanned along each rotation that starts with l, from a,
+beginning after the new edge.  A rotation that starts with l^-1, read
+from b, traces backwards the cycle of a rotation read from a when the
+relator is reversible, its inverse read as columns being one of its
+rotations; so it is scanned from b only when that cycle is not already
+scanned from a.  A scan that stops one entry short of closing its cycle
+forces that entry.  A forced entry skips the rotation it was read from,
+which the entry closes: entries are only added, so that cycle stays
+closed.  Propagation ends at the closure of the deductions whatever the
+order it finds them in, so every node's verdict is that of scanning
+every cycle from both ends.
 """
 
 from __future__ import annotations
@@ -41,33 +50,47 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def _compile_rotations(relators, cols):
-    """For each letter l, the relator rotations starting with l, compiled
-    against the column table cols.
+    """The relator rotations to scan from each end of a new entry,
+    compiled against the column table cols.
 
-    A compiled rotation w is (steps, gaps): steps holds the columns of
-    w[1:], the letters after the edge that starts the scan; gaps[i], for
-    a forward scan stopped before w[i], is (w[i], backward, last, shifted):
+    Returns (from_f, from_b): for a new entry (f, l) = b, from_f[l] holds
+    the rotations starting with l, scanned from f, and from_b[l^-1] the
+    rotations starting with l^-1 to scan from b: those whose cycle read
+    backwards is not already one of from_f[l].  For an involution l, whose
+    column cols[l] is cols[l^-1], the lists for l and l^-1 are one list.
+
+    A rotation w is read as the letters of its columns, l for l^-1 of an
+    involution l, and rotations that read the same are compiled once.  The
+    compiled w is a list of steps (column, gap), one per letter w[i] of
+    w[1:]: column is the column of w[i], and gap, the stop record of a
+    forward scan stopped before w[i], is (w[i], backward, last, shifted):
     the columns of the first len(w) - i - 1 letters of w^-1, the column
     of the letter w[i]^-1 that ends that backward scan, and the compiled
-    rotation of w starting at w[i].  Equal rotations, as of a proper
-    power, are compiled once.
+    rotation of w starting at w[i].
     """
-    by_letter = [[] for _ in range(NLETTERS)]
+    read = [l & ~1 if cols[l] is cols[l ^ 1] else l for l in range(NLETTERS)]
+    from_f = [[] for _ in range(NLETTERS)]
+    from_b = [[] for _ in range(NLETTERS)]
     compiled = {}
     for rel in relators:
-        w = rel.cyclically_reduced().letters
+        w = tuple(read[l] for l in rel.cyclically_reduced().letters)
+        if len(set(w)) == 1 and read[w[0] ^ 1] == w[0] and len(w) % 2 == 0:
+            continue        # an even power of a self-inverse column
         for i in range(len(w)):
-            rot = w[i:] + w[:i]
-            if rot not in compiled:
-                compiled[rot] = (tuple(cols[k] for k in rot[1:]), [None])
-                by_letter[rot[0]].append(compiled[rot])
-    for rot, (_, gaps) in compiled.items():
-        inverse = [cols[k ^ 1] for k in reversed(rot)]
+            compiled.setdefault(w[i:] + w[:i], [])
+    for rot, steps in compiled.items():
+        inverse = [read[k ^ 1] for k in reversed(rot)]
         for i in range(1, len(rot)):
             rest = len(rot) - i
-            gaps.append((rot[i], tuple(inverse[:rest - 1]),
-                         inverse[rest - 1], compiled[rot[i:] + rot[:i]]))
-    return by_letter
+            steps.append((cols[rot[i]], (
+                rot[i], tuple(cols[k] for k in inverse[:rest - 1]),
+                cols[inverse[rest - 1]], compiled[rot[i:] + rot[:i]])))
+        from_f[rot[0]].append(steps)
+        # rot read from b along its first letter is the cycle of
+        # inverse[-1:] + inverse[:-1] read from f, backwards
+        if tuple(inverse[-1:] + inverse[:-1]) not in compiled:
+            from_b[rot[0]].append(steps)
+    return [from_f[k] for k in read], [from_b[k] for k in read]
 
 
 class _Search:
@@ -78,9 +101,18 @@ class _Search:
         self.nodes = 0
         # the partial table by column: cols[l][c] is coset c times letter
         # l, None while undefined; columns only ever grow in place, since
-        # the compiled rotations hold them
-        self.cols = [[None] for _ in range(NLETTERS)]
-        self.rot = _compile_rotations(pres.relators, self.cols)
+        # the compiled rotations hold them.  An involution's two letters
+        # share one column, so columns holds each column once.
+        squares = {r.cyclically_reduced().letters for r in pres.relators}
+        self.cols, self.columns = [], []
+        for l in range(NLETTERS):
+            if l & 1 and {(l, l), (l ^ 1, l ^ 1)} & squares:
+                self.cols.append(self.cols[l ^ 1])
+            else:
+                self.cols.append([None])
+                self.columns.append(self.cols[l])
+        self.from_f, self.from_b = _compile_rotations(pres.relators,
+                                                      self.cols)
         self.trail = []
         # scratch renumbering of the first-in-class test: new -> old and
         # old -> new, -1 where unset; one entry per allocated row
@@ -97,9 +129,11 @@ class _Search:
 
         Every entry set goes on the trail; False on a forced coincidence.
         A deduction carries the rotation it closes, which is not scanned
-        again: entries are only added, so that cycle stays closed.
+        again from its coset: entries are only added, so that cycle stays
+        closed.
         """
-        cols, trail, rot = self.cols, self.trail, self.rot
+        cols, trail = self.cols, self.trail
+        from_f, from_b = self.from_f, self.from_b
         pending = [(a, l, b, None)]
         while pending:
             f, l, b, closed = pending.pop()
@@ -116,27 +150,26 @@ class _Search:
             col[f] = b
             inv[b] = f
             trail.append((f, l, b))
-            # scan every relator rotation through the new edge, from
-            # both of its ends, starting after the edge itself
-            for c, start, rots in ((f, b, rot[l]), (b, f, rot[l ^ 1])):
+            # scan the relator rotations through the new edge from f, and
+            # those not read backwards among them from b, starting after
+            # the edge itself
+            for c, start, rots, skip in ((f, b, from_f[l], closed),
+                                         (b, f, from_b[l ^ 1], None)):
                 for r in rots:
-                    if r is closed:
+                    if r is skip:
                         continue
-                    steps, gaps = r
                     x = start
-                    i = 1
-                    for step in steps:
+                    for step, gap in r:
                         y = step[x]
                         if y is None:
                             break
                         x = y
-                        i += 1
                     else:
                         if x != c:
                             return False
                         continue
                     # scan back from c along the inverse for the rest
-                    letter, backward, last, shifted = gaps[i]
+                    letter, backward, last, shifted = gap
                     y = c
                     for step in backward:
                         y = step[y]
@@ -164,7 +197,7 @@ class _Search:
         is compared again only once both are defined.  A base to compare
         in any case, as the new coset is, watches self.defined twice.
         """
-        cols, mu, nu, defined = self.cols, self.mu, self.nu, self.defined
+        columns, mu, nu, defined = self.columns, self.mu, self.nu, self.defined
         undecided = []
         for entry in live:
             beta, col, row, col2, row2 = entry
@@ -180,7 +213,7 @@ class _Search:
             alpha = 0
             while alpha < count:
                 m = mu[alpha]
-                for col in cols:
+                for col in columns:
                     gamma = col[m]
                     orig = col[alpha]
                     if gamma is None or orig is None:
@@ -244,7 +277,7 @@ class _Search:
                 if b == n:
                     size, bases = n + 1, live + [(n, defined, 0, defined, 0)]
                     if n == len(cols[0]):
-                        for col in cols:
+                        for col in self.columns:
                             col.append(None)
                         self.mu.append(0)
                         self.nu.append(-1)

@@ -14,7 +14,9 @@ Also hosts the presentation / subgroup-generator parser.  Grammar:
     gen          := 'x' | 'y'
 
 ``a^b`` with an atom exponent is conjugation b^-1*a*b, ``[a,b]`` is the
-commutator a^-1*b^-1*a*b.  Whitespace is insignificant.
+commutator a^-1*b^-1*a*b.  Whitespace is insignificant.  The parser
+refuses, before building it, any word of more than MAX_WORD_LETTERS
+letters before free reduction.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from dataclasses import dataclass
 X, XI, Y, YI = 0, 1, 2, 3
 
 GEN_LETTERS = {"x": X, "y": Y}
+
+#: the longest word, before free reduction, that the parser builds
+MAX_WORD_LETTERS = 10 ** 6
 
 
 def inv_letter(letter: int) -> int:
@@ -178,7 +183,18 @@ class _Parser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ParseError("expected integer", start)
+        # a longer exponent only gives too long a word, and int() refuses
+        # one of a few thousand digits with an error of its own
+        if len(self.text[start:self.pos].lstrip("-0")) > \
+                len(str(MAX_WORD_LETTERS)):
+            raise ParseError("exponent too large", start)
         return int(self.text[start:self.pos])
+
+    def check_length(self, letters, pos):
+        """Refuse a word of more than MAX_WORD_LETTERS letters."""
+        if letters > MAX_WORD_LETTERS:
+            raise ParseError("word longer than %d letters" % MAX_WORD_LETTERS,
+                             pos)
 
     def parse_gen(self):
         c = self.peek()
@@ -197,27 +213,37 @@ class _Parser:
             self.expect(")")
             return w
         if c == "[":
+            start = self.pos
             self.pos += 1
             a = self.parse_word()
             self.expect(",")
             b = self.parse_word()
             self.expect("]")
+            self.check_length(2 * (len(a) + len(b)), start)
             return commutator_word(a, b)
         return self.parse_gen()
 
     def parse_term(self):
         w = self.parse_atom()
         if self.accept("^"):
+            start = self.pos
             c = self.peek()
             if c in ("(", "[") or c.isalpha():
-                return w.conjugate(self.parse_atom())
-            return w ** self.parse_int()
+                by = self.parse_atom()
+                self.check_length(len(w) + 2 * len(by), start)
+                return w.conjugate(by)
+            n = self.parse_int()
+            self.check_length(len(w) * abs(n), start)
+            return w ** n
         return w
 
     def parse_word(self):
         w = self.parse_term()
         while self.accept("*"):
-            w = w * self.parse_term()
+            start = self.pos
+            t = self.parse_term()
+            self.check_length(len(w) + len(t), start)
+            w = w * t
         return w
 
 

@@ -254,8 +254,9 @@ def test_criterion_06_literal_index21_count():
 def test_criterion_07_pentagram_dessin():
     (t,) = [x for x in _classes_at("k1", 10) if order_of(x) == 60]
     d = dessin_from_table(t)
-    assert signature(d).as_tuple() == (4, 6, 2, 0)
-    md = modular_data(d)
+    p = passport(d)
+    assert signature(p).as_tuple() == (4, 6, 2, 0)
+    md = modular_data(p)
     assert (md.nu2, md.nu3, md.c, md.f) == (1, 2, 2, 4)
     print("PASS criterion 7: pentagram signature (4,6,2,0) and modular data "
           "nu2=1 nu3=2 c=2 f=4")
@@ -333,7 +334,7 @@ def test_criterion_09_heavy_enumerations():
     assert t2.n == 100
     assert order_of(t2) == 604800
     # derived truth for the big dessin: exactly half the published counts
-    sig = signature(dessin_from_table(t1))
+    sig = signature(passport(dessin_from_table(t1)))
     assert sig.as_tuple() == (923, 585, 135, 57)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
@@ -350,7 +351,8 @@ def test_criterion_09_heavy_enumerations():
                           "the degree-3510 edge action instead")
 def test_criterion_09_published_signature():
     t1 = todd_coxeter(census_entry("g1").subgroup("h1"))
-    assert signature(dessin_from_table(t1)).as_tuple() == (1846, 1170, 270, 113)
+    assert signature(passport(dessin_from_table(t1))).as_tuple() == \
+        (1846, 1170, 270, 113)
 
 
 def test_criterion_10_property_suites():

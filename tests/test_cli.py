@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 from conftest import group_of
-from cosetgeom import cli, perms
+from cosetgeom import cli, dessins, perms
 from cosetgeom.census import census_entry
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
                            EXIT_USAGE, main)
@@ -224,12 +224,29 @@ def test_every_int_flag_has_a_minimum():
     '{"subgroup_words": ["x*"]}',               # unparsable word
     '{"id": "k4", "subgroup_words": "xy"}',     # a string, not a list
     '{"subgroup_words": {"x": 1, "y": 2}}',     # an object, not a list
+    '{"subgroup_words": ["x^1000000000"]}',     # refused before it is built
 ])
 def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "cert.json"
     path.write_text(text)
     assert usage_error(capsys, "analyze", "k4", "--index", "4",
                        "--certificate", str(path)) == EXIT_USAGE
+
+
+def test_one_passport_per_report(monkeypatch, k1_to_10):
+    # the face permutation is the costly part of a passport; signature
+    # and modular data are read off the one passport
+    calls = []
+    face = dessins.Dessin.face_permutation
+
+    def counted(self):
+        calls.append(self)
+        return face(self)
+    monkeypatch.setattr(dessins.Dessin, "face_permutation", counted)
+    for t in k1_to_10:
+        report = cli.dessin_report(t)
+        assert "modular_data" in report
+    assert len(calls) == len(k1_to_10)
 
 
 def test_certificate_for_another_id_is_usage_error(capsys, tmp_path):

@@ -16,7 +16,7 @@ def pentagram_dessin():
 def test_trivial_dessin():
     d = Dessin(1, Permutation.identity(1), Permutation.identity(1))
     assert passport(d).black_cycles == (1,)
-    assert signature(d).as_tuple() == (1, 1, 1, 0)
+    assert signature(passport(d)).as_tuple() == (1, 1, 1, 0)
 
 
 def test_disconnected_rejected():
@@ -38,11 +38,12 @@ def test_pentagram_passport():
 
 
 def test_pentagram_signature():
-    assert signature(pentagram_dessin()).as_tuple() == (4, 6, 2, 0)
+    assert signature(passport(pentagram_dessin())).as_tuple() == \
+        (4, 6, 2, 0)
 
 
 def test_pentagram_modular_data():
-    md = modular_data(pentagram_dessin())
+    md = modular_data(passport(pentagram_dessin()))
     assert md.order2_role == "white"
     assert (md.nu2, md.nu3, md.c, md.f) == (1, 2, 2, 4)
     assert md.fixed_points_order2 == 2
@@ -53,16 +54,16 @@ def test_role_mismatch():
     # neither colour has order 2 with the other of order 3
     four_cycle = Dessin(4, parse_cycles("(1,2,3,4)", 4),
                         parse_cycles("(1,2)(3,4)", 4))
-    assert modular_data(four_cycle) is None
+    assert modular_data(passport(four_cycle)) is None
     two_involutions = Dessin(3, parse_cycles("(1,2)", 3),
                              parse_cycles("(2,3)", 3))
-    assert modular_data(two_involutions) is None
+    assert modular_data(passport(two_involutions)) is None
 
 
 def test_index1_table_is_black(k1_to_10):
     # both permutations are the identity, so black is tried first and fits
     (t,) = [t for t in k1_to_10 if t.n == 1]
-    md = modular_data(dessin_from_table(t))
+    md = modular_data(passport(dessin_from_table(t)))
     assert md.order2_role == "black"
     assert (md.nu2, md.nu3, md.c, md.f) == (1, 1, 1, 1)
 
@@ -71,7 +72,7 @@ def test_fixed_point_free_modular_data():
     # S3 regular-ish action: order-2 and order-3 with no fixed points
     b = parse_cycles("(1,2,3)(4,5,6)", 6)
     w = parse_cycles("(1,4)(2,6)(3,5)", 6)
-    md = modular_data(Dessin(6, b, w))
+    md = modular_data(passport(Dessin(6, b, w)))
     assert md.order2_role == "white"
     assert md.nu2 == 0 and md.nu3 == 0
 
@@ -95,7 +96,7 @@ def test_signature_relabel_invariant():
     sigma = parse_cycles("(1,10)(2,9)", 10)
     d2 = Dessin(10, relabel(d.sigma_black, sigma),
                 relabel(d.sigma_white, sigma))
-    assert signature(d2) == signature(d)
+    assert signature(passport(d2)) == signature(passport(d))
 
 
 def test_index21_dessin(k1_to_10, k1_pres):
@@ -106,7 +107,7 @@ def test_index21_dessin(k1_to_10, k1_pres):
         d = dessin_from_table(t)
         p = passport(d)
         if str(p) == "[3^7, 2^9 1^3, 8^2 4^1 1^1]":
-            md = modular_data(d)
+            md = modular_data(p)
             hits.append((md.nu2, md.nu3, md.c, md.f))
     assert hits == [(0, 3, 4, 8)]
 

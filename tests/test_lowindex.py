@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import order_of, presentations, sympy_fp_group
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
-from cosetgeom.lowindex import SearchBudgetExceeded, low_index_subgroups
+from cosetgeom.lowindex import (SearchBudgetExceeded, _Search,
+                                low_index_subgroups)
 from cosetgeom.toddcox import todd_coxeter
-from cosetgeom.words import parse_presentation
+from cosetgeom.words import X, Y, Presentation, Word, parse_presentation
 
 
 def test_k4_counts_by_index(k4_pres):
@@ -90,6 +91,10 @@ PINNED_SHAS = {
         "4e5947f5179b0da2914f8646b72e8a5596cd8f03e6ba43d7d470aae3a178dc7f",
     "< x, y | x^2, y^3 >":
         "000d6bf72195d0f2a847ef6811782a0391271f141b6d989125adfb477a873b40",
+    "< x, y | x^2, y^2, (x*y)^12 >":
+        "fbd68b48f67b0e642949b4d1c5a20dc3ad4851a2bc3b9545fb59047e6174dfe9",
+    "< x, y | x^2, y^3, (x*y)^7 >":
+        "0cb177177a549d4deb908002c46333fb113311a2a85c2989b31f3702e0199982",
 }
 
 
@@ -107,6 +112,13 @@ PINNED_SHAS = {
                  id="z4xz4-16-101-15"),
     pytest.param("< x, y | x^2, y^3 >", 12, 1050, 175,
                  id="modular-12-1050-175"),
+    # two involutions, and a relator that is its own inverse read by
+    # columns; recorded before they shared a column
+    pytest.param("< x, y | x^2, y^2, (x*y)^12 >", 24, 99, 16,
+                 id="dihedral24-24-99-16"),
+    # one involution, and a relator that is not its own inverse
+    pytest.param("< x, y | x^2, y^3, (x*y)^7 >", 14, 470, 14,
+                 id="triangle237-14-470-14"),
 ])
 def test_search_tree_is_pinned(source, max_index, nodes, classes):
     if source in CENSUS_IDS:
@@ -129,6 +141,86 @@ def test_benchmark_search_tree_is_pinned(k4_pres):
         "1aa3b89aa18e73d9343f12f90ecedbeffdffe6f69dc3a45f607d5ec43f474a9f")
     with pytest.raises(SearchBudgetExceeded):
         low_index_subgroups(k4_pres, 24, node_budget=291237)
+
+
+# (census id, max_index, search nodes): searches whose tree and output
+# must not depend on how the relators are written
+REWRITE_CASES = [("k4", 14, 5125), ("k5", 11, 2841), ("k1", 12, 600),
+                 ("k2", 10, 358)]
+
+
+@st.composite
+def rewritten_census(draw):
+    """A case of REWRITE_CASES with every relator replaced by its inverse
+    or not, then by one of its rotations, and the relators reordered."""
+    cid, max_index, nodes = draw(st.sampled_from(REWRITE_CASES))
+    relators = []
+    for r in census_entry(cid).presentation.relators:
+        w = (r.inverse() if draw(st.booleans()) else r).letters
+        i = draw(st.integers(0, len(w) - 1))
+        relators.append(Word(w[i:] + w[:i]))
+    relators = draw(st.permutations(relators))
+    return cid, max_index, nodes, Presentation(tuple(relators))
+
+
+@pytest.fixture(scope="module")
+def rewrite_shas():
+    """tables_sha256 of each REWRITE_CASES search as the census writes it,
+    in the order the search emits its tables."""
+    shas = {}
+    for cid, max_index, nodes in REWRITE_CASES:
+        search = _Search(census_entry(cid).presentation, max_index, None)
+        shas[cid] = tables_sha256(search.run())
+        assert search.nodes == nodes
+    return shas
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=rewritten_census())
+@example(case=("k4", 14, 5125, parse_presentation(
+    "< x, y | y^-2, x^4, ((y*x^-1)^2*(y^-1*x)^2)^2 >")))
+def test_search_ignores_how_relators_are_written(rewrite_shas, case):
+    cid, max_index, nodes, pres = case
+    search = _Search(pres, max_index, None)
+    assert tables_sha256(search.run()) == rewrite_shas[cid]
+    assert search.nodes == nodes
+
+
+def _scanned_lengths(lists):
+    """Lengths of the compiled rotations in from_f or from_b lists."""
+    return {len(r) + 1 for rots in lists for r in rots}
+
+
+@pytest.mark.parametrize("cid, reversible", [
+    ("k1", True), ("k2", True), ("k4", True),
+    ("k5", False), ("g1", False), ("g2", False)])
+def test_reversible_relator_is_scanned_from_one_end(cid, reversible):
+    # the third relator: ((y*x^-1)^a*(y^-1*x)^a)^m of k1, k2 and k4, whose
+    # inverse read by columns is one of its rotations; k5's long relator,
+    # and (x*y)^13 and (x*y)^7 of g1 and g2, whose inverses are not.
+    # Scanning from both ends reaches the same nodes, so only this test
+    # sees the saving go.
+    pres = census_entry(cid).presentation
+    length = len(pres.relators[2].cyclically_reduced())
+    search = _Search(pres, 1, None)
+    assert length in _scanned_lengths(search.from_f)
+    assert (length in _scanned_lengths(search.from_b)) == (not reversible)
+
+
+INVOLUTION = {"k1": Y, "k2": Y, "k4": Y, "k5": Y, "k19": Y, "g1": X, "g2": X}
+
+
+@pytest.mark.parametrize("cid", CENSUS_IDS)
+def test_involution_has_one_column(cid):
+    search = _Search(census_entry(cid).presentation, 1, None)
+    shared = [g for g in (X, Y)
+              if search.cols[g] is search.cols[g + 1]]
+    assert shared == [INVOLUTION[cid]]
+    assert len(search.columns) == 3
+    # its square, read as that column twice, holds in every table
+    assert 2 not in _scanned_lengths(search.from_f)
+    assert search.from_f[INVOLUTION[cid]] is \
+        search.from_f[INVOLUTION[cid] + 1]
 
 
 @pytest.mark.parametrize("cid, max_index", [("k1", 8), ("k4", 8), ("k19", 6)])

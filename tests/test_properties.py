@@ -7,7 +7,7 @@ from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
 from conftest import group_of
 from cosetgeom.contextuality import labeling_from_table, line_commutes
-from cosetgeom.dessins import dessin_from_table, signature
+from cosetgeom.dessins import dessin_from_table, passport, signature
 from cosetgeom.geometry import geometry_from_class, pair_classes
 from cosetgeom.perms import PermGroup, Permutation
 from cosetgeom.words import Word, _reduce
@@ -72,7 +72,7 @@ def test_coset_table_invariants(k1_to_10, k4_to_9, k19_to_9):
 
 def test_euler_relation_every_dessin(k1_to_10, k4_to_9, k19_to_9):
     for t in list(k1_to_10) + list(k4_to_9) + list(k19_to_9):
-        sig = signature(dessin_from_table(t))
+        sig = signature(passport(dessin_from_table(t)))
         assert sig.B + sig.W + sig.F == t.n + 2 - 2 * sig.g
         assert sig.g >= 0
 

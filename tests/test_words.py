@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
-from cosetgeom.words import (ParseError, Presentation, Word, commutator_word,
-                             parse_presentation, parse_word)
+from cosetgeom.words import (MAX_WORD_LETTERS, ParseError, Presentation, Word,
+                             commutator_word, parse_presentation, parse_word)
 from cosetgeom.words import X, XI, Y, YI
 
 
@@ -61,3 +63,35 @@ def test_power_is_linear():
     assert w ** 3 == parse_word("x*y^3*x^-1")
     assert w ** -2 == parse_word("x*y^-2*x^-1")
     assert w ** 0 == Word()
+
+
+def test_huge_power_is_refused_before_it_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_word("x^1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("text", [
+    "(x*y)^%d" % (MAX_WORD_LETTERS // 2 + 1),
+    "x^-%d" % (MAX_WORD_LETTERS + 1),
+    "x^" + "9" * 5000,                  # beyond int()'s own digit limit
+    "x^(y^%d)" % (MAX_WORD_LETTERS // 2),
+    "x^%d*y" % MAX_WORD_LETTERS,
+])
+def test_word_over_the_letter_bound_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_word(text)
+
+
+def test_nested_commutators_are_refused():
+    # each level at least doubles the length
+    text = "x"
+    for _ in range(25):
+        text = "[%s,y]" % text
+    with pytest.raises(ParseError):
+        parse_word(text)
