@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from importlib import resources
 
 from .census import UnknownId, census_entry, list_census
@@ -86,7 +85,7 @@ def _group(table):
 
 def _subgroup_record(table):
     px, py = table.perm_rep()
-    group = _group(table)
+    group = PermGroup([px, py], degree=table.n)
     fp = group.fingerprint()
     orders = fp.element_orders()
     return {
@@ -170,14 +169,12 @@ def _chosen_classes(group, cls=None):
 def dessin_report(table):
     """The dessin part of a report: passport, signature, modular data."""
     p = passport(dessin_from_table(table))
-    sig = signature(p)
-    report = {
-        "passport": str(p),
-        "signature": {"B": sig.B, "W": sig.W, "F": sig.F, "g": sig.g},
-    }
+    # a block is its dataclass's vars(), the fields in order without the
+    # deep copy asdict makes; each is built for this report alone
+    report = {"passport": str(p), "signature": vars(signature(p))}
     md = modular_data(p)
     if md is not None:
-        report["modular_data"] = asdict(md)
+        report["modular_data"] = vars(md)
     return report
 
 
@@ -198,23 +195,17 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     for cls in _chosen_classes(group, only_class):
         geom = geometry_from_class(group, cls.pairs)
         stats = geom.stats
-        poly = polygon_check(geom)
         ctx = contextuality_report(labeling_from_table(table, geom), mode)
         report["classes"].append({
             "stabilizer_order": cls.stab_order,
             "pair_count": len(cls.pairs),
             "geometry": geom.to_json_dict(),
             "recognized_as": recognize(geom),
-            "stats": {
-                "connected": stats.connected,
-                "diameter": stats.diameter,
-                "girth": stats.girth if stats.girth is not None else "acyclic",
-                "points_per_line": list(stats.points_per_line),
-                "lines_per_point": list(stats.lines_per_point),
-            },
-            "polygon": {
-                "is_gp": poly.is_gp, "n": poly.n, "s": poly.s, "t": poly.t,
-            },
+            # the union copies the cached stats and keeps girth in place;
+            # JSON prints tuples as lists
+            "stats": vars(stats) | {
+                "girth": "acyclic" if stats.girth is None else stats.girth},
+            "polygon": vars(polygon_check(geom)),
             "contextuality": ctx.to_json_dict(),
         })
     return report

@@ -1,7 +1,9 @@
 """Bipartite maps (dessins) attached to a coset table.
 
 A complete coset table on n cosets gives a pair of permutations: the
-action of x (black vertices) and of y (white vertices).  From the pair
+action of x (black vertices) and of y (white vertices).  The pair is a
+dessin when it is connected, that is when the orbit of point 0 under
+both permutations is every point; no group is built.  From the pair
 we read off the passport (cycle structures of black, white and face
 permutations).  The signature (B, W, F, g) and, when one generator acts
 with order 2 and the other with order 3, the elliptic-point / cusp /
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroup, cycle_type_str
+from .perms import Permutation, _orbit, cycle_type_str
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,8 @@ class Dessin:
     def __post_init__(self):
         if self.sigma_black.degree != self.n or self.sigma_white.degree != self.n:
             raise ValueError("permutation degree must equal n")
-        g = PermGroup([self.sigma_black, self.sigma_white], degree=self.n)
-        if not g.is_transitive():
+        if not self.n or len(_orbit(0, (self.sigma_black, self.sigma_white),
+                                    lambda h, p: h.images[p])) != self.n:
             raise ValueError("dessin is not connected")
 
     def face_permutation(self) -> Permutation:
@@ -69,11 +71,10 @@ class ModularData:
     """Elliptic-point counts, cusps and fraction count.
 
     order2_role is the colour ('black' or 'white') of the order-2
-    permutation.  nu2 / nu3 are the primary values read off the
-    permutations (fixed points of the order-3 / order-2 generator).  The
-    raw per-generator fixed-point counts are carried alongside so a
-    disagreement with an external table is visible rather than silently
-    resolved.
+    permutation.  nu2 / nu3 are the fixed points of the order-3 /
+    order-2 generator.  The per-generator counts fixed_points_order2 and
+    fixed_points_order3 therefore equal nu3 and nu2 by construction;
+    they stay because the analyze JSON carries them.
     """
 
     order2_role: str
@@ -136,31 +137,29 @@ def modular_data(p: Passport) -> ModularData | None:
 def to_dot(d: Dessin) -> str:
     """DOT graph: filled black nodes b<i>, open white nodes w<j>.
 
-    One edge per point, labeled with the 1-based point index.
+    A colour's vertices are its permutation's cycles, numbered from 1 in
+    order of least point.  One edge per point, labeled with the 1-based
+    point index.
     """
-    black = d.sigma_black.cycles()
-    black += [(i,) for i in d.sigma_black.fixed_points()]
-    white = d.sigma_white.cycles()
-    white += [(j,) for j in d.sigma_white.fixed_points()]
-    black.sort(key=min)
-    white.sort(key=min)
-    black_of = {}
-    for bi, cyc in enumerate(black):
-        for p in cyc:
-            black_of[p] = bi
-    white_of = {}
-    for wi, cyc in enumerate(white):
-        for p in cyc:
-            white_of[p] = wi
     lines = ["graph dessin {"]
-    for bi in range(len(black)):
-        lines.append('  b%d [shape=circle, style=filled, fillcolor=black, '
-                     'label=""];' % (bi + 1))
-    for wi in range(len(white)):
-        lines.append('  w%d [shape=circle, style=filled, fillcolor=white, '
-                     'label=""];' % (wi + 1))
+    vertex_of = []
+    for tag, fill, perm in (("b", "black", d.sigma_black),
+                            ("w", "white", d.sigma_white)):
+        vertex = [0] * d.n               # 0 until the point's cycle is met
+        k = 0
+        for start in range(d.n):
+            if not vertex[start]:
+                k += 1
+                lines.append('  %s%d [shape=circle, style=filled, '
+                             'fillcolor=%s, label=""];' % (tag, k, fill))
+                p = start
+                while not vertex[p]:
+                    vertex[p] = k
+                    p = perm(p)
+        vertex_of.append(vertex)
+    black, white = vertex_of
     for p in range(d.n):
         lines.append('  b%d -- w%d [label="%d"];'
-                     % (black_of[p] + 1, white_of[p] + 1, p + 1))
+                     % (black[p], white[p], p + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"

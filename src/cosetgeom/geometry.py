@@ -116,8 +116,6 @@ class PolygonCheck:
     n: int | None                # gonality = incidence diameter
     s: int | None
     t: int | None
-    diameter: int
-    girth: int | None
 
 
 def pair_classes(g: PermGroup):
@@ -297,8 +295,7 @@ def polygon_check(geom: IncidenceGeometry) -> PolygonCheck:
     regular = (len(stats.points_per_line) == 1
                and len(stats.lines_per_point) == 1)
     if not regular or not stats.connected:
-        return PolygonCheck(is_gp=False, n=None, s=None, t=None,
-                            diameter=stats.diameter, girth=stats.girth)
+        return PolygonCheck(is_gp=False, n=None, s=None, t=None)
     s = stats.points_per_line[0][0] - 1
     t = stats.lines_per_point[0][0] - 1
     n = stats.diameter
@@ -312,7 +309,7 @@ def polygon_check(geom: IncidenceGeometry) -> PolygonCheck:
         if npts * (t + 1) != nlines * (s + 1):
             is_gp = False
     return PolygonCheck(is_gp=is_gp, n=n if is_gp else stats.diameter,
-                        s=s, t=t, diameter=stats.diameter, girth=stats.girth)
+                        s=s, t=t)
 
 
 # (points, lines, pts/line multiset, lines/pt multiset, diameter, girth)

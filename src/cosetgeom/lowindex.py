@@ -316,10 +316,9 @@ class _Search:
 
     def _emit(self, n):
         action = tuple(zip(*(col[:n] for col in self.cols)))
-        table = CosetTable(n=n, action=action,
-                           subgroup=SubgroupSpec(self.pres, ()))
+        table = CosetTable(action=action, subgroup=SubgroupSpec(self.pres, ()))
         spec = schreier_generators(table)
-        self.results.append(CosetTable(n=n, action=action, subgroup=spec))
+        self.results.append(CosetTable(action=action, subgroup=spec))
 
 
 def low_index_subgroups(pres: Presentation, max_index: int,

@@ -102,9 +102,6 @@ class Permutation:
     def order(self) -> int:
         return reduce(lcm, (len(c) for c in self.cycles()), 1)
 
-    def fixed_points(self):
-        return tuple(i for i in range(self.degree) if self.images[i] == i)
-
     def __str__(self):
         cycs = self.cycles()
         if not cycs:

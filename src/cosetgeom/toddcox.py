@@ -33,9 +33,13 @@ class CosetLimitExceeded(RuntimeError):
 class CosetTable:
     """Complete action of x, x^-1, y, y^-1 on the cosets of a subgroup."""
 
-    n: int
-    action: tuple            # n rows of 4 cosets each
+    action: tuple            # one row of 4 cosets per coset
     subgroup: SubgroupSpec
+
+    @property
+    def n(self) -> int:
+        """The index: the number of cosets."""
+        return len(self.action)
 
     @property
     def presentation(self) -> Presentation:
@@ -57,7 +61,6 @@ class CosetTable:
     def check_invariants(self):
         """Raise AssertionError unless the table is a valid coset table."""
         n = self.n
-        assert len(self.action) == n
         for c, row in enumerate(self.action):
             assert len(row) == NLETTERS
             for l, d in enumerate(row):
@@ -202,7 +205,7 @@ def todd_coxeter(spec: SubgroupSpec,
                 order.append(d)
         action.append(tuple(new_of[d] for d in row))
     assert len(order) == enum.nalive, "coset graph is not connected"
-    return CosetTable(n=len(order), action=tuple(action), subgroup=spec)
+    return CosetTable(action=tuple(action), subgroup=spec)
 
 
 def _transversal_letters(table: CosetTable):

@@ -16,7 +16,8 @@ Also hosts the presentation / subgroup-generator parser.  Grammar:
 ``a^b`` with an atom exponent is conjugation b^-1*a*b, ``[a,b]`` is the
 commutator a^-1*b^-1*a*b.  Whitespace is insignificant.  The parser
 refuses, before building it, any word of more than MAX_WORD_LETTERS
-letters before free reduction.
+letters before free reduction, and, before descending into it, a
+bracket nested more than MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ GEN_LETTERS = {"x": X, "y": Y}
 
 #: the longest word, before free reduction, that the parser builds
 MAX_WORD_LETTERS = 10 ** 6
+
+#: the deepest nesting of ( ) and [ ] the parser descends into; each
+#: level is three Python frames
+MAX_NESTING = 100
 
 
 def inv_letter(letter: int) -> int:
@@ -154,6 +159,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -207,21 +213,25 @@ class _Parser:
 
     def parse_atom(self):
         c = self.peek()
+        if c not in ("(", "["):
+            return self.parse_gen()
+        start = self.pos
+        if self.depth == MAX_NESTING:
+            raise ParseError("brackets nested deeper than %d" % MAX_NESTING,
+                             start)
+        self.depth += 1
+        self.pos += 1
+        w = self.parse_word()
         if c == "(":
-            self.pos += 1
-            w = self.parse_word()
             self.expect(")")
-            return w
-        if c == "[":
-            start = self.pos
-            self.pos += 1
-            a = self.parse_word()
+        else:
             self.expect(",")
             b = self.parse_word()
             self.expect("]")
-            self.check_length(2 * (len(a) + len(b)), start)
-            return commutator_word(a, b)
-        return self.parse_gen()
+            self.check_length(2 * (len(w) + len(b)), start)
+            w = commutator_word(w, b)
+        self.depth -= 1
+        return w
 
     def parse_term(self):
         w = self.parse_atom()

@@ -14,6 +14,11 @@ from cosetgeom import cli, dessins, perms
 from cosetgeom.census import census_entry
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
                            EXIT_USAGE, main)
+from cosetgeom.contextuality import labeling_from_table
+from cosetgeom.contextuality import to_dot as contextuality_dot
+from cosetgeom.dessins import ModularData, Signature
+from cosetgeom.geometry import (GraphStats, PolygonCheck, geometry_from_class,
+                                pair_classes)
 
 
 def run(capsys, *argv):
@@ -70,6 +75,21 @@ def test_report_json_is_pinned(differential_tables):
     assert len(differential_tables) == 85
     assert h.hexdigest() == (
         "abf345613f17f2124ea7d03bf3d01f12857d2f3f435b86fe995afa269dc96f83")
+
+
+def test_dot_export_is_pinned(differential_tables):
+    # analyze --export dot, byte for byte, of the 85 differential tables:
+    # the first pair class's contextuality graph (where there is a pair),
+    # then the dessin
+    h = hashlib.sha256()
+    for t in differential_tables:
+        group = group_of(t)
+        for cls in pair_classes(group)[:1]:
+            geom = geometry_from_class(group, cls.pairs)
+            h.update(contextuality_dot(labeling_from_table(t, geom)).encode())
+        h.update(dessins.to_dot(dessins.dessin_from_table(t)).encode())
+    assert h.hexdigest() == (
+        "5dc20e5b065050d179af4720a0a5a526d3f736b1683b9dff6952d3f68badd193")
 
 
 def test_subgroups_budget_exit(capsys):
@@ -225,6 +245,7 @@ def test_every_int_flag_has_a_minimum():
     '{"id": "k4", "subgroup_words": "xy"}',     # a string, not a list
     '{"subgroup_words": {"x": 1, "y": 2}}',     # an object, not a list
     '{"subgroup_words": ["x^1000000000"]}',     # refused before it is built
+    '{"subgroup_words": ["%sx%s"]}' % ("(" * 5000, ")" * 5000),  # too deep
 ])
 def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "cert.json"
@@ -247,6 +268,33 @@ def test_one_passport_per_report(monkeypatch, k1_to_10):
         report = cli.dessin_report(t)
         assert "modular_data" in report
     assert len(calls) == len(k1_to_10)
+
+
+def test_dessin_report_builds_no_group(monkeypatch, k1_to_10):
+    # a dessin's connectivity is the orbit of one point, not a group
+    calls = []
+    init = perms.PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(perms.PermGroup, "__init__", counted)
+    for t in k1_to_10:
+        cli.dessin_report(t)
+    assert calls == []
+
+
+def test_report_blocks_are_their_dataclasses(k1_to_10):
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    for t in k1_to_10:
+        report = cli.analyze_table(t)
+        dessin = report["dessin"]
+        assert list(dessin["signature"]) == names(Signature)
+        assert list(dessin["modular_data"]) == names(ModularData)
+        for cls in report["classes"]:
+            assert list(cls["stats"]) == names(GraphStats)
+            assert list(cls["polygon"]) == names(PolygonCheck)
 
 
 def test_certificate_for_another_id_is_usage_error(capsys, tmp_path):

@@ -137,7 +137,7 @@ def triangle_quotients(draw):
             img = [action[c][l] for c in img]
         relators.append(Word(w * Permutation(img).order()))
     pres = Presentation(tuple(relators))
-    table = CosetTable(n=n, action=action, subgroup=SubgroupSpec(pres, ()))
+    table = CosetTable(action=action, subgroup=SubgroupSpec(pres, ()))
     return schreier_generators(table), n
 
 
@@ -230,7 +230,7 @@ def test_schreier_generators_ignore_numbering(k4_to_9):
         action = [None] * t.n
         for c, row in enumerate(t.action):
             action[new[c]] = tuple(new[d] for d in row)
-        renumbered = CosetTable(t.n, tuple(action), t.subgroup)
+        renumbered = CosetTable(tuple(action), t.subgroup)
         assert schreier_generators(renumbered).generators == \
             oracle_schreier_generators(renumbered)
 

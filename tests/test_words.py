@@ -2,8 +2,9 @@ import tracemalloc
 
 import pytest
 
-from cosetgeom.words import (MAX_WORD_LETTERS, ParseError, Presentation, Word,
-                             commutator_word, parse_presentation, parse_word)
+from cosetgeom.words import (MAX_NESTING, MAX_WORD_LETTERS, ParseError,
+                             Presentation, Word, commutator_word,
+                             parse_presentation, parse_word)
 from cosetgeom.words import X, XI, Y, YI
 
 
@@ -95,3 +96,21 @@ def test_nested_commutators_are_refused():
         text = "[%s,y]" % text
     with pytest.raises(ParseError):
         parse_word(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "x" + ")" * 5000,
+    "[" * 5000 + "x" + ",y]" * 5000,
+    "x^" + "(" * 5000 + "y" + ")" * 5000,
+])
+def test_deep_nesting_is_a_parse_error(text):
+    # refused before the parser recurses that deep
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_word(text)
+
+
+def test_nesting_at_the_bound_parses():
+    assert parse_word("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == \
+        parse_word("x")
+    inner = "(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
+    assert parse_word("[%s,y]" % inner) == parse_word("[x,y]")
