@@ -16,10 +16,11 @@ import time
 from importlib import resources
 
 from .census import UnknownId, census_entry, list_census
-from .contextuality import (DEFAULT_MODE, MODES, contextuality_report,
-                            labeling_from_table)
+from .contextuality import (DEFAULT_MODE, MODES, CosetLabeling,
+                            contextuality_report, labeling_from_table)
 from .contextuality import to_dot as contextuality_dot
-from .dessins import dessin_from_table, modular_data, passport, signature
+from .dessins import (Dessin, dessin_from_table, modular_data, passport,
+                      signature)
 from .dessins import to_dot as dessin_dot
 # incidence_graph_stats is unused here since geometries cache their stats;
 # perfbench/selftest.py checks that the tracer rebinds cli's binding of it
@@ -28,7 +29,7 @@ from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
 from .perms import (PermGroup, identify, parse_cycles,
                     simultaneously_conjugate)
-from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter
+from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter, transversal
 from .words import SubgroupSpec, parse_word
 
 EXIT_OK = 0
@@ -166,9 +167,9 @@ def _chosen_classes(group, cls=None):
     return [classes[cls - 1]]
 
 
-def dessin_report(table):
+def dessin_report(dessin):
     """The dessin part of a report: passport, signature, modular data."""
-    p = passport(dessin_from_table(table))
+    p = passport(dessin)
     # a block is its dataclass's vars(), the fields in order without the
     # deep copy asdict makes; each is built for this report alone
     report = {"passport": str(p), "signature": vars(signature(p))}
@@ -182,20 +183,26 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     """Full JSON-ready report for one subgroup's coset table.
 
     only_class restricts the report to that 1-based pair class; the
-    other classes' geometries are never built.
+    other classes' geometries are never built.  One permutation pair
+    gives the group and the dessin, and one transversal labels every
+    class.
     """
-    group = _group(table)
+    px, py = table.perm_rep()
+    group = PermGroup([px, py], degree=table.n)
+    reps = tuple(transversal(table))
     report = {
         "index": table.n,
         "order": group.order(),
         "identified_as": identify(group),
-        "dessin": dessin_report(table),
+        "dessin": dessin_report(Dessin(n=table.n, sigma_black=px,
+                                       sigma_white=py)),
         "classes": [],
     }
     for cls in _chosen_classes(group, only_class):
         geom = geometry_from_class(group, cls.pairs)
         stats = geom.stats
-        ctx = contextuality_report(labeling_from_table(table, geom), mode)
+        labeling = CosetLabeling(geometry=geom, transversal=reps, table=table)
+        ctx = contextuality_report(labeling, mode)
         report["classes"].append({
             "stabilizer_order": cls.stab_order,
             "pair_count": len(cls.pairs),
@@ -278,7 +285,7 @@ def bundled_certificate(id, index):
 
 def _dessin_claims(table):
     """The dessin values a KnownResult can record, from dessin_report."""
-    report = dessin_report(table)
+    report = dessin_report(dessin_from_table(table))
     sig, md = report["signature"], report.get("modular_data")
     return {"passport": report["passport"],
             "signature": (sig["B"], sig["W"], sig["F"], sig["g"]),

@@ -9,9 +9,12 @@ graph the lines are the fixed-point sets of the two-point stabilizers
 (falling back to the edges themselves when those stabilizers are
 trivial); one stabilizer is computed per orbit of the group on the pairs
 and carried to the rest of the orbit by the generators.  Otherwise the
-lines are the maximum-size maximal cliques of the class graph
-(Bron-Kerbosch with pivoting, on int bitsets).  Both branches are
-checked against the named line systems they must reproduce.
+lines are the maximum-size cliques of the class graph: the group is
+transitive and preserves the graph, so they are the largest cliques
+through point 0, found among the maximal cliques of its neighbourhood
+(Bron-Kerbosch with pivoting, on int bitsets) and carried by the
+generators.  Both branches are checked against the named line systems
+they must reproduce.
 
 A geometry carries the point permutations that preserve it (its
 ``symmetry``: the generators of the group it was built from).
@@ -62,11 +65,15 @@ class IncidenceGeometry:
             if line in seen:
                 raise ValueError("duplicate line")
             seen.add(line)
-        # a line lies in another iff its points share a second line
-        incident = [set(ls) for ls in self.point_lines]
-        for line in self.lines:
-            if len(set.intersection(*(incident[p] for p in line))) > 1:
-                raise ValueError("one line contains another")
+        # a line lies in another iff its points share a second line, which
+        # is longer: distinct lines of one size contain neither the other
+        longest = max(map(len, self.lines), default=0)
+        short = [line for line in self.lines if len(line) < longest]
+        if short:
+            incident = [set(ls) for ls in self.point_lines]
+            for line in short:
+                if len(set.intersection(*(incident[p] for p in line))) > 1:
+                    raise ValueError("one line contains another")
         for perm in self.symmetry:
             if perm.degree != self.n or any(
                     _image(perm, line) not in seen for line in self.lines):
@@ -186,12 +193,16 @@ def maximal_cliques(n, edges):
 
 
 def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
-    """Line system of one pair class, with g's generators as symmetry.
+    """Line system of one pair class of a transitive g, with g's
+    generators as symmetry.
 
     Complete class graph: lines are the fixed-point sets of the two-point
     stabilizers (the pairs themselves when the stabilizers are trivial).
-    Otherwise: the maximum-size maximal cliques of the class graph.
+    Otherwise: the maximum-size cliques of the class graph, which are the
+    largest cliques through point 0 carried by the generators.
     """
+    if not g.is_transitive():
+        raise ValueError("group must be transitive")
     pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
     if not pairs:
         raise ValueError("empty pair class")
@@ -199,10 +210,31 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
     if len(pairs) == n * (n - 1) // 2:
         lines = _fixed_point_lines(g, pairs)
     else:
-        cliques = maximal_cliques(n, pairs)
-        top = max(len(c) for c in cliques)
-        lines = tuple(c for c in cliques if len(c) == top)
+        lines = _largest_clique_lines(g, pairs)
     return IncidenceGeometry(n=n, lines=lines, symmetry=g.generators)
+
+
+def _largest_clique_lines(g: PermGroup, pairs):
+    """The maximum-size cliques of the graph on the pairs, sorted.
+
+    The graph is g-invariant and g is transitive, so every maximum clique
+    is an image of one through point 0: 0 joined to a largest maximal
+    clique of the subgraph induced on the neighbourhood of 0.  Each of
+    those is carried to the rest of its orbit by the generators.
+    """
+    near = [q for p, q in pairs if p == 0]
+    local = {q: i for i, q in enumerate(near)}
+    edges = [(local[p], local[q]) for p, q in pairs
+             if p in local and q in local]
+    cliques = maximal_cliques(len(near), edges)
+    top = max(len(c) for c in cliques)
+    lines = set()
+    for c in cliques:
+        if len(c) == top:
+            line = (0,) + tuple(near[i] for i in c)
+            if line not in lines:
+                lines.update(_orbit(line, g.generators, _image))
+    return tuple(sorted(lines))
 
 
 def _fixed_point_lines(g: PermGroup, pairs):

@@ -265,7 +265,7 @@ def test_one_passport_per_report(monkeypatch, k1_to_10):
         return face(self)
     monkeypatch.setattr(dessins.Dessin, "face_permutation", counted)
     for t in k1_to_10:
-        report = cli.dessin_report(t)
+        report = cli.dessin_report(dessins.dessin_from_table(t))
         assert "modular_data" in report
     assert len(calls) == len(k1_to_10)
 
@@ -280,7 +280,7 @@ def test_dessin_report_builds_no_group(monkeypatch, k1_to_10):
         init(self, *args, **kwargs)
     monkeypatch.setattr(perms.PermGroup, "__init__", counted)
     for t in k1_to_10:
-        cli.dessin_report(t)
+        cli.dessin_report(dessins.dessin_from_table(t))
     assert calls == []
 
 

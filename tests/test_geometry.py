@@ -2,12 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import group_of, order_of, relabel
+from conftest import group_of, order_of, relabel, requires_full
+from cosetgeom.census import census_entry
 from cosetgeom.geometry import (IncidenceGeometry, _image, _orbits,
                                 geometry_from_class, incidence_graph_stats,
                                 maximal_cliques, pair_classes, polygon_check,
                                 recognize)
 from cosetgeom.perms import PermGroup, Permutation, parse_cycles
+from cosetgeom.toddcox import todd_coxeter
 
 
 def test_incidence_geometry_validation():
@@ -20,6 +22,9 @@ def test_incidence_geometry_validation():
         IncidenceGeometry(3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         IncidenceGeometry(3, ((0, 1), (0, 1, 2)))
+    # the shorter line lies in one of two longer lines of equal size
+    with pytest.raises(ValueError, match="contains"):
+        IncidenceGeometry(4, ((0, 1), (0, 1, 2), (1, 2, 3)))
 
 
 def test_maximal_cliques_square_plus_diagonal():
@@ -198,6 +203,48 @@ def test_fixed_point_lines_from_pair_orbits(census_groups):
             assert lines == tuple(sorted(expected))
             complete += cls.stab_order > 1
     assert complete > 0
+
+
+def test_clique_lines_are_the_largest_cliques_of_the_graph(
+        differential_tables):
+    # lines through point 0 carried by the generators are exactly the
+    # maximum-size cliques of the whole class graph
+    checked = 0
+    for t in differential_tables:
+        g = group_of(t)
+        n = g.degree
+        for cls in pair_classes(g):
+            if len(cls.pairs) == n * (n - 1) // 2:
+                continue
+            cliques = maximal_cliques(n, cls.pairs)
+            top = max(map(len, cliques))
+            assert geometry_from_class(g, cls.pairs).lines == tuple(
+                c for c in cliques if len(c) == top)
+            checked += 1
+    assert checked == 101
+
+
+def test_geometry_from_class_needs_a_transitive_group():
+    g = PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)])
+    with pytest.raises(ValueError, match="transitive"):
+        geometry_from_class(g, [(0, 1), (2, 3)])
+
+
+@requires_full
+def test_g1_h1_class_geometries():
+    g = group_of(todd_coxeter(census_entry("g1").subgroup("h1")))
+    classes = pair_classes(g)
+    first, second, third = (geometry_from_class(g, c.pairs)
+                            for c in classes[:3])
+    assert len(first.lines) == 2925
+    assert {len(line) for line in first.lines} == {3}
+    check = polygon_check(first)
+    assert (check.n, check.s, check.t) == (8, 2, 4)
+    assert len(second.lines) == 56160
+    assert {len(line) for line in second.lines} == {5}
+    assert len(third.lines) == 249600
+    assert {len(line) for line in third.lines} == {9}
+    assert {len(ls) for ls in third.point_lines} == {1280}
 
 
 def test_symmetry_must_preserve_lines():
