@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import IncidenceGeometry
-from .toddcox import NLETTERS, CosetTable, transversal
+from .toddcox import CosetTable, transversal
 
 MODES = ("perm", "coset")
 DEFAULT_MODE = "coset"
@@ -53,8 +53,7 @@ class CosetLabeling:
         known prefix's followed by one table column per further letter,
         so a BFS transversal costs one column per representative.
         """
-        action = self.table.action
-        columns = [tuple(row[l] for row in action) for l in range(NLETTERS)]
+        columns = tuple(zip(*self.table.action))
         known = {(): tuple(range(self.table.n))}
         out = []
         for w in self.transversal:
@@ -64,13 +63,9 @@ class CosetLabeling:
                 k -= 1
             a = known[letters[:k]]
             for j in range(k, len(letters)):
-                column = columns[letters[j]]
-                a = tuple(column[c] for c in a)
+                a = tuple(map(columns[letters[j]].__getitem__, a))
                 known[letters[:j + 1]] = a
-            inverse = [0] * len(a)
-            for c, d in enumerate(a):
-                inverse[d] = c
-            out.append((a, tuple(inverse)))
+            out.append((a, tuple(sorted(range(len(a)), key=a.__getitem__))))
         return tuple(out)
 
 
@@ -107,11 +102,13 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
     actions = labeling.actions
-    cosets = range(labeling.table.n) if mode == "perm" else (0,)
     for i, j in combinations(sorted(line), 2):
         a, a_inv = actions[i]
         b, b_inv = actions[j]
-        if any(b[a[b_inv[a_inv[k]]]] != k for k in cosets):
+        if mode == "coset":
+            if b[a[b_inv[a_inv[0]]]]:
+                return False
+        elif any(b[a[b_inv[a_inv[k]]]] != k for k in range(len(a))):
             return False
     return True
 

@@ -2,25 +2,31 @@
 
 Unordered point pairs are partitioned by the fingerprint of their
 two-point stabilizer; each class is an edge set on the points and yields
-a line system.  Fingerprints are taken on demand: the orbits of the
-group on pairs are bucketed by stabilizer order, and only a bucket
-holding several orbits is split by fingerprint.  On a complete class
-graph the lines are the fixed-point sets of the two-point stabilizers
-(falling back to the edges themselves when those stabilizers are
-trivial); one stabilizer is computed per orbit of the group on the pairs
-and carried to the rest of the orbit by the generators.  Otherwise the
-lines are the maximum-size cliques of the class graph: the group is
-transitive and preserves the graph, so they are the largest cliques
-through point 0, found among the maximal cliques of its neighbourhood
-(Bron-Kerbosch with pivoting, on int bitsets) and carried by the
-generators.  Both branches are checked against the named line systems
-they must reproduce.
+a line system.  The orbits of the group on pairs are read off the
+suborbits of point 0, the orbits of its stabilizer G_0 (Cameron,
+Permutation Groups, 1999, 1.11): the orbit of {0, q} is carried to every
+point by a transversal, and its stabilizer has order |G_0| divided by
+the length of the suborbit of q.  Fingerprints are taken on demand:
+orbits are bucketed by that order, and only a bucket holding several
+orbits builds two-point stabilizers and is split by fingerprint.  On a
+complete class graph the lines are the fixed-point sets of the
+two-point stabilizers (falling back to the edges themselves when those
+stabilizers are trivial); one stabilizer is computed per orbit of the
+group on the pairs and carried to the rest of the orbit by the
+generators.  Otherwise the lines are the maximum-size cliques of the
+class graph: the group is transitive and preserves the graph, so they
+are the largest cliques through point 0, found among the maximal
+cliques of its neighbourhood (Bron-Kerbosch with pivoting, on int
+bitsets) and carried by the generators.  Both branches are checked
+against the named line systems they must reproduce.
 
 A geometry carries the point permutations that preserve it (its
-``symmetry``: the generators of the group it was built from).
-Incidence statistics (diameter, girth, valency multisets) are computed
-once per geometry, by breadth-first search from one representative of
-each orbit of the symmetry on points and on lines: eccentricity and the
+``symmetry``: the generators of the group it was built from) and their
+line action, the index of each line's image under each of them, which
+is computed once, when the geometry is built.  Incidence statistics
+(diameter, girth, valency multisets) are computed once per geometry, by
+breadth-first search on int bitsets from one representative of each
+orbit of the symmetry on points and on lines: eccentricity and the
 shortest cycle through a vertex are invariant under automorphisms.  They
 feed the generalized-polygon test and a parameter table naming the
 geometries that occur in the census.
@@ -31,14 +37,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
+from operator import getitem, itemgetter, lt
 
 from .perms import PermGroup, _orbit, _orbits
 
 
 def _image(perm, points):
     """The sorted image of a point tuple (a pair, a line, a fixed set)."""
-    return tuple(sorted(perm.images[p] for p in points))
+    return tuple(sorted(map(perm.images.__getitem__, points)))
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,9 @@ class IncidenceGeometry:
         for line in self.lines:
             if len(line) < 2:
                 raise ValueError("line with fewer than 2 points")
-            if list(line) != sorted(set(line)):
+            if not all(map(lt, line, line[1:])):
                 raise ValueError("line must be sorted and duplicate-free")
-            if not all(0 <= p < self.n for p in line):
+            if line[0] < 0 or line[-1] >= self.n:
                 raise ValueError("point out of range")
             if line in seen:
                 raise ValueError("duplicate line")
@@ -74,10 +81,22 @@ class IncidenceGeometry:
             for line in short:
                 if len(set.intersection(*(incident[p] for p in line))) > 1:
                     raise ValueError("one line contains another")
-        for perm in self.symmetry:
-            if perm.degree != self.n or any(
-                    _image(perm, line) not in seen for line in self.lines):
-                raise ValueError("symmetry does not preserve the lines")
+        if any(perm.degree != self.n for perm in self.symmetry):
+            raise ValueError("symmetry does not preserve the lines")
+        self.line_action    # raises unless the symmetry maps lines to lines
+
+    @cached_property
+    def line_action(self):
+        """For each symmetry generator, the index of each line's image."""
+        index = {line: li for li, line in enumerate(self.lines)}
+        # a line has 2 points or more, so its getter returns a tuple
+        getters = [itemgetter(*line) for line in self.lines]
+        try:
+            return tuple(
+                tuple([index[tuple(sorted(get(images)))] for get in getters])
+                for images in (perm.images for perm in self.symmetry))
+        except KeyError:
+            raise ValueError("symmetry does not preserve the lines") from None
 
     @cached_property
     def point_lines(self):
@@ -125,28 +144,73 @@ class PolygonCheck:
     t: int | None
 
 
+def _transversal(g: PermGroup):
+    """For each point p, the images of an element taking 0 to p, found
+    breadth-first over the generators."""
+    rows = [None] * g.degree
+    rows[0] = tuple(range(g.degree))
+    queue = [0]
+    for p in queue:
+        for images in (h.images for h in g.generators):
+            q = images[p]
+            if rows[q] is None:
+                rows[q] = tuple(map(images.__getitem__, rows[p]))
+                queue.append(q)
+    return rows
+
+
+def _pair_orbits(g: PermGroup):
+    """(q, |G_0q|, sorted pairs) for each orbit of g on unordered pairs.
+
+    The orbit of {0, q} is {p, t_p(r)} for every point p, every r in the
+    suborbit D(q) of G_0 and in its paired suborbit D*(q), the one that
+    holds t_q^-1(0).  Over D(q) u D*(q) each pair p < t_p(r) occurs once.
+    q is the least point of D(q) u D*(q), so (0, q) is the least pair of
+    the orbit, and |G_0q| = |G_0| / |D(q)|.
+    """
+    n = g.degree
+    rows = _transversal(g)
+    g0 = g.point_stabilizer(0)
+    suborbits = _orbits(range(1, n), g0.generators, lambda h, p: h.images[p])
+    suborbit = {r: delta for _, delta in suborbits for r in delta}
+    done = set()
+    out = []
+    for q, delta in suborbits:
+        if q in done:
+            continue
+        both = delta | suborbit[rows[q].index(0)]
+        done |= both
+        pairs = []
+        for p, row in enumerate(rows):
+            pairs.extend((p, y) for y in sorted(map(row.__getitem__, both))
+                         if y > p)
+        out.append((q, g0.order() // len(delta), tuple(pairs)))
+    return out
+
+
 def pair_classes(g: PermGroup):
     """Pair classes sorted by (stabilizer order desc, class size asc).
 
-    Pair orbits are bucketed by two-point-stabilizer order; only orbits
-    sharing a bucket are fingerprinted, and merged on equal fingerprints
-    (equal fingerprints have equal orders, so a lone orbit is a class).
+    Pair orbits come from the suborbits of point 0 and are bucketed by
+    two-point-stabilizer order; only orbits sharing a bucket are
+    fingerprinted, and merged on equal fingerprints (equal fingerprints
+    have equal orders, so a lone orbit is a class).
     """
     if not g.is_transitive():
         raise ValueError("group must be transitive")
     by_order = {}
-    for seed, orbit in _orbits(combinations(range(g.degree), 2),
-                               g.generators, _image):
-        stab = g.two_point_stabilizer(*seed)
-        by_order.setdefault(stab.order(), []).append((stab, orbit))
+    for q, order, pairs in _pair_orbits(g):
+        by_order.setdefault(order, []).append((q, pairs))
     classes = []
     for order, bucket in by_order.items():
         merged = {}
-        for stab, orbit in bucket:
-            key = stab.fingerprint() if len(bucket) > 1 else None
-            merged.setdefault(key, set()).update(orbit)
-        classes.extend(PairClass(pairs=tuple(sorted(pairs)), stab_order=order)
-                       for pairs in merged.values())
+        for q, pairs in bucket:
+            key = (g.two_point_stabilizer(0, q).fingerprint()
+                   if len(bucket) > 1 else None)
+            merged.setdefault(key, []).append(pairs)
+        classes.extend(PairClass(pairs=tuple(sorted(chain(*orbits))),
+                                 stab_order=order)
+                       for orbits in merged.values())
     classes.sort(key=lambda c: (-c.stab_order, len(c.pairs), c.pairs))
     return classes
 
@@ -199,14 +263,22 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
     Complete class graph: lines are the fixed-point sets of the two-point
     stabilizers (the pairs themselves when the stabilizers are trivial).
     Otherwise: the maximum-size cliques of the class graph, which are the
-    largest cliques through point 0 carried by the generators.
+    largest cliques through point 0 carried by the generators.  A pair
+    with a point outside the action, a loop or a repeated pair is
+    refused before any work.
     """
     if not g.is_transitive():
         raise ValueError("group must be transitive")
-    pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+    pairs = tuple(sorted((p, q) if p < q else (q, p) for p, q in pairs))
     if not pairs:
         raise ValueError("empty pair class")
     n = g.degree
+    if pairs[0][0] < 0 or max(q for _, q in pairs) >= n:
+        raise ValueError("point out of range")
+    if any(p == q for p, q in pairs):
+        raise ValueError("pair of a point with itself")
+    if any(map(tuple.__eq__, pairs, pairs[1:])):
+        raise ValueError("repeated pair")
     if len(pairs) == n * (n - 1) // 2:
         lines = _fixed_point_lines(g, pairs)
     else:
@@ -261,25 +333,66 @@ def _fixed_point_lines(g: PermGroup, pairs):
     return tuple(sorted(lines))
 
 
-def _bfs(adj, start):
-    """(vertices reached, eccentricity, shortest cycle seen or None)."""
-    dist = [-1] * len(adj)
-    parent = [-1] * len(adj)
-    dist[start] = 0
-    queue = [start]
-    girth = None
-    for u in queue:
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                parent[v] = u
-                queue.append(v)
-            elif parent[u] != v and dist[v] >= du:
-                cyc = du + dist[v] + 1
-                if girth is None or cyc < girth:
-                    girth = cyc
-    return len(queue), dist[queue[-1]], girth
+#: the set bits of each byte value
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1)
+                   for byte in range(256))
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending, read byte by byte:
+    linear in the length of mask, where clearing the lowest bit one at a
+    time would copy the whole mask once per bit."""
+    return [8 * k + i
+            for k, byte in enumerate(mask.to_bytes(-(-mask.bit_length() // 8),
+                                                   "little")) if byte
+            for i in _BYTE_BITS[byte]]
+
+
+def _bfs(masks, side, start):
+    """(vertices reached, eccentricity, shortest cycle seen or None) of a
+    breadth-first search of a bipartite graph from vertex start of side
+    0 or 1; masks[s][v] is the int bitset of the neighbours of vertex v
+    of side s on the other side.
+
+    A layer is the union of the unseen neighbours of the one before.  No
+    edge joins two vertices of one layer, so the first vertex with two
+    neighbours in the layer before, at distance k, closes a 2k-cycle.
+    """
+    seen = [0, 0]
+    seen[side] = frontier = 1 << start
+    reached, depth, girth = 1, 0, None
+    while True:
+        adj = masks[side]
+        side ^= 1
+        unseen = ~seen[side]
+        once = twice = 0
+        for u in _bits(frontier):
+            near = adj[u] & unseen
+            twice |= once & near
+            once |= near
+        if not once:
+            return reached, depth, girth
+        depth += 1
+        if twice and girth is None:
+            girth = 2 * depth
+        seen[side] |= once
+        reached += once.bit_count()
+        frontier = once
+
+
+def _incidence_masks(geom: IncidenceGeometry):
+    """(lines through each point, points of each line) as int bitsets.
+
+    A point's bitset spans all lines, so it is filled byte by byte: a sum
+    of powers of two would copy it once per line.
+    """
+    rows = [bytearray(len(geom.lines) + 7 >> 3) for _ in range(geom.n)]
+    for li, line in enumerate(geom.lines):
+        byte, bit = li >> 3, 1 << (li & 7)
+        for p in line:
+            rows[p][byte] |= bit
+    return ([int.from_bytes(row, "little") for row in rows],
+            [sum(map((1).__lshift__, line)) for line in geom.lines])
 
 
 def incidence_graph_stats(geom: IncidenceGeometry) -> GraphStats:
@@ -287,29 +400,29 @@ def incidence_graph_stats(geom: IncidenceGeometry) -> GraphStats:
 
     Breadth-first search runs from one representative of each orbit of
     geom.symmetry on points and on lines (from every vertex when the
-    symmetry is empty).  Each search from a vertex on a shortest cycle
-    finds that cycle, and automorphisms preserve eccentricities.
+    symmetry is empty); the line orbits are read off geom.line_action.
+    Each search from a vertex on a shortest cycle finds that cycle, and
+    automorphisms preserve eccentricities.
     """
-    n = geom.n
-    index = {line: n + li for li, line in enumerate(geom.lines)}
-    adj = [[n + li for li in ls] for ls in geom.point_lines]
-    adj += [list(line) for line in geom.lines]
-    sym = geom.symmetry
-    starts = [p for p, _ in _orbits(range(n), sym, lambda h, p: h.images[p])]
-    starts += [index[line] for line, _ in _orbits(geom.lines, sym, _image)]
+    masks = _incidence_masks(geom)
+    points = [h.images for h in geom.symmetry]
+    starts = [(0, p) for p, _ in _orbits(range(geom.n), points, getitem)]
+    starts += [(1, li) for li, _ in _orbits(range(len(geom.lines)),
+                                            geom.line_action, getitem)]
 
     connected = True
     diameter = 0
     girth = None
-    for s in starts:
-        reached, ecc, cyc = _bfs(adj, s)
-        connected = connected and reached == len(adj)
+    vertices = geom.n + len(geom.lines)
+    for side, v in starts:
+        reached, ecc, cyc = _bfs(masks, side, v)
+        connected = connected and reached == vertices
         diameter = max(diameter, ecc)
         if cyc is not None and (girth is None or cyc < girth):
             girth = cyc
 
     ppl = Counter(len(line) for line in geom.lines)
-    lpp = Counter(len(ls) for ls in geom.point_lines)
+    lpp = Counter(mask.bit_count() for mask in masks[0])
     return GraphStats(
         connected=connected,
         diameter=diameter,

@@ -4,10 +4,10 @@ import pytest
 
 from conftest import group_of, order_of, relabel, requires_full
 from cosetgeom.census import census_entry
-from cosetgeom.geometry import (IncidenceGeometry, _image, _orbits,
-                                geometry_from_class, incidence_graph_stats,
-                                maximal_cliques, pair_classes, polygon_check,
-                                recognize)
+from cosetgeom.geometry import (IncidenceGeometry, _bfs, _image,
+                                _incidence_masks, _orbits, geometry_from_class,
+                                incidence_graph_stats, maximal_cliques,
+                                pair_classes, polygon_check, recognize)
 from cosetgeom.perms import PermGroup, Permutation, parse_cycles
 from cosetgeom.toddcox import todd_coxeter
 
@@ -224,6 +224,20 @@ def test_clique_lines_are_the_largest_cliques_of_the_graph(
     assert checked == 101
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (1, 2), (2, 0), (0, 5)], "out of range"),
+    ([(0, 3)], "out of range"),
+    ([(-1, 1), (1, 2)], "out of range"),
+    ([(0, 0), (0, 1), (1, 2)], "itself"),
+    ([(0, 1), (0, 1), (1, 2)], "repeated"),
+    ([(0, 1), (1, 0), (1, 2)], "repeated"),
+])
+def test_geometry_from_class_refuses_malformed_pairs(pairs, message):
+    g = PermGroup([parse_cycles("(1,2,3)", 3)])
+    with pytest.raises(ValueError, match=message):
+        geometry_from_class(g, pairs)
+
+
 def test_geometry_from_class_needs_a_transitive_group():
     g = PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)])
     with pytest.raises(ValueError, match="transitive"):
@@ -252,7 +266,7 @@ def test_symmetry_must_preserve_lines():
     rotation = Permutation((1, 2, 3, 0))
     geom = IncidenceGeometry(4, square, symmetry=(rotation,))
     assert geom == IncidenceGeometry(4, square)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="preserve"):
         IncidenceGeometry(4, ((0, 1), (2, 3)), symmetry=(rotation,))
     with pytest.raises(ValueError):
         IncidenceGeometry(4, square, symmetry=(Permutation((1, 2, 0)),))
@@ -285,11 +299,58 @@ def _fingerprint_merged_classes(g):
                   key=lambda c: (-c[0], len(c[1]), c[1]))
 
 
+def _pair_orbit_classes(g):
+    """(stabilizer order, pairs) of each pair class, sorted as
+    pair_classes sorts them: the orbits of g on all pairs, each with the
+    order of its least pair's stabilizer, merged on fingerprints only
+    where several orbits share an order."""
+    by_order = {}
+    for seed, orbit in _orbits(combinations(range(g.degree), 2),
+                               g.generators, _image):
+        stab = g.two_point_stabilizer(*seed)
+        by_order.setdefault(stab.order(), []).append((stab, orbit))
+    classes = []
+    for order, bucket in by_order.items():
+        merged = {}
+        for stab, orbit in bucket:
+            key = stab.fingerprint() if len(bucket) > 1 else None
+            merged.setdefault(key, set()).update(orbit)
+        classes.extend((order, tuple(sorted(pairs)))
+                       for pairs in merged.values())
+    return sorted(classes, key=lambda c: (-c[0], len(c[1]), c[1]))
+
+
 def test_pair_classes_match_fingerprint_merge(differential_tables):
     for t in differential_tables:
+        classes = [(c.stab_order, c.pairs) for c in pair_classes(group_of(t))]
+        assert classes == _pair_orbit_classes(group_of(t))
+        assert classes == _fingerprint_merged_classes(group_of(t))
+
+
+def test_pair_classes_fingerprint_only_shared_orders(monkeypatch,
+                                                     differential_tables):
+    # a group whose pair orbits all have distinct stabilizer orders needs
+    # no two-point stabilizer: orders come from the suborbits of point 0
+    calls = []
+    build = PermGroup.two_point_stabilizer
+    monkeypatch.setattr(PermGroup, "two_point_stabilizer",
+                        lambda g, p, q: calls.append((p, q)) or build(g, p, q))
+    distinct = 0
+    for t in differential_tables:
         g = group_of(t)
-        assert [(c.stab_order, c.pairs) for c in pair_classes(g)] \
-            == _fingerprint_merged_classes(group_of(t))
+        orders = [g.two_point_stabilizer(*seed).order() for seed, _ in _orbits(
+            combinations(range(g.degree), 2), g.generators, _image)]
+        if t.n < 3 or len(set(orders)) < len(orders):
+            continue
+        calls.clear()
+        pair_classes(group_of(t))
+        assert calls == []
+        distinct += 1
+    assert distinct > 0
+    gens = ("(1,2,4,3)(5,6,9,8)(7,10,12,11)", "(1,2,5,3)(4,6,9,7)(8,10,12,11)")
+    calls.clear()
+    pair_classes(PermGroup([parse_cycles(c, 12) for c in gens]))
+    assert len(calls) == 2
 
 
 def test_pair_classes_split_equal_stabilizer_orders():
@@ -334,3 +395,59 @@ def test_maximal_cliques_match_set_bron_kerbosch(differential_tables):
         graphs.extend((t.n, cls.pairs) for cls in pair_classes(group_of(t)))
     for n, edges in graphs:
         assert maximal_cliques(n, edges) == _set_maximal_cliques(n, edges)
+
+
+def _list_bfs(adj, start):
+    """(vertices reached, eccentricity, shortest cycle seen or None) of a
+    breadth-first search on adjacency lists, the oracle for the bitset
+    _bfs."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[start] = 0
+    queue = [start]
+    girth = None
+    for u in queue:
+        du = dist[u]
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du + 1
+                parent[v] = u
+                queue.append(v)
+            elif parent[u] != v and dist[v] >= du:
+                cyc = du + dist[v] + 1
+                if girth is None or cyc < girth:
+                    girth = cyc
+    return len(queue), dist[queue[-1]], girth
+
+
+def test_bitset_bfs_matches_list_bfs(census_groups):
+    # from every vertex of every census geometry's incidence graph (points
+    # first, then lines), and of a tree, a triangle (girth 6), a square
+    # with a pendant line (girth 8), two components and an isolated point
+    geoms = [geometry_from_class(g, cls.pairs)
+             for g in census_groups for cls in pair_classes(g)]
+    assert len(geoms) == 94
+    geoms += [IncidenceGeometry(n, lines) for n, lines in (
+        (3, ((0, 1), (1, 2))),
+        (3, ((0, 1), (0, 2), (1, 2))),
+        (5, ((0, 1), (0, 3), (0, 4), (1, 2), (2, 3))),
+        (4, ((0, 1), (2, 3))),
+        (3, ((0, 1),)))]
+    for geom in geoms:
+        n = geom.n
+        adj = [[n + li for li in ls] for ls in geom.point_lines]
+        adj += [list(line) for line in geom.lines]
+        masks = _incidence_masks(geom)
+        for v in range(len(adj)):
+            side, start = (0, v) if v < n else (1, v - n)
+            assert _bfs(masks, side, start) == _list_bfs(adj, v)
+
+
+def test_line_action_indexes_the_line_images(census_groups):
+    for g in census_groups:
+        for cls in pair_classes(g):
+            geom = geometry_from_class(g, cls.pairs)
+            assert len(geom.line_action) == len(geom.symmetry)
+            for perm, row in zip(geom.symmetry, geom.line_action):
+                assert row == tuple(geom.lines.index(_image(perm, line))
+                                    for line in geom.lines)
