@@ -8,17 +8,16 @@ Permutation Groups, 1999, 1.11): the orbit of {0, q} is carried to every
 point by a transversal, and its stabilizer has order |G_0| divided by
 the length of the suborbit of q.  Fingerprints are taken on demand:
 orbits are bucketed by that order, and only a bucket holding several
-orbits builds two-point stabilizers and is split by fingerprint.  On a
-complete class graph the lines are the fixed-point sets of the
-two-point stabilizers (falling back to the edges themselves when those
-stabilizers are trivial); one stabilizer is computed per orbit of the
-group on the pairs and carried to the rest of the orbit by the
-generators.  Otherwise the lines are the maximum-size cliques of the
-class graph: the group is transitive and preserves the graph, so they
-are the largest cliques through point 0, found among the maximal
+orbits builds two-point stabilizers and is split by fingerprint.  Lines
+are found through point 0 and carried once, by the generators, to every
+point.  On a complete class graph they are the fixed-point sets of the
+stabilizers G_0q, one per suborbit (the pairs {0, q} themselves when
+those stabilizers are trivial).  Otherwise they are the maximum-size
+cliques of the class graph: the group is transitive and preserves the
+graph, so the lines through 0 are 0 joined to the largest maximal
 cliques of its neighbourhood (Bron-Kerbosch with pivoting, on int
-bitsets) and carried by the generators.  Both branches are checked
-against the named line systems they must reproduce.
+bitsets).  Both kinds are checked against the named line systems they
+must reproduce.
 
 A geometry carries the point permutations that preserve it (its
 ``symmetry``: the generators of the group it was built from) and their
@@ -159,6 +158,13 @@ def _transversal(g: PermGroup):
     return rows
 
 
+def _suborbits(g: PermGroup):
+    """(least point, orbit) of each suborbit of g: each orbit of G_0, the
+    stabilizer of point 0, on the points 1..n-1."""
+    return _orbits(range(1, g.degree), g.point_stabilizer(0).generators,
+                   lambda h, p: h.images[p])
+
+
 def _pair_orbits(g: PermGroup):
     """(q, |G_0q|, sorted pairs) for each orbit of g on unordered pairs.
 
@@ -168,11 +174,10 @@ def _pair_orbits(g: PermGroup):
     q is the least point of D(q) u D*(q), so (0, q) is the least pair of
     the orbit, and |G_0q| = |G_0| / |D(q)|.
     """
-    n = g.degree
     rows = _transversal(g)
-    g0 = g.point_stabilizer(0)
-    suborbits = _orbits(range(1, n), g0.generators, lambda h, p: h.images[p])
+    suborbits = _suborbits(g)
     suborbit = {r: delta for _, delta in suborbits for r in delta}
+    order = g.point_stabilizer(0).order()
     done = set()
     out = []
     for q, delta in suborbits:
@@ -184,7 +189,7 @@ def _pair_orbits(g: PermGroup):
         for p, row in enumerate(rows):
             pairs.extend((p, y) for y in sorted(map(row.__getitem__, both))
                          if y > p)
-        out.append((q, g0.order() // len(delta), tuple(pairs)))
+        out.append((q, order // len(delta), tuple(pairs)))
     return out
 
 
@@ -262,10 +267,10 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
 
     Complete class graph: lines are the fixed-point sets of the two-point
     stabilizers (the pairs themselves when the stabilizers are trivial).
-    Otherwise: the maximum-size cliques of the class graph, which are the
-    largest cliques through point 0 carried by the generators.  A pair
-    with a point outside the action, a loop or a repeated pair is
-    refused before any work.
+    Otherwise: the maximum-size cliques of the class graph.  Either way
+    the lines through point 0 are carried to every point by the
+    generators.  A pair with a point outside the action, a loop or a
+    repeated pair is refused before any work.
     """
     if not g.is_transitive():
         raise ValueError("group must be transitive")
@@ -280,57 +285,41 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
     if any(map(tuple.__eq__, pairs, pairs[1:])):
         raise ValueError("repeated pair")
     if len(pairs) == n * (n - 1) // 2:
-        lines = _fixed_point_lines(g, pairs)
+        seeds = _fixed_sets_through_0(g)
     else:
-        lines = _largest_clique_lines(g, pairs)
-    return IncidenceGeometry(n=n, lines=lines, symmetry=g.generators)
+        seeds = _largest_cliques_through_0(pairs)
+    lines = set()
+    for seed in seeds:
+        if seed not in lines:
+            lines |= _orbit(seed, g.generators, _image)
+    return IncidenceGeometry(n=n, lines=tuple(sorted(lines)),
+                             symmetry=g.generators)
 
 
-def _largest_clique_lines(g: PermGroup, pairs):
-    """The maximum-size cliques of the graph on the pairs, sorted.
+def _fixed_sets_through_0(g: PermGroup):
+    """Fix(G_0q) for the least point q of each suborbit, or the pairs
+    {0, q} when some G_0q is trivial.  Every pair is an image of one of
+    these {0, q}, and h maps Fix(G_pq) onto Fix(G_hp,hq)."""
+    g0 = g.point_stabilizer(0)
+    points = [q for q, _ in _suborbits(g)]
+    stabs = [g0.point_stabilizer(q).generators for q in points]
+    if not all(stabs):
+        return [(0, q) for q in points]
+    return [tuple(x for x in range(g.degree)
+                  if all(h.images[x] == x for h in stab)) for stab in stabs]
 
-    The graph is g-invariant and g is transitive, so every maximum clique
-    is an image of one through point 0: 0 joined to a largest maximal
-    clique of the subgraph induced on the neighbourhood of 0.  Each of
-    those is carried to the rest of its orbit by the generators.
-    """
+
+def _largest_cliques_through_0(pairs):
+    """0 joined to each largest maximal clique of the neighbourhood of 0
+    in the graph on the sorted pairs.  When a transitive g preserves the
+    graph, every maximum clique is an image of one of these."""
     near = [q for p, q in pairs if p == 0]
     local = {q: i for i, q in enumerate(near)}
     edges = [(local[p], local[q]) for p, q in pairs
              if p in local and q in local]
     cliques = maximal_cliques(len(near), edges)
-    top = max(len(c) for c in cliques)
-    lines = set()
-    for c in cliques:
-        if len(c) == top:
-            line = (0,) + tuple(near[i] for i in c)
-            if line not in lines:
-                lines.update(_orbit(line, g.generators, _image))
-    return tuple(sorted(lines))
-
-
-def _fixed_point_lines(g: PermGroup, pairs):
-    """The sets Fix(Stab(p,q)), one stabilizer per orbit on the pairs.
-
-    An element h maps Fix(Stab(p,q)) onto Fix(Stab(hp,hq)), so each
-    orbit's sets follow from its least pair by the generators.  The pairs
-    are returned as lines when the stabilizers are trivial.
-    """
-    lines = set()
-    done = set()
-    for seed in pairs:
-        if seed in done:
-            continue
-        stab = g.two_point_stabilizer(*seed).generators
-        if not stab:
-            return pairs
-        fix = tuple(x for x in range(g.degree)
-                    if all(h.images[x] == x for h in stab))
-        orbit = _orbit((seed, fix), g.generators,
-                       lambda h, pf: (_image(h, pf[0]), _image(h, pf[1])))
-        done.update(pair for pair, _ in orbit)
-        lines.update(f for _, f in orbit)
-    return tuple(sorted(lines))
+    top = max(map(len, cliques))
+    return [(0,) + tuple(near[i] for i in c) for c in cliques if len(c) == top]
 
 
 #: the set bits of each byte value

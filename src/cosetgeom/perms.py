@@ -494,7 +494,8 @@ class PermGroup:
         return self._order
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        """Orbit-stabilizer on the chain point_stabilizer(0) builds."""
+        return self.order() == self.degree * self.point_stabilizer(0).order()
 
     def orbit(self, point: int):
         return frozenset(_orbit(point, self._gens, lambda g, p: g[p]))

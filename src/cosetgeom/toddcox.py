@@ -82,10 +82,11 @@ class _Enumerator:
         # letters no relator scan can ever define need eager filling
         self.free_letters = [l for l in range(NLETTERS)
                              if l not in constrained]
-        self.table = [[None] * NLETTERS]
-        self.p = [0]                      # union-find over cosets
-        self.nalive = 1
+        self.table = []
+        self.p = []                       # union-find over cosets
+        self.nalive = 0
         self.queue = []
+        self.new_coset()                  # coset 0 counts against the cap
 
     def rep(self, k):
         # find with path compression

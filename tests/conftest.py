@@ -132,6 +132,12 @@ def census_tables(k1_to_10, k4_to_9):
 
 
 @pytest.fixture(scope="session")
+def census_groups(census_tables):
+    """Groups of k1 <= 10, k4 <= 9 and the bundled k1@21 and k5@45."""
+    return [group_of(t) for t in census_tables if t.n >= 3]
+
+
+@pytest.fixture(scope="session")
 def differential_tables(census_tables, k19_to_9):
     """census_tables plus k19 <= 9, the inputs of the differential tests."""
     return list(census_tables) + list(k19_to_9)

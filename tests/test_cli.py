@@ -330,6 +330,16 @@ def test_max_cosets_is_a_budget(capsys):
         ["analyze", "k5", "--index", "45"]).max_cosets == cli.MAX_COSETS
 
 
+def test_zero_max_cosets_is_exceeded_at_index_1(capsys, tmp_path):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"subgroup_words": ["x", "y"]}))
+    code = main(["analyze", "k1", "--index", "1", "--certificate", str(cert),
+                 "--max-cosets", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET and captured.err.count("\n") == 1, captured
+    assert captured.out == ""
+
+
 def test_discover_out_is_an_existing_file(capsys, no_work, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -169,12 +169,6 @@ def test_exports():
     assert geom.to_json_dict() == {"points": 3, "lines": [[1, 2], [2, 3]]}
 
 
-@pytest.fixture(scope="module")
-def census_groups(census_tables):
-    """Groups of k1 <= 10, k4 <= 9 and the bundled k1@21 and k5@45."""
-    return [group_of(t) for t in census_tables if t.n >= 3]
-
-
 def test_stats_from_orbit_representatives(census_groups):
     for g in census_groups:
         for cls in pair_classes(g):
@@ -202,6 +196,31 @@ def test_fixed_point_lines_from_pair_orbits(census_groups):
             lines = geometry_from_class(g, cls.pairs).lines
             assert lines == tuple(sorted(expected))
             complete += cls.stab_order > 1
+    assert complete > 0
+
+
+def test_point_0_stabilizer_work_per_class(monkeypatch, census_groups):
+    # a complete class asks G_0 for at most one stabilizer per suborbit,
+    # any other class asks it for none: lines are found through point 0
+    calls = []
+    stabilizer = PermGroup.point_stabilizer
+    monkeypatch.setattr(PermGroup, "point_stabilizer",
+                        lambda h, p: calls.append(h) or stabilizer(h, p))
+    complete = 0
+    for g in census_groups:
+        n = g.degree
+        g0 = g.point_stabilizer(0)
+        suborbits = len(_orbits(range(1, n), g0.generators,
+                                lambda h, p: h.images[p]))
+        for cls in pair_classes(g):
+            calls.clear()
+            geometry_from_class(g, cls.pairs)
+            on_g0 = sum(h is g0 for h in calls)
+            if len(cls.pairs) == n * (n - 1) // 2:
+                assert on_g0 <= suborbits
+                complete += 1
+            else:
+                assert on_g0 == 0
     assert complete > 0
 
 

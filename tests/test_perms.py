@@ -9,7 +9,7 @@ from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 from conftest import brute_force_order, group_of, relabel, requires_full
 from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
-from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation,
+from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _orbit,
                              cycle_type_str, identify, parse_cycles,
                              simultaneously_conjugate)
 from cosetgeom.toddcox import todd_coxeter
@@ -88,6 +88,16 @@ def test_simultaneously_conjugate():
         assert relabel(ga, sigma) == gb
     c = (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2,3)", 3))
     assert simultaneously_conjugate(a, c) is None
+
+
+def test_transitivity_from_point_0_orders(census_groups):
+    small = [PermGroup([parse_cycles(c, n) for c in cycles], degree=n)
+             for cycles, n in (((), 1), ((), 3), (("(2,3,4)",), 4),
+                               (("(1,2)(3,4)",), 4))]
+    assert [g.is_transitive() for g in small] == [True, False, False, False]
+    for g in small + census_groups:
+        assert g.is_transitive() == (len(_orbit(
+            0, g.generators, lambda h, p: h.images[p])) == g.degree)
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,13 @@ def test_coset_cap_raises():
         todd_coxeter(spec("< x, y | x^2 >"), max_cosets=500)
 
 
+def test_coset_0_counts_against_the_cap():
+    whole = spec("< x, y | x^2, y^3, (x*y)^2 >", "x", "y")
+    with pytest.raises(CosetLimitExceeded):
+        todd_coxeter(whole, max_cosets=0)
+    assert todd_coxeter(whole, max_cosets=1).n == 1
+
+
 def test_table_is_bfs_numbered():
     table = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^2 >"))
     seen = {0}
