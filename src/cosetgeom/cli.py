@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 check or verification failure, 2 usage error,
 3 budget exceeded.  main is the one place that maps an exception to its
 exit code; before any work it checks each numeric flag against
-FLAG_MINIMA and that each output path can be written to.
+FLAG_MINIMA, that --json goes with a JSON report and that each output
+path can be written to.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import time
 from importlib import resources
 
 from .census import UnknownId, census_entry, list_census
-from .contextuality import (DEFAULT_MODE, MODES, CosetLabeling,
-                            contextuality_report, labeling_from_table)
+from .contextuality import (DEFAULT_MODE, MODES, contextuality_report,
+                            labeling_from_table)
 from .contextuality import to_dot as contextuality_dot
 from .dessins import (Dessin, dessin_from_table, modular_data, passport,
                       signature)
@@ -29,7 +30,7 @@ from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
 from .lowindex import SearchBudgetExceeded, low_index_subgroups
 from .perms import (PermGroup, identify, parse_cycles,
                     simultaneously_conjugate)
-from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter, transversal
+from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter
 from .words import SubgroupSpec, parse_word
 
 EXIT_OK = 0
@@ -184,12 +185,12 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
 
     only_class restricts the report to that 1-based pair class; the
     other classes' geometries are never built.  One permutation pair
-    gives the group and the dessin, and one transversal labels every
-    class.
+    gives the group and the dessin, and one labeling of the cosets
+    serves every class.
     """
     px, py = table.perm_rep()
     group = PermGroup([px, py], degree=table.n)
-    reps = tuple(transversal(table))
+    labeling = labeling_from_table(table)
     report = {
         "index": table.n,
         "order": group.order(),
@@ -201,8 +202,7 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     for cls in _chosen_classes(group, only_class):
         geom = geometry_from_class(group, cls.pairs)
         stats = geom.stats
-        labeling = CosetLabeling(geometry=geom, transversal=reps, table=table)
-        ctx = contextuality_report(labeling, mode)
+        ctx = contextuality_report(labeling, geom, mode)
         report["classes"].append({
             "stabilizer_order": cls.stab_order,
             "pair_count": len(cls.pairs),
@@ -224,7 +224,7 @@ def cmd_analyze(args):
         group = _group(table)
         cls = 1 if args.cls is None else args.cls
         geom = geometry_from_class(group, _chosen_classes(group, cls)[0].pairs)
-        print(contextuality_dot(labeling_from_table(table, geom), args.mode))
+        print(contextuality_dot(labeling_from_table(table), geom, args.mode))
         print(dessin_dot(dessin_from_table(table)))
         return EXIT_OK
     _emit(analyze_table(table, mode=args.mode, only_class=args.cls),
@@ -437,8 +437,11 @@ def main(argv=None):
             value = getattr(args, dest, None)
             if value is not None and value < least:
                 raise UsageError("%s must be >= %d" % (flag, least))
-        # output paths that cannot be written fail before the work
         json_path = getattr(args, "json", None)
+        if json_path and getattr(args, "export", None) == "dot":
+            raise UsageError("--export dot prints to stdout; it takes no "
+                             "--json")
+        # output paths that cannot be written fail before the work
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"
                              % json_path)

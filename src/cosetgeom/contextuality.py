@@ -14,9 +14,11 @@ tables are not reached by either mode under the BFS transversal (see
 the repository notes); the default is the weaker, well-defined-on-cosets
 mode.
 
-Each labeling computes once the permutation of the cosets by every
-representative and by its inverse; a commutator's action is read from
-those four permutations, with no word built.
+One labeling per table serves every geometry on its cosets; the verdicts
+take the geometry as an argument.  A labeling computes once, when made,
+the permutation of the cosets by each representative and by its inverse
+(refusing a word that misses its coset); a commutator's action is read
+from those four permutations, with no word built.
 """
 
 from __future__ import annotations
@@ -35,15 +37,16 @@ DEFAULT_MODE = "coset"
 
 @dataclass(frozen=True)
 class CosetLabeling:
-    """A geometry whose points are the cosets of one table."""
+    """The cosets of one table, coset i labeled by the word transversal[i]."""
 
-    geometry: IncidenceGeometry
     transversal: tuple
     table: CosetTable
 
     def __post_init__(self):
-        if not (len(self.transversal) == self.geometry.n == self.table.n):
-            raise ValueError("transversal length must equal the point count")
+        if len(self.transversal) != self.table.n:
+            raise ValueError("transversal length must equal the coset count")
+        if any(a[0] != i for i, (a, _) in enumerate(self.actions)):
+            raise ValueError("a representative misses its coset")
 
     @cached_property
     def actions(self):
@@ -86,10 +89,8 @@ class ContextualityReport:
         }
 
 
-def labeling_from_table(table: CosetTable,
-                        geometry: IncidenceGeometry) -> CosetLabeling:
-    return CosetLabeling(geometry=geometry,
-                         transversal=tuple(transversal(table)), table=table)
+def labeling_from_table(table: CosetTable) -> CosetLabeling:
+    return CosetLabeling(transversal=tuple(transversal(table)), table=table)
 
 
 def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bool:
@@ -113,9 +114,13 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
     return True
 
 
-def contextuality_report(labeling: CosetLabeling,
+def contextuality_report(labeling: CosetLabeling, geometry: IncidenceGeometry,
                          mode: str = DEFAULT_MODE) -> ContextualityReport:
-    lines = sorted(labeling.geometry.lines)
+    """Verdicts on the lines of a geometry whose points are the cosets."""
+    if geometry.n != labeling.table.n:
+        raise ValueError("geometry has %d points, the table %d cosets"
+                         % (geometry.n, labeling.table.n))
+    lines = sorted(geometry.lines)
     per_line = tuple((line, line_commutes(labeling, line, mode))
                      for line in lines)
     bad = sum(1 for _, c in per_line if not c)
@@ -126,11 +131,12 @@ def contextuality_report(labeling: CosetLabeling,
                                maximal=maximal)
 
 
-def to_dot(labeling: CosetLabeling, mode: str = DEFAULT_MODE) -> str:
+def to_dot(labeling: CosetLabeling, geometry: IncidenceGeometry,
+           mode: str = DEFAULT_MODE) -> str:
     """Incidence DOT with non-commuting ("thick") lines drawn bold."""
-    report = contextuality_report(labeling, mode)
+    report = contextuality_report(labeling, geometry, mode)
     out = ["graph contextuality {"]
-    for p in range(labeling.geometry.n):
+    for p in range(geometry.n):
         out.append('  p%d [shape=circle];' % (p + 1))
     for li, (line, commutes) in enumerate(report.per_line):
         style = "solid" if commutes else "bold"

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import getitem, itemgetter, lt
+from operator import and_, getitem, itemgetter, lt
 
 from .perms import PermGroup, _orbit, _orbits
 
@@ -76,9 +76,9 @@ class IncidenceGeometry:
         longest = max(map(len, self.lines), default=0)
         short = [line for line in self.lines if len(line) < longest]
         if short:
-            incident = [set(ls) for ls in self.point_lines]
+            masks = _incidence_masks(self)[0]
             for line in short:
-                if len(set.intersection(*(incident[p] for p in line))) > 1:
+                if reduce(and_, [masks[p] for p in line]).bit_count() > 1:
                     raise ValueError("one line contains another")
         if any(perm.degree != self.n for perm in self.symmetry):
             raise ValueError("symmetry does not preserve the lines")
@@ -96,15 +96,6 @@ class IncidenceGeometry:
                 for images in (perm.images for perm in self.symmetry))
         except KeyError:
             raise ValueError("symmetry does not preserve the lines") from None
-
-    @cached_property
-    def point_lines(self):
-        """For each point, the indices of the lines through it."""
-        out = [[] for _ in range(self.n)]
-        for li, line in enumerate(self.lines):
-            for p in line:
-                out[p].append(li)
-        return tuple(tuple(ls) for ls in out)
 
     @cached_property
     def stats(self) -> GraphStats:

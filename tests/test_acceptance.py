@@ -87,7 +87,7 @@ def test_criterion_02_hesse_maximal():
     g = group_of(t)
     (cls,) = pair_classes(g)
     geom = geometry_from_class(g, cls.pairs)
-    report = contextuality_report(labeling_from_table(t, geom), "coset")
+    report = contextuality_report(labeling_from_table(t), geom, "coset")
     assert report.maximal
 
 
@@ -147,11 +147,11 @@ def test_criterion_04_k19_grids():
 def test_criterion_04_grid_verdict_pattern():
     (t,) = [t for t in _classes_at("k19", 9) if order_of(t) == 36]
     g = group_of(t)
+    lab = labeling_from_table(t)
     scores = set()
     for cls in pair_classes(g):
         geom = geometry_from_class(g, cls.pairs)
-        scores.add(contextuality_report(
-            labeling_from_table(t, geom), "coset").score)
+        scores.add(contextuality_report(lab, geom, "coset").score)
     assert scores == {Fraction(0), Fraction(1, 6)}
 
 
@@ -199,8 +199,8 @@ def test_criterion_05_k6_maximal():
     g = group_of(t)
     (cls,) = pair_classes(g)
     geom = geometry_from_class(g, cls.pairs)
-    assert contextuality_report(
-        labeling_from_table(t, geom), "coset").maximal
+    assert contextuality_report(labeling_from_table(t), geom,
+                                "coset").maximal
 
 
 @pytest.mark.xfail(strict=True,
@@ -214,8 +214,8 @@ def test_criterion_05_fano_maximal():
     g = group_of(t)
     (cls,) = pair_classes(g)
     geom = geometry_from_class(g, cls.pairs)
-    assert contextuality_report(
-        labeling_from_table(t, geom), "coset").maximal
+    assert contextuality_report(labeling_from_table(t), geom,
+                                "coset").maximal
 
 
 def test_criterion_06_k1_index21():
@@ -317,8 +317,8 @@ def test_criterion_08_go21_maximal():
     for cls in pair_classes(g):
         geom = geometry_from_class(g, cls.pairs)
         if recognize(geom) == "GO(2,1)":
-            report = contextuality_report(
-                labeling_from_table(table, geom), "coset")
+            report = contextuality_report(labeling_from_table(table), geom,
+                                          "coset")
             assert report.maximal
             return
     raise AssertionError("GO(2,1) class not found")

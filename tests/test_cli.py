@@ -9,12 +9,12 @@ from importlib import resources
 
 import pytest
 
-from conftest import group_of
+from conftest import group_of, order_of
 from cosetgeom import cli, dessins, perms
 from cosetgeom.census import census_entry
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
                            EXIT_USAGE, main)
-from cosetgeom.contextuality import labeling_from_table
+from cosetgeom.contextuality import CosetLabeling, labeling_from_table
 from cosetgeom.contextuality import to_dot as contextuality_dot
 from cosetgeom.dessins import ModularData, Signature
 from cosetgeom.geometry import (GraphStats, PolygonCheck, geometry_from_class,
@@ -86,7 +86,8 @@ def test_dot_export_is_pinned(differential_tables):
         group = group_of(t)
         for cls in pair_classes(group)[:1]:
             geom = geometry_from_class(group, cls.pairs)
-            h.update(contextuality_dot(labeling_from_table(t, geom)).encode())
+            h.update(contextuality_dot(labeling_from_table(t),
+                                       geom).encode())
         h.update(dessins.to_dot(dessins.dessin_from_table(t)).encode())
     assert h.hexdigest() == (
         "5dc20e5b065050d179af4720a0a5a526d3f736b1683b9dff6952d3f68badd193")
@@ -202,6 +203,29 @@ def test_analyze_class_builds_one_geometry(capsys, monkeypatch):
     full = json.loads(full)
     full["classes"] = full["classes"][1:2]
     assert json.loads(out) == full
+
+
+def test_analyze_table_labels_the_cosets_once(monkeypatch, k19_to_9):
+    # k19@9 #3 has two pair classes; one labeling of its cosets serves both
+    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
+    calls = []
+    actions = CosetLabeling.actions.func
+
+    def counted(labeling):
+        calls.append(labeling)
+        return actions(labeling)
+    monkeypatch.setattr(CosetLabeling.actions, "func", counted)
+    report = cli.analyze_table(t)
+    assert len(report["classes"]) == 2 and len(calls) == 1
+
+
+def test_dot_export_refuses_a_json_path(capsys, no_work, tmp_path):
+    # the DOT goes to stdout; a --json path would be written to by nothing
+    path = tmp_path / "out.json"
+    assert usage_error(capsys, "analyze", "k19", "--index", "9", "--which",
+                       "3", "--export", "dot", "--json", str(path)) \
+        == EXIT_USAGE
+    assert not path.exists()
 
 
 def test_analyze_class_zero_is_usage_error(capsys):

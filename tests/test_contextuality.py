@@ -8,39 +8,54 @@ from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
                                      to_dot)
-from cosetgeom.geometry import geometry_from_class, pair_classes, recognize
+from cosetgeom.geometry import (IncidenceGeometry, geometry_from_class,
+                                pair_classes, recognize)
 from cosetgeom.toddcox import schreier_generators, transversal
 from cosetgeom.words import commutator_word
 
 
 def labelings_of(table):
+    """(pair class, its geometry, the table's one labeling) per class."""
     g = group_of(table)
+    lab = labeling_from_table(table)
     for cls in pair_classes(g):
-        geom = geometry_from_class(g, cls.pairs)
-        yield cls, labeling_from_table(table, geom)
+        yield cls, geometry_from_class(g, cls.pairs), lab
 
 
 def test_labeling_validation(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9)
-    g = group_of(t)
-    geom = geometry_from_class(g, pair_classes(g)[0].pairs)
-    with pytest.raises(ValueError):
-        CosetLabeling(geom, tuple(transversal(t))[:-1], t)
+    with pytest.raises(ValueError, match="length"):
+        CosetLabeling(tuple(transversal(t))[:-1], t)
+    lab = labeling_from_table(t)
+    other = IncidenceGeometry(t.n - 1, ((0, 1),))
+    with pytest.raises(ValueError, match="points"):
+        contextuality_report(lab, other)
+    with pytest.raises(ValueError, match="points"):
+        to_dot(lab, other)
+
+
+def test_labeling_refuses_representatives_that_miss_their_cosets(k19_to_9):
+    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
+    reps = tuple(transversal(t))
+    swapped = (reps[0], reps[2], reps[1]) + reps[3:]
+    for bad in (reps[::-1], swapped):
+        with pytest.raises(ValueError, match="misses its coset"):
+            CosetLabeling(bad, t)
 
 
 def test_bad_mode(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9)
-    _, lab = next(labelings_of(t))
+    _, geom, lab = next(labelings_of(t))
     with pytest.raises(ValueError):
-        line_commutes(lab, lab.geometry.lines[0], "quantum")
+        line_commutes(lab, geom.lines[0], "quantum")
 
 
 def test_k19_grid_verdicts(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
     scores = {}
-    for cls, lab in labelings_of(t):
-        r = contextuality_report(lab, "coset")
-        assert recognize(lab.geometry) == "GQ(2,1)"
+    for cls, geom, lab in labelings_of(t):
+        r = contextuality_report(lab, geom, "coset")
+        assert recognize(geom) == "GQ(2,1)"
         scores[cls.stab_order] = r.score
     assert scores == {2: Fraction(2, 3), 1: Fraction(1)}
 
@@ -49,14 +64,14 @@ def test_k6_gamma2_type_verdicts(k1_to_10):
     # the order-6 nonabelian quotient: 9 of 15 lines non-commuting
     t = next(t for t in k1_to_10 if t.n == 6 and order_of(t) == 6
              and group_of(t).derived_index() == 2)
-    _, lab = next(labelings_of(t))
-    r = contextuality_report(lab, "coset")
+    _, geom, lab = next(labelings_of(t))
+    r = contextuality_report(lab, geom, "coset")
     assert r.score == Fraction(3, 5)
     # the abelian order-6 quotient commutes everywhere
     t2 = next(t for t in k1_to_10 if t.n == 6 and order_of(t) == 6
               and group_of(t).derived_index() == 6)
-    _, lab2 = next(labelings_of(t2))
-    assert contextuality_report(lab2, "coset").score == 0
+    _, geom2, lab2 = next(labelings_of(t2))
+    assert contextuality_report(lab2, geom2, "coset").score == 0
 
 
 def test_lines_through_identity_commute_when_reps_commute(k1_to_10):
@@ -64,8 +79,8 @@ def test_lines_through_identity_commute_when_reps_commute(k1_to_10):
     for t in k1_to_10:
         if t.n < 3:
             continue
-        for _, lab in labelings_of(t):
-            for line in lab.geometry.lines:
+        for _, geom, lab in labelings_of(t):
+            for line in geom.lines:
                 if 0 in line and len(line) == 2:
                     for mode in ("perm", "coset"):
                         assert line_commutes(lab, line, mode)
@@ -75,19 +90,19 @@ def test_mode_monotonicity(k19_to_9, k1_to_10):
     for t in list(k19_to_9) + list(k1_to_10):
         if t.n < 3:
             continue
-        for _, lab in labelings_of(t):
-            for line in lab.geometry.lines:
+        for _, geom, lab in labelings_of(t):
+            for line in geom.lines:
                 if line_commutes(lab, line, "perm"):
                     assert line_commutes(lab, line, "coset")
 
 
 def test_report_shape(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    _, lab = next(labelings_of(t))
-    r = contextuality_report(lab, "coset")
+    _, geom, lab = next(labelings_of(t))
+    r = contextuality_report(lab, geom, "coset")
     d = r.to_json_dict()
     assert d["mode"] == "coset"
-    assert len(d["lines"]) == len(lab.geometry.lines)
+    assert len(d["lines"]) == len(geom.lines)
     assert isinstance(d["maximal"], bool)
     num, den = d["score"].split("/")
     assert int(den) > 0
@@ -95,8 +110,8 @@ def test_report_shape(k19_to_9):
 
 def test_maximal_definition(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    for _, lab in labelings_of(t):
-        r = contextuality_report(lab, "coset")
+    for _, geom, lab in labelings_of(t):
+        r = contextuality_report(lab, geom, "coset")
         expected = all((0 in line) == c for line, c in r.per_line)
         assert r.maximal == expected
 
@@ -112,21 +127,21 @@ def test_rep_change_invariance(k1_pres):
             continue
         reps = transversal(t)
         hs = list(schreier_generators(t).generators)[:3]
-        for _, lab in labelings_of(t):
-            for line in lab.geometry.lines[:6]:
+        for _, geom, lab in labelings_of(t):
+            for line in geom.lines[:6]:
                 base = line_commutes(lab, line, "coset")
                 for h in hs:
                     for i in line:
                         reps2 = list(reps)
                         reps2[i] = h * reps2[i]
-                        lab2 = CosetLabeling(lab.geometry, tuple(reps2), t)
+                        lab2 = CosetLabeling(tuple(reps2), t)
                         assert line_commutes(lab2, line, "coset") == base
 
 
 def test_dot_export(k19_to_9):
     t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    _, lab = next(labelings_of(t))
-    dot = to_dot(lab, "coset")
+    _, geom, lab = next(labelings_of(t))
+    dot = to_dot(lab, geom, "coset")
     assert dot.startswith("graph contextuality {")
     assert "red" in dot
 
@@ -147,11 +162,13 @@ def test_line_commutes_matches_commutator_words(differential_tables):
     verdicts = set()
     for t in differential_tables:
         h = schreier_generators(t).generators[:1]
-        for _, lab in labelings_of(t):
-            labs = [lab] + [CosetLabeling(lab.geometry, tuple(
-                g * r for r in lab.transversal), t) for g in h]
+        lab = labeling_from_table(t)
+        # h * reps: each word still takes coset 0 to its own coset
+        labs = [lab] + [CosetLabeling(tuple(g * r for r in lab.transversal),
+                                      t) for g in h]
+        for _, geom, _ in labelings_of(t):
             for lab2 in labs:
-                for line in lab2.geometry.lines:
+                for line in geom.lines:
                     for mode in MODES:
                         got = line_commutes(lab2, line, mode)
                         assert got == _commutes_by_words(lab2, line, mode)

@@ -90,9 +90,9 @@ def test_mode_monotonicity_suite(k1_to_10, k4_to_9, k19_to_9):
         if t.n < 3:
             continue
         g = group_of(t)
+        lab = labeling_from_table(t)
         for cls in pair_classes(g):
             geom = geometry_from_class(g, cls.pairs)
-            lab = labeling_from_table(t, geom)
             for line in geom.lines:
                 if line_commutes(lab, line, "perm"):
                     assert line_commutes(lab, line, "coset")
