@@ -1,8 +1,10 @@
 """Command-line surface: census, subgroups, analyze, discover, reproduce.
 
 Exit codes: 0 success, 1 check or verification failure, 2 usage error,
-3 budget exceeded.  main is the one place that maps an exception to its
-exit code; before any work it checks each numeric flag against
+3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout closed
+it early, as ``| head`` does, with nothing on stderr.  main is the one
+place that maps an exception to its exit code; before any work it
+checks each numeric flag against
 FLAG_MINIMA, that --json goes with a JSON report and that each output
 path can be written to.
 """
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -452,7 +455,16 @@ def main(argv=None):
         if outdir and not _can_be_dir(outdir):
             raise UsageError("cannot write certificates to %s: "
                              "not a directory" % outdir)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's final flush of what
+        # is left in its buffer does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UnknownId, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,19 @@ in BFS-standard numbering by construction.  The depth-first search runs
 on an explicit stack of branch points, each trying its values in place,
 so Python's recursion limit does not bound how deep a search path may go.
 
+The search runs modulo the letter automorphisms of the presentation:
+the signed permutations s of x, x^-1, y, y^-1 that map every relator,
+read by columns, onto a rotation of a relator or of its inverse.  The
+table T of a subgroup H read with column l taken from column s(l) is a
+table of the twin subgroup s^-1(H).  A table is kept only if it is no
+larger than the least renumbering of each twin, so of each class and its
+twins only the least is searched for; its twins' least tables are
+emitted with it.  Each s adds one base at coset 0 to the first-in-class
+test, comparing the table with its twin renumbered from 0, which prunes
+early most of the tables that are not the least of their twins; at a
+complete table the twins' renumbering from every base decides.  A
+presentation with no such s, as k19, runs the plain search.
+
 Entries are only ever added inside a subtree of the search.  So a base
 coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
@@ -93,6 +106,79 @@ def _compile_rotations(relators, cols):
     return [from_f[k] for k in read], [from_b[k] for k in read]
 
 
+#: the signed letter permutations, as the images of x, x^-1, y, y^-1:
+#: x goes to x or x^-1 before y or y^-1, and each generator to an image
+#: before its inverse
+SIGNED_PERMUTATIONS = tuple((gx ^ sx, gx ^ sx ^ 1, gy ^ sy, gy ^ sy ^ 1)
+                            for gx, gy in ((0, 2), (2, 0))
+                            for sx in (0, 1) for sy in (0, 1))
+
+
+def _letter_automorphisms(relators, cols):
+    """The signed letter permutations, other than those acting as the
+    identity on cols, that map every relator to a relator.
+
+    A signed letter permutation s, a tuple of the images of x, x^-1, y,
+    y^-1, commutes with inversion.  It is kept when it maps each
+    cyclically reduced relator, read by columns, onto a rotation of some
+    relator or of its inverse, read the same way: then it induces an
+    automorphism of the group.  One s is kept per map of columns, the
+    first in SIGNED_PERMUTATIONS.  So the list and its order depend only
+    on the rotations of the relators and of their inverses, not on how
+    the relators are written.
+    """
+    read = [l & ~1 if cols[l] is cols[l ^ 1] else l for l in range(NLETTERS)]
+    rotations = set()
+    for rel in relators:
+        for w in (rel, rel.inverse()):
+            w = tuple(read[l] for l in w.cyclically_reduced().letters)
+            rotations.update(w[i:] + w[:i] for i in range(len(w)))
+    found, seen = [], {tuple(read)}
+    for s in SIGNED_PERMUTATIONS:
+        key = tuple(read[k] for k in s)
+        if key not in seen and all(
+                tuple(read[s[l]] for l in rel.cyclically_reduced().letters)
+                in rotations for rel in relators):
+            seen.add(key)
+            found.append(s)
+    return found
+
+
+def _least_renumbering(rows, floor):
+    """The least BFS renumbering of the complete table rows over its base
+    cosets, in row-major order, or None once one is found below floor.
+
+    A renumbering is dropped at its first row above the least so far.
+    """
+    n = len(rows)
+    best = None
+    for beta in range(n):
+        new = [-1] * n
+        new[beta] = 0
+        order = [beta]
+        out = []
+        below = best is None
+        for c in order:
+            row = []
+            for d in rows[c]:
+                if new[d] == -1:
+                    new[d] = len(order)
+                    order.append(d)
+                row.append(new[d])
+            row = tuple(row)
+            if not below:
+                least = best[len(out)]
+                if row > least:
+                    break
+                below = row < least
+            out.append(row)
+        else:
+            best = tuple(out)
+            if best < floor:
+                return None
+    return best
+
+
 class _Search:
     def __init__(self, pres, max_index, node_budget):
         self.pres = pres
@@ -104,15 +190,19 @@ class _Search:
         # the compiled rotations hold them.  An involution's two letters
         # share one column, so columns holds each column once.
         squares = {r.cyclically_reduced().letters for r in pres.relators}
-        self.cols, self.columns = [], []
+        self.cols, self.letters = [], []
         for l in range(NLETTERS):
             if l & 1 and {(l, l), (l ^ 1, l ^ 1)} & squares:
                 self.cols.append(self.cols[l ^ 1])
             else:
                 self.cols.append([None])
-                self.columns.append(self.cols[l])
+                self.letters.append(l)
+        self.columns = [self.cols[l] for l in self.letters]
         self.from_f, self.from_b = _compile_rotations(pres.relators,
                                                       self.cols)
+        # the twisted bases of the first-in-class test; an empty list
+        # runs the plain search
+        self.automorphisms = _letter_automorphisms(pres.relators, self.cols)
         self.trail = []
         # scratch renumbering of the first-in-class test: new -> old and
         # old -> new, -1 where unset; one entry per allocated row
@@ -188,19 +278,26 @@ class _Search:
     # -- first-in-class pruning -----------------------------------------
 
     def _first_in_class(self, live):
-        """The entries of live whose base cosets are still undecided, or
-        None if one of them gives a lex-smaller table.
+        """The entries of live whose bases are still undecided, or None if
+        one of them gives a lex-smaller table.
 
-        An entry is (beta, col, row, col2, row2): the base coset beta and
-        its watched cells col[row] and col2[row2], the undefined cells its
-        last comparison stopped at (one cell twice if only one was).  It
-        is compared again only once both are defined.  A base to compare
-        in any case, as the new coset is, watches self.defined twice.
+        An entry is (beta, pairs, col, row, col2, row2): the base coset
+        beta, the column pairs its renumbering reads, and its watched
+        cells col[row] and col2[row2], the undefined cells its last
+        comparison stopped at (one cell twice if only one was).  It is
+        compared again only once both are defined.  A base to compare in
+        any case, as the new coset is, watches self.defined twice.
+
+        A base coset reads each column from itself.  The bases at coset 0
+        under the letter automorphisms s of the presentation read column
+        l from column s(l): the table renumbered from 0 is then that of
+        the automorphic twin of the subgroup, and a table larger than it
+        is not the least of its class and its twins' classes.
         """
-        columns, mu, nu, defined = self.columns, self.mu, self.nu, self.defined
+        mu, nu, defined = self.mu, self.nu, self.defined
         undecided = []
         for entry in live:
-            beta, col, row, col2, row2 = entry
+            beta, pairs, col, row, col2, row2 = entry
             if col[row] is None or col2[row2] is None:
                 undecided.append(entry)
                 continue
@@ -209,17 +306,21 @@ class _Search:
             count = 1
             order = 0          # sign of the first difference, new - old
             # equal to the end only on a complete table: nothing to watch
-            entry = (beta, defined, 0, defined, 0)
+            entry = (beta, pairs, defined, 0, defined, 0)
             alpha = 0
             while alpha < count:
                 m = mu[alpha]
-                for col in columns:
-                    gamma = col[m]
+                for src, col in pairs:
+                    gamma = src[m]
                     orig = col[alpha]
                     if gamma is None or orig is None:
                         # undecided: watch whichever cells are undefined
-                        entry = (beta, col, m if gamma is None else alpha,
-                                 col, alpha if orig is None else m)
+                        if gamma is None:
+                            entry = (beta, pairs, src, m,
+                                     col if orig is None else src,
+                                     alpha if orig is None else m)
+                        else:
+                            entry = (beta, pairs, col, alpha, col, alpha)
                         break
                     g = nu[gamma]
                     if g == -1:
@@ -248,8 +349,8 @@ class _Search:
 
         A branch point is (a, l, spot, n, live, candidates, mark): the
         undefined entry (a, l) at row-major position spot, the coset
-        count n and the live entries of its undecided base cosets when it
-        was reached, an iterator over the values b to try for it, and the
+        count n and the live entries of its undecided bases when it was
+        reached, an iterator over the values b to try for it, and the
         trail length to undo to before each try.  The top branch point's
         values are tried in place: a child is entered by pushing it and
         leaving the loop, which resumes when the child is used up.
@@ -259,8 +360,14 @@ class _Search:
         branch = self._branch
         budget = self.node_budget
         nodes = self.nodes
+        # a base reads column l of its renumbering from the first column
+        # of each pair, and compares it with the second, column l itself:
+        # a base coset reads column l, a twisted base column s(l)
+        plain = tuple((col, col) for col in self.columns)
         stack = []
-        branch(0, 1, [], stack)
+        branch(0, 1, [(0, tuple((cols[s[l]], cols[l]) for l in self.letters),
+                       defined, 0, defined, 0)
+                      for s in self.automorphisms], stack)
         while stack:
             a, l, spot, n, live, candidates, mark = stack[-1]
             for b in candidates:
@@ -275,7 +382,8 @@ class _Search:
                         "node budget %d exceeded" % budget)
                 size, bases = n, live
                 if b == n:
-                    size, bases = n + 1, live + [(n, defined, 0, defined, 0)]
+                    size, bases = n + 1, live + [
+                        (n, plain, defined, 0, defined, 0)]
                     if n == len(cols[0]):
                         for col in self.columns:
                             col.append(None)
@@ -295,7 +403,7 @@ class _Search:
         """Push the branch point at the first undefined entry at
         row-major position >= start of a table with n cosets and return
         True, or emit the table if it is full; live holds the entries of
-        the base cosets not yet decided larger."""
+        the bases not yet decided larger."""
         cols = self.cols
         end = n * NLETTERS
         spot = start
@@ -315,10 +423,26 @@ class _Search:
         return True
 
     def _emit(self, n):
+        """Emit the complete table with n cosets if it is the least of its
+        class and its twins' classes, then the least table of each twin.
+
+        The twin under an automorphism s reads column l from column s(l);
+        its least renumbering over all bases is its class's table.
+        """
         action = tuple(zip(*(col[:n] for col in self.cols)))
-        table = CosetTable(action=action, subgroup=SubgroupSpec(self.pres, ()))
-        spec = schreier_generators(table)
-        self.results.append(CosetTable(action=action, subgroup=spec))
+        tables = [action]
+        for s in self.automorphisms:
+            twin = _least_renumbering(
+                [tuple(row[k] for k in s) for row in action], action)
+            if twin is None:
+                return
+            if twin not in tables:
+                tables.append(twin)
+        for action in tables:
+            table = CosetTable(action=action,
+                               subgroup=SubgroupSpec(self.pres, ()))
+            self.results.append(CosetTable(action=action,
+                                           subgroup=schreier_generators(table)))
 
 
 def low_index_subgroups(pres: Presentation, max_index: int,

@@ -199,7 +199,10 @@ class _Tuples:
 
     @staticmethod
     def inverse_table(element):
-        return tuple(sorted(range(len(element)), key=element.__getitem__))
+        inverse = [0] * len(element)
+        for i, image in enumerate(element):
+            inverse[image] = i
+        return tuple(inverse)
 
     @staticmethod
     def step(element, table):

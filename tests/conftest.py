@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cosetgeom import census_entry, low_index_subgroups
+from cosetgeom.lowindex import SIGNED_PERMUTATIONS
 from cosetgeom.perms import PermGroup, Permutation
 from cosetgeom.words import Presentation, Word
 
@@ -55,6 +56,20 @@ def presentations(draw):
             rotated = Word(w[i:] + w[:i])
             if rotated.letters:
                 relators.append(rotated)
+    return Presentation(tuple(relators))
+
+
+@st.composite
+def symmetric_presentations(draw):
+    """presentations() closed under a drawn signed letter permutation s:
+    each relator is followed by its images under s until they come back
+    round, so s maps the relators onto themselves."""
+    s = draw(st.sampled_from(SIGNED_PERMUTATIONS))
+    relators = []
+    for r in draw(presentations()).relators:
+        while r not in relators:
+            relators.append(r)
+            r = Word(tuple(s[l] for l in r.letters))
     return Presentation(tuple(relators))
 
 

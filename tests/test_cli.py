@@ -512,3 +512,21 @@ def test_cli_imports_no_sympy():
     out = subprocess.run([sys.executable, "-c", probe, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closed stdout, as `| head` does, ends the command
+    with 128 + SIGPIPE and nothing on stderr, not a traceback and 1."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from cosetgeom.cli import main; sys.exit(main(sys.argv[2:]))")
+    read, write = os.pipe()
+    os.close(read)          # before the child writes anything
+    try:
+        proc = subprocess.run([sys.executable, "-c", run, src, "subgroups",
+                               "k4", "--max-index", "8"],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141

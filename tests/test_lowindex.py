@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import order_of, presentations, sympy_fp_group
+from conftest import (order_of, presentations, sympy_fp_group,
+                      symmetric_presentations)
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import (SearchBudgetExceeded, _Search,
                                 low_index_subgroups)
-from cosetgeom.toddcox import todd_coxeter
-from cosetgeom.words import X, Y, Presentation, Word, parse_presentation
+from cosetgeom.toddcox import CosetTable, todd_coxeter
+from cosetgeom.words import (X, XI, Y, YI, Presentation, SubgroupSpec,
+                             Word, parse_presentation)
 
 
 def test_k4_counts_by_index(k4_pres):
@@ -98,14 +100,41 @@ PINNED_SHAS = {
 }
 
 
-# Search-tree size and output of the search as recorded before any speed
-# work on it: a faster search must try the same nodes, so that
-# --node-budget keeps its meaning, and emit the same tables and words.
-# A source is a census id or a presentation.
+def plain_search(pres, max_index):
+    """The first-in-class search run without the letter automorphisms of
+    pres, and its output sorted as low_index_subgroups sorts it."""
+    search = _Search(pres, max_index, None)
+    search.automorphisms = []
+    return search, sorted(search.run(), key=lambda t: (t.n, t.action))
+
+
+# nodes of each search below modulo the letter automorphisms, by
+# (source, max_index)
+NODES = {
+    ("k4", 16): 9138,
+    ("k5", 12): 3921,
+    ("k1", 14): 917,
+    ("k19", 12): 2394,
+    ("< x, y | x^4, y^4, x*y*x^-1*y^-1 >", 16): 85,
+    ("< x, y | x^2, y^3 >", 12): 865,
+    ("< x, y | x^2, y^2, (x*y)^12 >", 24): 79,
+    ("< x, y | x^2, y^3, (x*y)^7 >", 14): 394,
+}
+
+
+# Search-tree size and output of the search.  The pinned tree is that of
+# the search modulo the presentation's letter automorphisms, which
+# low_index_subgroups runs: the NODES of its row.  A faster search must
+# try the same nodes, so that --node-budget keeps its meaning.  nodes is
+# the tree of the plain search, run with no automorphism, as recorded
+# before any speed work; both emit the same tables and words.  A source
+# is a census id or a presentation.
 @pytest.mark.parametrize("source, max_index, nodes, classes", [
     ("k4", 16, 11658, 190),
     ("k5", 12, 5079, 219),
     ("k1", 14, 1080, 35),
+    # no letter automorphism: the tree must not move
+    ("k19", 12, 2394, 45),
     # abelian: every subgroup is normal, so on a complete table every
     # base coset compares equal to the end, which keeps no cell to watch
     pytest.param("< x, y | x^4, y^4, x*y*x^-1*y^-1 >", 16, 101, 15,
@@ -125,28 +154,33 @@ def test_search_tree_is_pinned(source, max_index, nodes, classes):
         pres = census_entry(source).presentation
     else:
         pres = parse_presentation(source)
-    tables = low_index_subgroups(pres, max_index, node_budget=nodes)
+    reduced = NODES[source, max_index]
+    tables = low_index_subgroups(pres, max_index, node_budget=reduced)
     assert len(tables) == classes
     with pytest.raises(SearchBudgetExceeded):
-        low_index_subgroups(pres, max_index, node_budget=nodes - 1)
+        low_index_subgroups(pres, max_index, node_budget=reduced - 1)
+    plain, plain_tables = plain_search(pres, max_index)
+    assert plain.nodes == nodes
+    assert tables_sha256(plain_tables) == tables_sha256(tables)
     if source in PINNED_SHAS:
         assert tables_sha256(tables) == PINNED_SHAS[source]
 
 
 def test_benchmark_search_tree_is_pinned(k4_pres):
     # the search of perfbench's "search" workload, k4 <= 24
-    tables = low_index_subgroups(k4_pres, 24, node_budget=291238)
+    # (291238 nodes for the plain search)
+    tables = low_index_subgroups(k4_pres, 24, node_budget=186162)
     assert len(tables) == 587
     assert tables_sha256(tables) == (
         "1aa3b89aa18e73d9343f12f90ecedbeffdffe6f69dc3a45f607d5ec43f474a9f")
     with pytest.raises(SearchBudgetExceeded):
-        low_index_subgroups(k4_pres, 24, node_budget=291237)
+        low_index_subgroups(k4_pres, 24, node_budget=186161)
 
 
 # (census id, max_index, search nodes): searches whose tree and output
 # must not depend on how the relators are written
-REWRITE_CASES = [("k4", 14, 5125), ("k5", 11, 2841), ("k1", 12, 600),
-                 ("k2", 10, 358)]
+REWRITE_CASES = [("k4", 14, 4207), ("k5", 11, 2266), ("k1", 12, 544),
+                 ("k2", 10, 323)]
 
 
 @st.composite
@@ -177,13 +211,30 @@ def rewrite_shas():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(case=rewritten_census())
-@example(case=("k4", 14, 5125, parse_presentation(
+@example(case=("k4", 14, 4207, parse_presentation(
     "< x, y | y^-2, x^4, ((y*x^-1)^2*(y^-1*x)^2)^2 >")))
 def test_search_ignores_how_relators_are_written(rewrite_shas, case):
     cid, max_index, nodes, pres = case
     search = _Search(pres, max_index, None)
+    assert search.automorphisms == AUTOMORPHISMS[cid]
     assert tables_sha256(search.run()) == rewrite_shas[cid]
     assert search.nodes == nodes
+
+
+# the letter automorphisms of each census presentation, one signed letter
+# permutation (the images of x, x^-1, y, y^-1) per map of columns: the
+# involution y of k1, k2, k4 and k5 makes x -> x^-1 and y -> y^-1 one map
+AUTOMORPHISMS = {"k1": [(XI, X, Y, YI)], "k2": [(XI, X, Y, YI)],
+                 "k4": [(XI, X, Y, YI)], "k5": [(XI, X, Y, YI)],
+                 "k19": [], "g1": [(X, XI, YI, Y)], "g2": [(X, XI, YI, Y)]}
+
+
+@pytest.mark.parametrize("cid", CENSUS_IDS)
+def test_letter_automorphisms(cid):
+    # test_search_ignores_how_relators_are_written checks the same lists
+    # on rewritten relators
+    search = _Search(census_entry(cid).presentation, 1, None)
+    assert search.automorphisms == AUTOMORPHISMS[cid]
 
 
 def _scanned_lengths(lists):
@@ -225,30 +276,42 @@ def test_involution_has_one_column(cid):
 
 @pytest.mark.parametrize("cid, max_index", [("k1", 8), ("k4", 8), ("k19", 6)])
 def test_class_counts_match_sympy(cid, max_index):
-    # sympy's Sims-style low-index search as an independent oracle
+    pres = census_entry(cid).presentation
+    ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
+    assert ours == sympy_class_counts(pres, max_index)
+
+
+def sympy_class_counts(pres, max_index):
+    """Classes by index from sympy's Sims-style low-index search, an
+    independent oracle, counting only the tables on which every relator
+    holds: for some presentations with short relators sympy also returns
+    tables that are not coset tables of the group, such as an index-2
+    table of < x, y | x*y, y >, the trivial group, on which y swaps the
+    two cosets."""
     from sympy.combinatorics.fp_groups import \
         low_index_subgroups as sympy_low_index
 
-    pres = census_entry(cid).presentation
     group, _ = sympy_fp_group(pres)
-    theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
-    ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
-    assert ours == theirs
+    counts = Counter()
+    for c in sympy_low_index(group, max_index):
+        t = CosetTable(action=tuple(map(tuple, c.table)),
+                       subgroup=SubgroupSpec(pres, ()))
+        if all(t.word_action(r, k) == k
+               for r in pres.relators for k in range(t.n)):
+            counts[t.n] += 1
+    return counts
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(presentations(), st.integers(1, 6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(presentations(), symmetric_presentations()),
+       st.integers(1, 6))
 @example(parse_presentation(       # k4's square and one of its rotations
     "< x, y | ((y*x^-1)^2*(y^-1*x)^2)^2, (x*(y*x^-1)^2*y^-1*x*y^-1)^2, y^2 >"),
     6)
+@example(parse_presentation("< x, y | x*y, y >"), 2)
 def test_class_counts_match_sympy_on_random_presentations(pres, max_index):
-    from sympy.combinatorics.fp_groups import \
-        low_index_subgroups as sympy_low_index
-
-    group, _ = sympy_fp_group(pres)
-    theirs = Counter(len(c.table) for c in sympy_low_index(group, max_index))
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
-    assert ours == theirs
+    assert ours == sympy_class_counts(pres, max_index)
 
 
 def bfs_renumbering(action, base):
@@ -264,8 +327,9 @@ def bfs_renumbering(action, base):
     return tuple(tuple(new[d] for d in action[c]) for c in order)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(presentations(), st.integers(1, 6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(presentations(), symmetric_presentations()),
+       st.integers(1, 6))
 def test_emitted_tables_are_first_in_class(pres, max_index):
     # first-in-class checked without _first_in_class: each table is the
     # least in row-major order of its renumberings from every base
@@ -273,6 +337,35 @@ def test_emitted_tables_are_first_in_class(pres, max_index):
         assert bfs_renumbering(t.action, 0) == t.action
         for beta in range(1, t.n):
             assert t.action <= bfs_renumbering(t.action, beta)
+
+
+def assert_twins_emitted(pres, tables):
+    """For each table and each letter automorphism s of pres, the least
+    renumbering of the twin table, whose column l is column s(l), is
+    itself a table of the output."""
+    actions = {t.action for t in tables}
+    for s in _Search(pres, 1, None).automorphisms:
+        for t in tables:
+            twin = tuple(tuple(row[k] for k in s) for row in t.action)
+            assert min(bfs_renumbering(twin, beta)
+                       for beta in range(t.n)) in actions
+
+
+@pytest.mark.parametrize("cid, max_index", [("k4", 16), ("k5", 12)])
+def test_twin_classes_are_emitted(cid, max_index):
+    pres = census_entry(cid).presentation
+    assert_twins_emitted(pres, low_index_subgroups(pres, max_index))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(symmetric_presentations(), st.integers(1, 6))
+def test_twin_classes_are_emitted_on_symmetric_presentations(pres,
+                                                             max_index):
+    tables = low_index_subgroups(pres, max_index)
+    assert_twins_emitted(pres, tables)
+    # and the search modulo automorphisms emits what the plain one does
+    _, plain_tables = plain_search(pres, max_index)
+    assert tables_sha256(plain_tables) == tables_sha256(tables)
 
 
 def test_no_preallocation_by_max_index(k1_pres):
