@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import IncidenceGeometry
+from .perms import _Tuples
 from .toddcox import CosetTable, transversal
 
 MODES = ("perm", "coset")
@@ -68,7 +69,7 @@ class CosetLabeling:
             for j in range(k, len(letters)):
                 a = tuple(map(columns[letters[j]].__getitem__, a))
                 known[letters[:j + 1]] = a
-            out.append((a, tuple(sorted(range(len(a)), key=a.__getitem__))))
+            out.append((a, _Tuples.inverse_table(a)))
         return tuple(out)
 
 

@@ -27,29 +27,27 @@ Entries are only ever added inside a subtree of the search.  So a base
 coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
-undecided base cosets down to the children, each with the one or two
-undefined cells its comparison stopped at.  A descendant compares that
-base again only once they are all defined: until then the comparison
-reads the same cells and stops at the same place.
-Rows are allocated as cosets are created, never up front by max_index.
+undecided base cosets down to the children, each with one undefined cell
+its comparison stopped at.  A descendant compares that base again only
+once that cell is defined: until both cells the comparison read there
+are defined, it stops at the same place.
+The columns grow as cosets are created, never up front by max_index.
 
 The partial table is held by column, one list per letter.  An
 involution, a generator l with a relator that cyclically reduces to l^2
 or l^-2, has one self-inverse column for l and l^-1, so setting
 (a, l) = b also sets (b, l) = a; a relator that reads as an even power
-of that column holds in every table and is not compiled.  Every other
-relator rotation is compiled once, by the columns it reads.  A new entry
-(a, l) = b is scanned along each rotation that starts with l, from a,
-beginning after the new edge.  A rotation that starts with l^-1, read
-from b, traces backwards the cycle of a rotation read from a when the
-relator is reversible, its inverse read as columns being one of its
-rotations; so it is scanned from b only when that cycle is not already
-scanned from a.  A scan that stops one entry short of closing its cycle
+of that column holds in every table and is not compiled.  Every rotation
+of every other relator and of its inverse is compiled once, by the
+columns it reads.  A new entry (a, l) = b is scanned along each rotation
+that starts with l, from a only, beginning after the new edge: a cycle
+through the edge read from b is, read backwards, one of those rotations
+read from a.  A scan that stops one entry short of closing its cycle
 forces that entry.  A forced entry skips the rotation it was read from,
 which the entry closes: entries are only added, so that cycle stays
 closed.  Propagation ends at the closure of the deductions whatever the
 order it finds them in, so every node's verdict is that of scanning
-every cycle from both ends.
+every relator from every coset.
 """
 
 from __future__ import annotations
@@ -63,34 +61,37 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def _compile_rotations(relators, cols):
-    """The relator rotations to scan from each end of a new entry,
-    compiled against the column table cols.
+    """The relator rotations to scan from a new entry, compiled against
+    the column table cols.
 
-    Returns (from_f, from_b): for a new entry (f, l) = b, from_f[l] holds
-    the rotations starting with l, scanned from f, and from_b[l^-1] the
-    rotations starting with l^-1 to scan from b: those whose cycle read
-    backwards is not already one of from_f[l].  For an involution l, whose
-    column cols[l] is cols[l^-1], the lists for l and l^-1 are one list.
+    For a new entry (f, l) = b, the list for l holds the rotations of
+    every relator and of its inverse that start with l, scanned from f.
+    A cycle through the new edge read from b, along l^-1 first, is read
+    backwards one of these read from f, so nothing is scanned from b.
+    For an involution l, whose column cols[l] is cols[l^-1], the lists
+    for l and l^-1 are one list.
 
     A rotation w is read as the letters of its columns, l for l^-1 of an
-    involution l, and rotations that read the same are compiled once.  The
-    compiled w is a list of steps (column, gap), one per letter w[i] of
-    w[1:]: column is the column of w[i], and gap, the stop record of a
-    forward scan stopped before w[i], is (w[i], backward, last, shifted):
-    the columns of the first len(w) - i - 1 letters of w^-1, the column
-    of the letter w[i]^-1 that ends that backward scan, and the compiled
-    rotation of w starting at w[i].
+    involution l, and rotations that read the same are compiled once: a
+    reversible relator, whose inverse read so is one of its rotations,
+    adds none by its inverse.  The compiled w is a list of steps (column,
+    gap), one per letter w[i] of w[1:]: column is the column of w[i], and
+    gap, the stop record of a forward scan stopped before w[i], is
+    (w[i], backward, last, shifted): the columns of the first
+    len(w) - i - 1 letters of w^-1, the column of the letter w[i]^-1 that
+    ends that backward scan, and the compiled rotation of w starting at
+    w[i].
     """
     read = [l & ~1 if cols[l] is cols[l ^ 1] else l for l in range(NLETTERS)]
     from_f = [[] for _ in range(NLETTERS)]
-    from_b = [[] for _ in range(NLETTERS)]
     compiled = {}
     for rel in relators:
         w = tuple(read[l] for l in rel.cyclically_reduced().letters)
         if len(set(w)) == 1 and read[w[0] ^ 1] == w[0] and len(w) % 2 == 0:
             continue        # an even power of a self-inverse column
-        for i in range(len(w)):
-            compiled.setdefault(w[i:] + w[:i], [])
+        for word in (w, tuple(read[k ^ 1] for k in reversed(w))):
+            for i in range(len(word)):
+                compiled.setdefault(word[i:] + word[:i], [])
     for rot, steps in compiled.items():
         inverse = [read[k ^ 1] for k in reversed(rot)]
         for i in range(1, len(rot)):
@@ -99,11 +100,7 @@ def _compile_rotations(relators, cols):
                 rot[i], tuple(cols[k] for k in inverse[:rest - 1]),
                 cols[inverse[rest - 1]], compiled[rot[i:] + rot[:i]])))
         from_f[rot[0]].append(steps)
-        # rot read from b along its first letter is the cycle of
-        # inverse[-1:] + inverse[:-1] read from f, backwards
-        if tuple(inverse[-1:] + inverse[:-1]) not in compiled:
-            from_b[rot[0]].append(steps)
-    return [from_f[k] for k in read], [from_b[k] for k in read]
+    return [from_f[k] for k in read]
 
 
 #: the signed letter permutations, as the images of x, x^-1, y, y^-1:
@@ -198,8 +195,7 @@ class _Search:
                 self.cols.append([None])
                 self.letters.append(l)
         self.columns = [self.cols[l] for l in self.letters]
-        self.from_f, self.from_b = _compile_rotations(pres.relators,
-                                                      self.cols)
+        self.from_f = _compile_rotations(pres.relators, self.cols)
         # the twisted bases of the first-in-class test; an empty list
         # runs the plain search
         self.automorphisms = _letter_automorphisms(pres.relators, self.cols)
@@ -222,8 +218,7 @@ class _Search:
         again from its coset: entries are only added, so that cycle stays
         closed.
         """
-        cols, trail = self.cols, self.trail
-        from_f, from_b = self.from_f, self.from_b
+        cols, trail, from_f = self.cols, self.trail, self.from_f
         pending = [(a, l, b, None)]
         while pending:
             f, l, b, closed = pending.pop()
@@ -240,39 +235,36 @@ class _Search:
             col[f] = b
             inv[b] = f
             trail.append((f, l, b))
-            # scan the relator rotations through the new edge from f, and
-            # those not read backwards among them from b, starting after
-            # the edge itself
-            for c, start, rots, skip in ((f, b, from_f[l], closed),
-                                         (b, f, from_b[l ^ 1], None)):
-                for r in rots:
-                    if r is skip:
-                        continue
-                    x = start
-                    for step, gap in r:
-                        y = step[x]
-                        if y is None:
-                            break
-                        x = y
-                    else:
-                        if x != c:
-                            return False
-                        continue
-                    # scan back from c along the inverse for the rest
-                    letter, backward, last, shifted = gap
-                    y = c
-                    for step in backward:
-                        y = step[y]
-                        if y is None:
-                            break
-                    else:
-                        if last[y] is not None:
-                            # entries are set in inverse pairs, so this
-                            # one, defined while (x, letter) is not,
-                            # leads back to another coset than x
-                            return False
-                        # one undefined entry left: the relator forces it
-                        pending.append((x, letter, y, shifted))
+            # scan the rotations through the new edge from f, starting
+            # after the edge itself
+            for r in from_f[l]:
+                if r is closed:
+                    continue
+                x = b
+                for step, gap in r:
+                    y = step[x]
+                    if y is None:
+                        break
+                    x = y
+                else:
+                    if x != f:
+                        return False
+                    continue
+                # scan back from f along the inverse for the rest
+                letter, backward, last, shifted = gap
+                y = f
+                for step in backward:
+                    y = step[y]
+                    if y is None:
+                        break
+                else:
+                    if last[y] is not None:
+                        # entries are set in inverse pairs, so this one,
+                        # defined while (x, letter) is not, leads back to
+                        # another coset than x
+                        return False
+                    # one undefined entry left: the relator forces it
+                    pending.append((x, letter, y, shifted))
         return True
 
     # -- first-in-class pruning -----------------------------------------
@@ -281,12 +273,13 @@ class _Search:
         """The entries of live whose bases are still undecided, or None if
         one of them gives a lex-smaller table.
 
-        An entry is (beta, pairs, col, row, col2, row2): the base coset
-        beta, the column pairs its renumbering reads, and its watched
-        cells col[row] and col2[row2], the undefined cells its last
-        comparison stopped at (one cell twice if only one was).  It is
-        compared again only once both are defined.  A base to compare in
-        any case, as the new coset is, watches self.defined twice.
+        An entry is (beta, pairs, col, row): the base coset beta, the
+        column pairs its renumbering reads, and its watched cell
+        col[row], an undefined cell its last comparison stopped at.  It
+        is compared again only once that cell is defined: until both
+        cells the comparison read there are defined it stops at the same
+        step, and then watches the other.  A base to compare in any case,
+        as the new coset is, watches self.defined.
 
         A base coset reads each column from itself.  The bases at coset 0
         under the letter automorphisms s of the presentation read column
@@ -297,8 +290,8 @@ class _Search:
         mu, nu, defined = self.mu, self.nu, self.defined
         undecided = []
         for entry in live:
-            beta, pairs, col, row, col2, row2 = entry
-            if col[row] is None or col2[row2] is None:
+            beta, pairs, col, row = entry
+            if col[row] is None:
                 undecided.append(entry)
                 continue
             mu[0] = beta
@@ -306,21 +299,18 @@ class _Search:
             count = 1
             order = 0          # sign of the first difference, new - old
             # equal to the end only on a complete table: nothing to watch
-            entry = (beta, pairs, defined, 0, defined, 0)
+            entry = (beta, pairs, defined, 0)
             alpha = 0
             while alpha < count:
                 m = mu[alpha]
                 for src, col in pairs:
                     gamma = src[m]
                     orig = col[alpha]
-                    if gamma is None or orig is None:
-                        # undecided: watch whichever cells are undefined
-                        if gamma is None:
-                            entry = (beta, pairs, src, m,
-                                     col if orig is None else src,
-                                     alpha if orig is None else m)
-                        else:
-                            entry = (beta, pairs, col, alpha, col, alpha)
+                    if gamma is None:
+                        entry = (beta, pairs, src, m)
+                        break
+                    if orig is None:
+                        entry = (beta, pairs, col, alpha)
                         break
                     g = nu[gamma]
                     if g == -1:
@@ -366,8 +356,7 @@ class _Search:
         plain = tuple((col, col) for col in self.columns)
         stack = []
         branch(0, 1, [(0, tuple((cols[s[l]], cols[l]) for l in self.letters),
-                       defined, 0, defined, 0)
-                      for s in self.automorphisms], stack)
+                       defined, 0) for s in self.automorphisms], stack)
         while stack:
             a, l, spot, n, live, candidates, mark = stack[-1]
             for b in candidates:
@@ -382,8 +371,7 @@ class _Search:
                         "node budget %d exceeded" % budget)
                 size, bases = n, live
                 if b == n:
-                    size, bases = n + 1, live + [
-                        (n, plain, defined, 0, defined, 0)]
+                    size, bases = n + 1, live + [(n, plain, defined, 0)]
                     if n == len(cols[0]):
                         for col in self.columns:
                             col.append(None)

@@ -61,10 +61,7 @@ class Permutation:
         return Permutation(tuple(q[i] for i in self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_Tuples.inverse_table(self.images))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

@@ -1,10 +1,12 @@
 """Todd-Coxeter coset enumeration and coset-table derived data.
 
 The enumerator is the HLT strategy (relator scanning with filling) with
-a standard union-find coincidence queue.  A finished enumeration is
-numbered by one BFS over its live cosets from coset 0 in the canonical
-letter order x, x^-1, y, y^-1, so equal subgroups always yield
-byte-identical tables.
+a standard union-find coincidence queue.  It holds its table by column,
+one list per letter with None while a cell is undefined, as the
+low-index search does, and grows each column as cosets are defined.  A
+finished enumeration is numbered by one BFS over its live cosets from
+coset 0 in the canonical letter order x, x^-1, y, y^-1, so equal
+subgroups always yield byte-identical tables.
 
 Cosets are 0-based internally and in the Python API; JSON output is
 1-based to match the human-facing reports.
@@ -14,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, Presentation, SubgroupSpec, inv_letter
+from .words import Word, Presentation, SubgroupSpec
 
 NLETTERS = 4
 LETTER_ORDER = (0, 1, 2, 3)  # x, x^-1, y, y^-1
 
 
 # the default coset cap, also analyze's --max-cosets; only a cap, since
-# the enumerator allocates rows as it defines cosets
+# the enumerator grows its columns as it defines cosets
 MAX_COSETS = 4 * 10 ** 6
 
 
@@ -65,7 +67,7 @@ class CosetTable:
             assert len(row) == NLETTERS
             for l, d in enumerate(row):
                 assert 0 <= d < n, "entry out of range"
-                assert self.action[d][inv_letter(l)] == c, "inverse mismatch"
+                assert self.action[d][l ^ 1] == c, "inverse mismatch"
         for r in self.presentation.relators:
             for c in range(n):
                 assert self.word_action(r, c) == c, "relator not closed"
@@ -78,11 +80,13 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.relators = [r.cyclically_reduced().letters for r in relators]
         constrained = {l for r in self.relators for l in r}
-        constrained |= {inv_letter(l) for l in constrained}
+        constrained |= {l ^ 1 for l in constrained}
         # letters no relator scan can ever define need eager filling
         self.free_letters = [l for l in range(NLETTERS)
                              if l not in constrained]
-        self.table = []
+        # the table by column: cols[l][c] is coset c times letter l, None
+        # while undefined
+        self.cols = [[] for _ in range(NLETTERS)]
         self.p = []                       # union-find over cosets
         self.nalive = 0
         self.queue = []
@@ -103,10 +107,11 @@ class _Enumerator:
             raise CosetLimitExceeded(
                 "coset cap %d reached; index may be infinite or the cap too small"
                 % self.max_cosets)
-        self.table.append([None] * NLETTERS)
+        for col in self.cols:
+            col.append(None)
         self.p.append(len(self.p))
         self.nalive += 1
-        return len(self.table) - 1
+        return len(self.p) - 1
 
     def merge(self, a, b):
         a, b = self.rep(a), self.rep(b)
@@ -119,60 +124,67 @@ class _Enumerator:
 
     def coincidence(self, a, b):
         self.merge(a, b)
-        table = self.table
+        cols = self.cols
         while self.queue:
             g = self.queue.pop()
-            row = table[g]
             for l in range(NLETTERS):
-                d = row[l]
+                col, inv = cols[l], cols[l ^ 1]
+                d = col[g]
                 if d is None:
                     continue
-                table[d][inv_letter(l)] = None
+                inv[d] = None
                 mu, nu = self.rep(g), self.rep(d)
-                ent = table[mu][l]
+                ent = col[mu]
                 if ent is not None:
                     self.merge(nu, ent)
                 else:
-                    ent2 = table[nu][inv_letter(l)]
+                    ent2 = inv[nu]
                     if ent2 is not None:
                         self.merge(mu, ent2)
                     else:
-                        table[mu][l] = nu
-                        table[nu][inv_letter(l)] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
 
     def scan_and_fill(self, a, word):
-        table = self.table
+        cols = self.cols
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j:
+                d = cols[word[i]][f]
+                if d is None:
+                    break
+                f = d
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][inv_letter(word[j])] is not None:
-                b = table[b][inv_letter(word[j])]
+            while j >= i:
+                d = cols[word[j] ^ 1][b]
+                if d is None:
+                    break
+                b = d
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][inv_letter(word[i])] = f
+                cols[word[i]][f] = b
+                cols[word[i] ^ 1][b] = f
                 return
             d = self.new_coset()
-            table[f][word[i]] = d
-            table[d][inv_letter(word[i])] = f
+            cols[word[i]][f] = d
+            cols[word[i] ^ 1][d] = f
             f = d
             i += 1
 
     def run(self, subgroup_words):
         for w in subgroup_words:
             self.scan_and_fill(0, w.letters)
+        cols = self.cols
         a = 0
-        while a < len(self.table):
+        while a < len(self.p):
             if self.rep(a) == a:
                 for r in self.relators:
                     self.scan_and_fill(a, r)
@@ -180,10 +192,10 @@ class _Enumerator:
                         break
                 else:
                     for l in self.free_letters:
-                        if self.rep(a) == a and self.table[a][l] is None:
+                        if self.rep(a) == a and cols[l][a] is None:
                             d = self.new_coset()
-                            self.table[a][l] = d
-                            self.table[d][inv_letter(l)] = a
+                            cols[l][a] = d
+                            cols[l ^ 1][d] = a
             a += 1
 
 
@@ -193,13 +205,14 @@ def todd_coxeter(spec: SubgroupSpec,
     enum = _Enumerator(spec.parent.relators, max_cosets)
     enum.run(spec.generators)
     # number the live cosets in BFS order from coset 0
-    table, rep = enum.table, enum.rep
+    cols, rep = enum.cols, enum.rep
     order = [0]
     new_of = {0: 0}
     action = []
     for c in order:
-        assert None not in table[c], "HLT left an undefined entry"
-        row = [rep(d) for d in table[c]]      # columns in LETTER_ORDER
+        row = [col[c] for col in cols]        # columns in LETTER_ORDER
+        assert None not in row, "HLT left an undefined entry"
+        row = [rep(d) for d in row]
         for d in row:
             if d not in new_of:
                 new_of[d] = len(order)

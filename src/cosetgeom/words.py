@@ -36,10 +36,6 @@ MAX_WORD_LETTERS = 10 ** 6
 MAX_NESTING = 100
 
 
-def inv_letter(letter: int) -> int:
-    return letter ^ 1
-
-
 def _reduce(letters) -> tuple:
     out = []
     for l in letters:

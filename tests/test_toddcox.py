@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from conftest import presentations, sympy_fp_group
 from cosetgeom.lowindex import SearchBudgetExceeded, _Search, \
     low_index_subgroups
-from cosetgeom.toddcox import (LETTER_ORDER, CosetLimitExceeded, CosetTable,
-                               schreier_generators, todd_coxeter, transversal)
+from cosetgeom.toddcox import (LETTER_ORDER, MAX_COSETS, CosetLimitExceeded,
+                               CosetTable, _Enumerator, schreier_generators,
+                               todd_coxeter, transversal)
 from cosetgeom.words import (Presentation, SubgroupSpec, Word, _reduce,
                              parse_presentation, parse_word)
 
@@ -44,6 +45,19 @@ def test_coset_0_counts_against_the_cap():
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(whole, max_cosets=0)
     assert todd_coxeter(whole, max_cosets=1).n == 1
+
+
+@pytest.mark.parametrize("pres_text, words, defined, alive", [
+    ("< x, y | x^2, y^3, (x*y)^7, [x,y]^4 >", (), 542, 168),
+    ("< x, y | x^2, y^3, (x*y)^7, [x,y]^4 >", ("y",), 200, 56),
+    ("< x, y | x^2, y^3, (x*y)^5 >", (), 82, 60)])
+def test_hlt_work_is_pinned(pres_text, words, defined, alive):
+    # the cosets HLT defines before its coincidences leave the index:
+    # another definition order, with the same final table, moves them
+    s = spec(pres_text, *words)
+    enum = _Enumerator(s.parent.relators, MAX_COSETS)
+    enum.run(s.generators)
+    assert (len(enum.p), enum.nalive) == (defined, alive)
 
 
 def test_table_is_bfs_numbered():
