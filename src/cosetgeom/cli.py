@@ -444,6 +444,18 @@ def main(argv=None):
         if json_path and getattr(args, "export", None) == "dot":
             raise UsageError("--export dot prints to stdout; it takes no "
                              "--json")
+        # analyze replays a certificate or searches, never both, so a flag
+        # of the other path would be read by nothing
+        if args.func is cmd_analyze:
+            if args.certificate and args.node_budget is not None:
+                raise UsageError("--certificate replays without a search; "
+                                 "it takes no --node-budget")
+            if args.certificate and args.which != 1:
+                raise UsageError("--certificate names one subgroup; it "
+                                 "takes no --which")
+            if not args.certificate and args.max_cosets != MAX_COSETS:
+                raise UsageError("--max-cosets caps a certificate replay; "
+                                 "it needs --certificate")
         # output paths that cannot be written fail before the work
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"

@@ -28,9 +28,11 @@ coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
 undecided base cosets down to the children, each with one undefined cell
-its comparison stopped at.  A descendant compares that base again only
-once that cell is defined: until both cells the comparison read there
-are defined, it stops at the same place.
+its comparison stopped at and the state of its renumbering there.  A
+descendant resumes that comparison only once that cell is defined: until
+both cells the comparison read there are defined, it stops at the same
+place, and the prefix it compared equal stays equal, so it goes on from
+where it stopped rather than from coset 0.
 The columns grow as cosets are created, never up front by max_index.
 
 The partial table is held by column, one list per letter.  An
@@ -200,11 +202,18 @@ class _Search:
         # runs the plain search
         self.automorphisms = _letter_automorphisms(pres.relators, self.cols)
         self.trail = []
-        # scratch renumbering of the first-in-class test: new -> old and
-        # old -> new, -1 where unset; one entry per allocated row
-        self.mu = [0]
-        self.nu = [-1]
-        # a cell that is always defined, watched by a base to scan
+        # the renumbering of each base of the first-in-class test, a pair
+        # (mu, nu) of lists new -> old and old -> new with one int per
+        # allocated coset: one pair per twisted base, made by run, then
+        # one per base coset c >= 1.  nu[g] counts only if nu[g] < count
+        # and mu[nu[g]] == g, for the count of cosets the comparison has
+        # renumbered, so what a sibling subtree wrote needs no reset; an
+        # unset slot holds 0, which counts only for the base, mu[0].
+        # Two lists of k ints per base for k allocated cosets: on
+        # < x, y | x^2, y^3 > with a 2000-node budget, about 12 MB at 858
+        # cosets, beside about 1.19 GB of emitted tables (tracemalloc).
+        self.renumberings = []
+        # a cell that is always defined, watched by a base to compare
         self.defined = [0]
         self.results = []
 
@@ -273,13 +282,17 @@ class _Search:
         """The entries of live whose bases are still undecided, or None if
         one of them gives a lex-smaller table.
 
-        An entry is (beta, pairs, col, row): the base coset beta, the
-        column pairs its renumbering reads, and its watched cell
-        col[row], an undefined cell its last comparison stopped at.  It
-        is compared again only once that cell is defined: until both
-        cells the comparison read there are defined it stops at the same
-        step, and then watches the other.  A base to compare in any case,
-        as the new coset is, watches self.defined.
+        An entry is (watched, row, pairs, mu, nu, alpha, pos, count): its
+        watched cell watched[row], an undefined cell its last comparison
+        stopped at; the column pairs its renumbering reads; its
+        renumbering pair, mu new -> old and nu old -> new, with mu[0] its
+        base; and where that comparison stopped, at row alpha and pair
+        pos with count cosets renumbered.  It is compared again only once
+        the watched cell is defined: until both cells the comparison read
+        there are defined it stops at the same step, and then watches the
+        other.  The comparison goes on from where it stopped: the rows
+        and cells before it are defined and equal, and stay so.  A base to
+        compare in any case, as the new coset is, watches self.defined.
 
         A base coset reads each column from itself.  The bases at coset 0
         under the letter automorphisms s of the presentation read column
@@ -287,49 +300,47 @@ class _Search:
         the automorphic twin of the subgroup, and a table larger than it
         is not the least of its class and its twins' classes.
         """
-        mu, nu, defined = self.mu, self.nu, self.defined
+        defined, width = self.defined, len(self.columns)
         undecided = []
         for entry in live:
-            beta, pairs, col, row = entry
-            if col[row] is None:
+            watched, row, pairs, mu, nu, alpha, pos, count = entry
+            if watched[row] is None:
                 undecided.append(entry)
                 continue
-            mu[0] = beta
-            nu[beta] = 0
-            count = 1
             order = 0          # sign of the first difference, new - old
             # equal to the end only on a complete table: nothing to watch
-            entry = (beta, pairs, defined, 0)
-            alpha = 0
+            watched, row = defined, 0
             while alpha < count:
                 m = mu[alpha]
-                for src, col in pairs:
+                while pos < width:
+                    src, col = pairs[pos]
                     gamma = src[m]
-                    orig = col[alpha]
                     if gamma is None:
-                        entry = (beta, pairs, src, m)
+                        watched, row = src, m
                         break
+                    orig = col[alpha]
                     if orig is None:
-                        entry = (beta, pairs, col, alpha)
+                        watched, row = col, alpha
                         break
                     g = nu[gamma]
-                    if g == -1:
+                    if g >= count or mu[g] != gamma:
                         nu[gamma] = g = count
                         mu[count] = gamma
                         count += 1
                     if g != orig:
                         order = 1 if g > orig else -1
                         break
+                    pos += 1
                 else:
                     alpha += 1
+                    pos = 0
                     continue
                 break
-            for k in range(count):
-                nu[mu[k]] = -1
             if order < 0:
                 return None
             if order == 0:
-                undecided.append(entry)
+                undecided.append((watched, row, pairs, mu, nu, alpha, pos,
+                                  count))
         return undecided
 
     # -- main backtracking ----------------------------------------------
@@ -344,6 +355,13 @@ class _Search:
         trail length to undo to before each try.  The top branch point's
         values are tried in place: a child is entered by pushing it and
         leaving the loop, which resumes when the child is used up.
+
+        A live entry is (watched, row, pairs, mu, nu, alpha, pos, count),
+        as _first_in_class reads it.  A new base starts at row 0, pair 0,
+        with its base renumbered 0, and watches self.defined.  A child
+        replaces an entry by a new tuple and leaves its parent's as it
+        was, so a sibling resumes from the parent's state; what the child
+        wrote into mu and nu at or beyond that count does not count.
         """
         cols, trail, defined = self.cols, self.trail, self.defined
         propagate, first_in_class = self._propagate, self._first_in_class
@@ -354,9 +372,18 @@ class _Search:
         # of each pair, and compares it with the second, column l itself:
         # a base coset reads column l, a twisted base column s(l)
         plain = tuple((col, col) for col in self.columns)
+        renumberings = self.renumberings
+        live = []
+        for s in self.automorphisms:
+            mu, nu = [0], [0]
+            renumberings.append((mu, nu))
+            live.append((defined, 0, tuple((cols[s[l]], cols[l])
+                                           for l in self.letters),
+                         mu, nu, 0, 0, 1))
+        # the pair of base coset c >= 1 is renumberings[first + c]
+        first = len(renumberings) - 1
         stack = []
-        branch(0, 1, [(0, tuple((cols[s[l]], cols[l]) for l in self.letters),
-                       defined, 0) for s in self.automorphisms], stack)
+        branch(0, 1, live, stack)
         while stack:
             a, l, spot, n, live, candidates, mark = stack[-1]
             for b in candidates:
@@ -371,12 +398,16 @@ class _Search:
                         "node budget %d exceeded" % budget)
                 size, bases = n, live
                 if b == n:
-                    size, bases = n + 1, live + [(n, plain, defined, 0)]
                     if n == len(cols[0]):
                         for col in self.columns:
                             col.append(None)
-                        self.mu.append(0)
-                        self.nu.append(-1)
+                        for mu, nu in renumberings:
+                            mu.append(0)
+                            nu.append(0)
+                        renumberings.append(([n] + [0] * n, [0] * (n + 1)))
+                    mu, nu = renumberings[first + n]
+                    size, bases = n + 1, live + [(defined, 0, plain, mu, nu,
+                                                  0, 0, 1)]
                 if propagate(a, l, b):
                     bases = first_in_class(bases)
                     if bases is not None and branch(spot + 1, size, bases,
@@ -403,7 +434,8 @@ class _Search:
             return False
         a, l = divmod(spot, NLETTERS)
         inv = cols[l ^ 1]
-        candidates = [b for b in range(n) if inv[b] is None]
+        # every row above a is complete, so (b, l^-1) is defined for b < a
+        candidates = [b for b in range(a, n) if inv[b] is None]
         if n < self.max_index:
             candidates.append(n)
         stack.append((a, l, spot, n, live, iter(candidates),

@@ -182,17 +182,19 @@ class _Enumerator:
     def run(self, subgroup_words):
         for w in subgroup_words:
             self.scan_and_fill(0, w.letters)
-        cols = self.cols
+        cols, p = self.cols, self.p
         a = 0
-        while a < len(self.p):
-            if self.rep(a) == a:
+        # a coset is live while it is its own root, p[a] == a, which is
+        # rep(a) == a without the walk
+        while a < len(p):
+            if p[a] == a:
                 for r in self.relators:
                     self.scan_and_fill(a, r)
-                    if self.rep(a) != a:
+                    if p[a] != a:
                         break
                 else:
                     for l in self.free_letters:
-                        if self.rep(a) == a and cols[l][a] is None:
+                        if p[a] == a and cols[l][a] is None:
                             d = self.new_coset()
                             cols[l][a] = d
                             cols[l ^ 1][d] = a
@@ -204,15 +206,18 @@ def todd_coxeter(spec: SubgroupSpec,
     """Enumerate the cosets of the subgroup; raises CosetLimitExceeded."""
     enum = _Enumerator(spec.parent.relators, max_cosets)
     enum.run(spec.generators)
-    # number the live cosets in BFS order from coset 0
+    # number the live cosets in BFS order from coset 0; with no
+    # coincidence every coset is live and its own root
     cols, rep = enum.cols, enum.rep
+    merged = enum.nalive != len(enum.p)
     order = [0]
     new_of = {0: 0}
     action = []
     for c in order:
         row = [col[c] for col in cols]        # columns in LETTER_ORDER
         assert None not in row, "HLT left an undefined entry"
-        row = [rep(d) for d in row]
+        if merged:
+            row = [rep(d) for d in row]
         for d in row:
             if d not in new_of:
                 new_of[d] = len(order)

@@ -228,6 +228,21 @@ def test_dot_export_refuses_a_json_path(capsys, no_work, tmp_path):
     assert not path.exists()
 
 
+K1_CERT = str(resources.files("cosetgeom").joinpath(
+    "data", "certificates", "k1", "21-1.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--index", "21", "--certificate", K1_CERT, "--node-budget", "0"),
+    ("--index", "21", "--certificate", K1_CERT, "--which", "5"),
+    ("--index", "7", "--max-cosets", "0"),
+], ids=["certificate-node-budget", "certificate-which", "max-cosets-search"])
+def test_analyze_refuses_a_flag_its_path_never_reads(capsys, no_work, argv):
+    # a certificate is replayed, never searched for, and a search runs no
+    # enumeration: the flag would be read by nothing
+    assert usage_error(capsys, "analyze", "k1", *argv) == EXIT_USAGE
+
+
 def test_analyze_class_zero_is_usage_error(capsys):
     assert usage_error(capsys, "analyze", "k5", "--index", "45",
                        "--certificate", K5_CERT, "--class", "0") == EXIT_USAGE

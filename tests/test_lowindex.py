@@ -373,6 +373,95 @@ def test_twin_classes_are_emitted_on_symmetric_presentations(pres,
     assert tables_sha256(plain_tables) == tables_sha256(tables)
 
 
+def compare_from_scratch(pairs, beta):
+    """How the partial table renumbered by a BFS from beta compares with
+    itself, reading column l of the renumbering from the first column of
+    pairs[l] and comparing it with the second, cell by cell in row-major
+    order: "smaller", "larger", "undefined" at the first undefined cell
+    read, or "equal" to the end."""
+    new, order = {beta: 0}, [beta]
+    for alpha, old in enumerate(order):
+        for src, col in pairs:
+            gamma, orig = src[old], col[alpha]
+            if gamma is None or orig is None:
+                return "undefined"
+            if gamma not in new:
+                new[gamma] = len(order)
+                order.append(gamma)
+            if new[gamma] != orig:
+                return "smaller" if new[gamma] < orig else "larger"
+    return "equal"
+
+
+class CheckedSearch(_Search):
+    """The search with every first-in-class verdict checked against a
+    comparison of each live base from scratch, and every branch point
+    against the rows above it."""
+
+    def _first_in_class(self, live):
+        verdicts = [compare_from_scratch(pairs, mu[0])
+                    for _, _, pairs, mu, *_ in live]
+        kept = super()._first_in_class(live)
+        assert (kept is None) == ("smaller" in verdicts)
+        if kept is not None:
+            bases = {id(entry[3]) for entry in kept}
+            assert len(bases) == len(kept)
+            undefined = {id(entry[3]) for entry, v in zip(live, verdicts)
+                         if v == "undefined"}
+            equal = {id(entry[3]) for entry, v in zip(live, verdicts)
+                     if v == "equal"}
+            assert undefined <= bases <= undefined | equal
+            if equal:
+                assert None not in {col[c] for col in self.columns
+                                    for c in range(self.cosets())}
+        return kept
+
+    def _branch(self, start, n, live, stack):
+        pushed = super()._branch(start, n, live, stack)
+        if pushed:
+            a = stack[-1][0]
+            assert None not in {col[c] for col in self.columns
+                                for c in range(a)}
+        return pushed
+
+    def cosets(self):
+        """The cosets of the partial table: every coset c >= 1 has a
+        defined cell, the one that made it, and rows left over from other
+        subtrees have none."""
+        n = 1
+        while n < len(self.columns[0]) and any(col[n] is not None
+                                               for col in self.columns):
+            n += 1
+        return n
+
+
+def checked_search(pres, max_index, node_budget=None):
+    """The tables of CheckedSearch, as low_index_subgroups sorts them,
+    or None once node_budget is exceeded."""
+    search = CheckedSearch(pres, max_index, node_budget)
+    try:
+        return sorted(search.run(), key=lambda t: (t.n, t.action))
+    except SearchBudgetExceeded:
+        return None
+
+
+@pytest.mark.parametrize("cid, max_index", [
+    ("k4", 12), ("k5", 10), ("k1", 12), ("k19", 9)])
+def test_resumed_comparisons_match_comparisons_from_scratch(cid, max_index):
+    pres = census_entry(cid).presentation
+    assert tables_sha256(checked_search(pres, max_index)) == \
+        tables_sha256(low_index_subgroups(pres, max_index))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(presentations(), symmetric_presentations()),
+       st.integers(1, 7))
+def test_resumed_comparisons_on_random_presentations(pres, max_index):
+    # a budget bounds the free-like presentations; every comparison made
+    # before it runs out is checked
+    checked_search(pres, max_index, node_budget=2000)
+
+
 def test_no_preallocation_by_max_index(k1_pres):
     tracemalloc.start()
     try:
