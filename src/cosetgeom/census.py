@@ -183,7 +183,8 @@ _ENTRIES = (
             ("h1", ("x", "y^-1*(x*y)^2*x*y^-1*(x*y)^3*(x*y^-1)^2")),
         ),
         known_results=(
-            KnownResult(index=1755, count=1, order=17971200),
+            KnownResult(index=1755, count=1, order=17971200,
+                        geometry="GO(2,4)"),
         ),
     ),
     _entry(

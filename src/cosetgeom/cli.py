@@ -132,7 +132,8 @@ def _load_certificate(path, entry):
             raise ValueError("written for %r, not %r"
                              % (data["id"], entry.id))
         words = tuple(parse_word(w) for w in words)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        # json.load recurses once per nesting level of the document
         raise UsageError("bad certificate %s: %s" % (path, exc)) from None
     return SubgroupSpec(entry.presentation, words)
 
@@ -302,7 +303,8 @@ def _compare(entry, r):
     entry's distinguished subgroups, else the low-index search.  The
     count is of the tables of index r.index whose group has order
     r.order and whose pair classes include the geometry r.geometry (each
-    filter only when set, and named in the count's key); the published
+    filter only when set, and named in the count's key; classes are
+    built in order until one is that geometry); the published
     pairs and dessin values are checked on those counted tables.
     """
     if _bundled_path(entry.id, r.index).is_file():
@@ -318,9 +320,9 @@ def _compare(entry, r):
         group = _group(t)
         if (t.n == r.index
                 and (r.order is None or group.order() == r.order)
-                and (r.geometry is None or r.geometry in {
+                and (r.geometry is None or any(
                     recognize(geometry_from_class(group, c.pairs))
-                    for c in pair_classes(group)})):
+                    == r.geometry for c in pair_classes(group)))):
             hits.append(t)
     filters = ["%s=%s" % (k, getattr(r, k)) for k in ("order", "geometry")
                if getattr(r, k) is not None]

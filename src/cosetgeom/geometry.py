@@ -27,8 +27,9 @@ is computed once, when the geometry is built.  Incidence statistics
 breadth-first search on int bitsets from one representative of each
 orbit of the symmetry on points and on lines: eccentricity and the
 shortest cycle through a vertex are invariant under automorphisms.  They
-feed the generalized-polygon test and a parameter table naming the
-geometries that occur in the census.
+feed the generalized-polygon test, which names the quadrangles, hexagons
+and octagons with 3 or more points on a line, and a parameter table
+naming the other geometries that occur in the census.
 """
 
 from __future__ import annotations
@@ -412,48 +413,41 @@ def incidence_graph_stats(geom: IncidenceGeometry) -> GraphStats:
     )
 
 
-FEIT_HIGMAN = frozenset({2, 3, 4, 6, 8})
-
-
 def polygon_check(geom: IncidenceGeometry) -> PolygonCheck:
+    """A generalized n-gon of order (s, t) (Van Maldeghem, 1998): connected,
+    s + 1 points on each line, t + 1 lines through each point, and girth
+    2n for incidence diameter n."""
     stats = geom.stats
     regular = (len(stats.points_per_line) == 1
                and len(stats.lines_per_point) == 1)
     if not regular or not stats.connected:
         return PolygonCheck(is_gp=False, n=None, s=None, t=None)
-    s = stats.points_per_line[0][0] - 1
-    t = stats.lines_per_point[0][0] - 1
-    n = stats.diameter
-    is_gp = stats.girth is not None and stats.girth == 2 * n
-    if is_gp and s > 1 and t > 1 and n not in FEIT_HIGMAN:
-        is_gp = False
-    if is_gp:
-        # double count flags a malformed regular structure
-        npts = geom.n
-        nlines = len(geom.lines)
-        if npts * (t + 1) != nlines * (s + 1):
-            is_gp = False
-    return PolygonCheck(is_gp=is_gp, n=n if is_gp else stats.diameter,
-                        s=s, t=t)
+    return PolygonCheck(is_gp=stats.girth == 2 * stats.diameter,
+                        n=stats.diameter,
+                        s=stats.points_per_line[0][0] - 1,
+                        t=stats.lines_per_point[0][0] - 1)
 
+
+POLYGON_NAMES = {4: "GQ", 6: "GH", 8: "GO"}
 
 # (points, lines, pts/line multiset, lines/pt multiset, diameter, girth)
 RECOGNITION_TABLE = (
     ("K6", 6, 15, ((2, 15),), ((5, 6),), 4, 6),
     ("Fano plane", 7, 7, ((3, 7),), ((3, 7),), 3, 6),
     ("Hesse configuration", 9, 12, ((3, 12),), ((4, 9),), 4, 6),
-    ("GQ(2,1)", 9, 6, ((3, 6),), ((2, 9),), 4, 8),
     ("Mermin pentagram", 10, 5, ((4, 5),), ((2, 10),), 4, 6),
     ("Desargues configuration", 10, 10, ((3, 10),), ((3, 10),), 5, 6),
     ("Petersen graph", 10, 15, ((2, 15),), ((3, 10),), 6, 10),
     ("Petersen line graph", 15, 10, ((3, 10),), ((2, 15),), 6, 10),
-    ("GH(2,1)", 21, 14, ((3, 14),), ((2, 21),), 6, 12),
-    ("GO(2,1)", 45, 30, ((3, 30),), ((2, 45),), 8, 16),
 )
 
 
 def recognize(geom: IncidenceGeometry):
-    """Name from the parameter table, or None."""
+    """GQ(s,t), GH(s,t) or GO(s,t) for a generalized 4-, 6- or 8-gon with
+    s >= 2, else the parameter table's name, or None."""
+    check = polygon_check(geom)
+    if check.is_gp and check.n in POLYGON_NAMES and check.s >= 2:
+        return "%s(%d,%d)" % (POLYGON_NAMES[check.n], check.s, check.t)
     stats = geom.stats
     key = (geom.n, len(geom.lines), stats.points_per_line,
            stats.lines_per_point, stats.diameter, stats.girth)

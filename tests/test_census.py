@@ -65,8 +65,9 @@ UNCHECKED_GEOMETRIES = {
     ("k2", "J2"): "not a quotient: of the pairs (x of order 3, y one "
                   "involution per class) in J2 on 100 points, 19 480 "
                   "satisfy k2's third relator and none generates J2",
-    ("k5", "GO(2,4)"): "the index-1755 geometry of g1/h1; checked once "
-                       "its pair classes come from suborbits (ROADMAP)",
+    ("k5", "GO(2,4)"): "the index-1755 geometry of g1/h1, which g1's "
+                       "KnownResult checks; k5 has no subgroup of index "
+                       "1755 on record",
 }
 
 

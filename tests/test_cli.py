@@ -293,6 +293,18 @@ def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
                        "--certificate", str(path)) == EXIT_USAGE
 
 
+def test_deeply_nested_certificate_is_usage_error(capsys, tmp_path, no_work):
+    # json.load recurses once per nesting level and gives up with a
+    # RecursionError long before 100 000 levels
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["analyze", "k1", "--index", "2",
+                 "--certificate", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: bad certificate %s: " % path), err
+
+
 def test_one_passport_per_report(monkeypatch, k1_to_10):
     # the face permutation is the costly part of a passport; signature
     # and modular data are read off the one passport

@@ -135,9 +135,27 @@ def test_polygon_check_ordinary_pentagon():
 
 
 def test_recognize_no_match():
+    # the 4-cycle is the thin quadrangle GQ(1,1); a polygon with 2-point
+    # lines is a graph and is not named
     geom = IncidenceGeometry(4, tuple(
         tuple(sorted((i, (i + 1) % 4))) for i in range(4)))
+    check = polygon_check(geom)
+    assert check.is_gp and (check.n, check.s, check.t) == (4, 1, 1)
     assert recognize(geom) is None
+
+
+def test_doily_is_named_by_the_polygon_test():
+    # points: the 2-subsets of {0..5}; lines: its perfect matchings.  This
+    # is GQ(2,2), which no row of the recognition table describes
+    points = list(combinations(range(6), 2))
+    lines = tuple(sorted(
+        tuple(points.index(pair) for pair in matching)
+        for matching in combinations(points, 3)
+        if len(set().union(*matching)) == 6))
+    geom = IncidenceGeometry(15, lines)
+    check = polygon_check(geom)
+    assert check.is_gp and (check.n, check.s, check.t) == (4, 2, 2)
+    assert recognize(geom) == "GQ(2,2)"
 
 
 def test_geometry_conjugation_invariance(k19_to_9):
@@ -273,6 +291,7 @@ def test_g1_h1_class_geometries():
     assert {len(line) for line in first.lines} == {3}
     check = polygon_check(first)
     assert (check.n, check.s, check.t) == (8, 2, 4)
+    assert recognize(first) == "GO(2,4)"
     assert len(second.lines) == 56160
     assert {len(line) for line in second.lines} == {5}
     assert len(third.lines) == 249600
