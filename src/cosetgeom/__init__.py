@@ -6,7 +6,8 @@ groups, bipartite maps (dessins), stabilized point-line geometries and
 per-line coset-commutation (contextuality) reports.
 """
 
-from .census import CensusEntry, KnownResult, UnknownId, census_entry, list_census
+from .census import (CensusEntry, Claim, KnownResult, UnknownId, census_entry,
+                     list_census)
 from .contextuality import (ContextualityReport, CosetLabeling,
                             contextuality_report, labeling_from_table,
                             line_commutes)

@@ -300,21 +300,22 @@ def _compare(entry, r):
     """(source, expected, computed) for one KnownResult.
 
     The tables at r.index come from a bundled certificate, else the
-    entry's distinguished subgroups, else the low-index search.  The
-    count is of the tables of index r.index whose group has order
+    entry's distinguished subgroup r.subgroup, else the low-index
+    search; a replay enumerates that one subgroup.  The count is of the
+    tables of index r.index whose group has order
     r.order and whose pair classes include the geometry r.geometry (each
     filter only when set, and named in the count's key; classes are
     built in order until one is that geometry); the published
     pairs and dessin values are checked on those counted tables.
     """
     if _bundled_path(entry.id, r.index).is_file():
-        specs = (bundled_certificate(entry.id, r.index),)
-        source = "certificate"
+        spec, source = bundled_certificate(entry.id, r.index), "certificate"
+    elif r.subgroup:
+        spec, source = entry.subgroup(r.subgroup), "subgroup"
     else:
-        specs = tuple(spec for _, spec in entry.subgroups)
-        source = "subgroup" if specs else "search"
-    tables = ([todd_coxeter(s) for s in specs] if specs
-              else _tables_at(entry, r.index))
+        spec, source = None, "search"
+    tables = (_tables_at(entry, r.index) if spec is None
+              else [todd_coxeter(spec)])
     hits = []
     for t in tables:
         group = _group(t)
@@ -328,7 +329,7 @@ def _compare(entry, r):
                if getattr(r, k) is not None]
     key = "count(%s)" % ", ".join(filters) if filters else "count"
     expected, computed = {key: r.count}, {key: len(hits)}
-    if not specs:
+    if spec is None:
         expected["raw_count"] = r.count if r.raw_count is None else r.raw_count
         computed["raw_count"] = len(tables)
     if r.pairs:
@@ -364,16 +365,20 @@ def _check(entry, r):
 
 
 def run_reproduce(suite, json_path=None):
-    """Check every census KnownResult; the fast suite skips the entries
-    with distinguished subgroups (the index-1755 and index-100 runs)."""
-    checks = []
-    for entry in list_census():
-        if suite == "fast" and entry.subgroups:
-            continue
-        checks.extend(_check(entry, r) for r in entry.known_results)
+    """Check every census KnownResult, then list every Claim; the fast
+    suite skips the records that replay a distinguished subgroup (the
+    index-1755, 3510 and 100 runs)."""
+    checks = [_check(entry, r) for entry in list_census()
+              for r in entry.known_results
+              if suite == "full" or not r.subgroup]
+    claims = [{"id": entry.id, **vars(c)} for entry in list_census()
+              for c in entry.claims]
+    for c in claims:
+        print('%-9s %-4s published "%s": %s'
+              % (c["status"], c["id"], c["statement"], c["reason"]))
     failed = sum(1 for c in checks if not c["pass"])
     if json_path:
-        _emit({"checks": checks,
+        _emit({"checks": checks, "claims": claims,
                "summary": {"total": len(checks), "failed": failed}},
               json_path)
     print("reproduce %s: %d/%d checks passed"

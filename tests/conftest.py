@@ -1,4 +1,5 @@
 import os
+from functools import reduce
 
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +15,16 @@ requires_full = pytest.mark.skipif(
     not FULL_SUITE, reason="full suite only (set COSETGEOM_FULL=1)")
 
 
+def published(id, statement, **kwargs):
+    """The strict xfail of a published claim about census entry id that
+    the code does not reproduce; its reason is the claim's census
+    record, which must have status "differs"."""
+    for c in census_entry(id).claims:
+        if c.statement == statement and c.status == "differs":
+            return pytest.mark.xfail(strict=True, reason=c.reason, **kwargs)
+    raise LookupError("%s has no differs claim %r" % (id, statement))
+
+
 def group_of(table):
     px, py = table.perm_rep()
     return PermGroup([px, py], degree=table.n)
@@ -21,6 +32,39 @@ def group_of(table):
 
 def order_of(table):
     return group_of(table).order()
+
+
+def quotient_pairs(relators, xs, ys, order):
+    """(satisfying, generating): how many pairs (x, y), x in xs and y in
+    ys, make every relator the identity, and how many of those generate
+    a group of the given order.
+
+    A quotient scan (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 9): xs and ys are the candidate images of x
+    and y, such as the elements of the orders the relators allow, or one
+    element per conjugacy class for y; only a pair that satisfies the
+    relators is tested for generation.  Relators are read on images as
+    bytes, one bytes.translate per letter, so the degree is at most 256.
+    """
+    n = xs[0].degree
+    pad = bytes(range(n, 256))
+    one = bytes(range(n))
+
+    def letters(p):
+        # p and its inverse as translate tables: "then p" on an image
+        return bytes(p.images) + pad, bytes(p.inverse().images) + pad
+
+    y_letters = [letters(y) for y in ys]
+    satisfying = generating = 0
+    for x in xs:
+        x_letters = letters(x)
+        for y, yl in zip(ys, y_letters):
+            table = x_letters + yl
+            if all(reduce(bytes.translate, (table[l] for l in r.letters), one)
+                   == one for r in relators):
+                satisfying += 1
+                generating += PermGroup([x, y], degree=n).order() == order
+    return satisfying, generating
 
 
 def brute_force_order(gens):

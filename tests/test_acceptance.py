@@ -1,16 +1,16 @@
 """Acceptance gate: one test per numbered criterion.
 
 Sub-claims that the shipped data, under the package's defaults, do not
-reach are split into strict-xfail tests whose reasons record the
-computed truth; everything else must pass within its time budget.
+reach are split into strict-xfail tests whose reasons are the census
+Claim records of the computed truth; everything else must pass within
+its time budget.
 """
 
 import time
 from fractions import Fraction
 
-import pytest
-
-from conftest import group_of, order_of, requires_full
+from conftest import (group_of, order_of, published, quotient_pairs,
+                      requires_full)
 from cosetgeom import (census_entry, dessin_from_table, low_index_subgroups,
                        modular_data, passport, signature, todd_coxeter)
 from cosetgeom.cli import bundled_certificate
@@ -35,10 +35,10 @@ def _recognized_names(table):
 def test_criterion_01_k4_index4_published_pairs():
     t0 = time.perf_counter()
     tables = _classes_at("k4", 4)
-    published = [("(2,3)", "(1,2)(3,4)"), ("(1,2)(3,4)", "(2,3)"),
-                 ("(1,2,4,3)", "(1,2)(3,4)"), ("(1,2,4,3)", "(2,3)")]
+    pairs = [("(2,3)", "(1,2)(3,4)"), ("(1,2)(3,4)", "(2,3)"),
+             ("(1,2,4,3)", "(1,2)(3,4)"), ("(1,2,4,3)", "(2,3)")]
     matched = []
-    for gx, gy in published:
+    for gx, gy in pairs:
         target = (parse_cycles(gx, 4), parse_cycles(gy, 4))
         hit = [t for t in tables
                if simultaneously_conjugate(t.perm_rep(), target) is not None]
@@ -51,11 +51,7 @@ def test_criterion_01_k4_index4_published_pairs():
           "up to simultaneous relabeling (%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="search finds 7 conjugacy classes at index 4; the "
-                          "3 extras have image order 4 (the published count "
-                          "is property-filtered to the faithful S4-type "
-                          "actions P1-P4)")
+@published("k4", "4 classes at index 4")
 def test_criterion_01_literal_index4_count():
     assert len(_classes_at("k4", 4)) == 4
 
@@ -77,11 +73,7 @@ def test_criterion_02_k4_index9_hesse():
           "Hesse 9-point/12-line system (%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="all 12 Hesse lines non-commute in both modes; "
-                          "the all-and-only-through-e pattern is not reached "
-                          "under the BFS transversal "
-                          "(calibration ledgered as inconclusive)")
+@published("k4", "the Hesse configuration at index 9 is maximally contextual")
 def test_criterion_02_hesse_maximal():
     t = _classes_at("k4", 9)[0]
     g = group_of(t)
@@ -112,10 +104,7 @@ def test_criterion_03_k4_index10_and_15():
           "(%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="4 classes of order 120 (all S5) exist at index "
-                          "10; exactly 2 of them stabilize the Petersen "
-                          "graph, which is the published pair")
+@published("k4", "2 classes of order 120 at index 10")
 def test_criterion_03_literal_order120_count():
     ten = _classes_at("k4", 10)
     assert sum(1 for t in ten if order_of(t) == 120) == 2
@@ -139,11 +128,9 @@ def test_criterion_04_k19_grids():
           "3x3 grids GQ(2,1) (%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="computed coset verdicts are 4/6 and 6/6 "
-                          "non-commuting lines (both modes); the published "
-                          "0/6 and 1/6 is not reached under the BFS "
-                          "transversal")
+@published(
+    "k19",
+    "the grids (Mermin squares) at index 9 are 0/6 and 1/6 non-commuting")
 def test_criterion_04_grid_verdict_pattern():
     (t,) = [t for t in _classes_at("k19", 9) if order_of(t) == 36]
     g = group_of(t)
@@ -181,18 +168,12 @@ def test_criterion_05_k1_small_indices():
           "index 10 (%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="search finds 4 classes at index 6 (the published "
-                          "'five' has no filtered reading; treated as a "
-                          "misprint and ledgered)")
+@published("k1", "5 classes at index 6")
 def test_criterion_05_literal_index6_count():
     assert len(_classes_at("k1", 6)) == 5
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="computed K6 verdict is 9/15 non-commuting; one "
-                          "line avoiding the identity coset commutes, so "
-                          "the maximal pattern fails")
+@published("k1", "the K6 at index 6 is maximally contextual")
 def test_criterion_05_k6_maximal():
     (t,) = [t for t in _classes_at("k1", 6) if order_of(t) == 6
             and group_of(t).derived_index() == 2]
@@ -203,12 +184,7 @@ def test_criterion_05_k6_maximal():
                                 "coset").maximal
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="the order-168 image is 2-transitive on 7 cosets, "
-                          "so every representative-independent pairwise "
-                          "relation is constant; a maximal Fano verdict, "
-                          "which depends on the representatives, is not "
-                          "reached under the BFS transversal")
+@published("k1", "the Fano planes at index 7 are maximally contextual")
 def test_criterion_05_fano_maximal():
     t = _classes_at("k1", 7)[0]
     g = group_of(t)
@@ -244,10 +220,7 @@ def test_criterion_06_k1_index21():
           "(search %.2fs, replay %.2fs)" % (search_elapsed, replay_elapsed))
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="10 conjugacy classes exist at index 21; exactly "
-                          "one has order 336 (the published count is "
-                          "property-filtered)")
+@published("k1", "1 class at index 21")
 def test_criterion_06_literal_index21_count():
     assert len(_classes_at("k1", 21)) == 1
 
@@ -292,13 +265,8 @@ def test_criterion_08_index45_uniqueness_by_quotient_enumeration():
     els = [Permutation(e) for e in a6.elements()]
     xs = [e for e in els if e.order() in (1, 2, 4)]
     ys = [e for e in els if e.order() in (1, 2)]
-    count = 0
-    for x in xs:
-        xi = x.inverse()
-        for y in ys:
-            if (y * x * y.inverse() * x * y * xi).order() in (1, 2, 4):
-                if PermGroup([x, y], degree=6).order() == 360:
-                    count += 1
+    _, count = quotient_pairs(census_entry("k5").presentation.relators,
+                              xs, ys, 360)
     assert count == 1440
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
@@ -306,11 +274,7 @@ def test_criterion_08_index45_uniqueness_by_quotient_enumeration():
           "pairs, hence exactly 1 subgroup class (%.2fs)" % elapsed)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="all 30 GO(2,1) lines non-commute in both modes; "
-                          "the maximal pattern is not reached under the BFS "
-                          "transversal (calibration ledgered as "
-                          "inconclusive)")
+@published("k5", "GO(2,1) at index 45 is maximally contextual")
 def test_criterion_08_go21_maximal():
     table = todd_coxeter(bundled_certificate("k5", 45))
     g = group_of(table)
@@ -345,11 +309,22 @@ def test_criterion_09_heavy_enumerations():
 
 
 @requires_full
-@pytest.mark.xfail(strict=True,
-                   reason="published signature (1846,1170,270,113) violates "
-                          "Euler's relation at n=1755 (B+W+F=3286 > 1757); "
-                          "the computed signature is exactly half, matching "
-                          "the degree-3510 edge action instead")
+def test_criterion_09_double_cover_signature():
+    # K, h1's one subgroup of index 2, carries the published signature:
+    # the double cover doubles B, W and F and takes genus 57 to 113
+    t0 = time.perf_counter()
+    k = todd_coxeter(census_entry("g1").subgroup("K"))
+    assert k.n == 3510
+    assert signature(passport(dessin_from_table(k))).as_tuple() == \
+        (1846, 1170, 270, 113)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1800
+    print("PASS criterion 9 (double cover): K has index 3510 and the "
+          "published signature (1846,1170,270,113) (%.1fs)" % elapsed)
+
+
+@requires_full
+@published("g1", "dessin signature (1846, 1170, 270, 113) at index 1755")
 def test_criterion_09_published_signature():
     t1 = todd_coxeter(census_entry("g1").subgroup("h1"))
     assert signature(passport(dessin_from_table(t1))).as_tuple() == \

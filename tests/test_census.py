@@ -1,9 +1,14 @@
+import ast
 import re
+from functools import cache
+from pathlib import Path
 
 import pytest
 from mpmath import (catalan, cos, dirichlet, exp, matrix, mp, mpc, mpf, pi,
                     sqrt, zeta)
 
+from conftest import group_of, published, quotient_pairs, requires_full
+from cosetgeom import Permutation, todd_coxeter
 from cosetgeom.census import (CENSUS_IDS, UnknownId, census_entry,
                               list_census)
 from cosetgeom.words import parse_presentation
@@ -55,42 +60,62 @@ def test_distinguished_subgroups():
     assert len(h1.generators) == 2
     h2 = census_entry("g2").subgroup("h2")
     assert str(h2.generators[0]) == "y"
+    k = census_entry("g1").subgroup("K")
+    assert k.generators[0] == h1.generators[0]
+    assert k.generators[2] == h1.generators[1] ** 2
     with pytest.raises(KeyError):
         census_entry("g1").subgroup("h9")
     assert census_entry("k1").subgroups == ()
 
 
-# census geometry names that no KnownResult.geometry checks, with why
-UNCHECKED_GEOMETRIES = {
-    ("k2", "J2"): "not a quotient: of the pairs (x of order 3, y one "
-                  "involution per class) in J2 on 100 points, 19 480 "
-                  "satisfy k2's third relator and none generates J2",
-    ("k5", "GO(2,4)"): "the index-1755 geometry of g1/h1, which g1's "
-                       "KnownResult checks; k5 has no subgroup of index "
-                       "1755 on record",
-}
+TESTS = Path(__file__).resolve().parent
+
+# strict xfails that test a property of the code, not a published claim
+PROPERTY_XFAILS = ["test_rep_change_invariance"]
 
 
-def test_census_geometry_names_are_checked_claims():
-    # each name in an entry's geometries text is one of its KnownResult
-    # geometries, or that geometry's first word ("Hesse", "Petersen"),
-    # or a listed exception; a listed exception that has become checked
-    # fails too
-    unchecked = set()
-    for e in list_census():
-        checked = {r.geometry for r in e.known_results if r.geometry}
-        checked |= {name.split()[0] for name in checked}
-        for name in e.geometries.split(", ") if e.geometries else ():
-            name = re.sub(r" \(.*\)$", "", name.strip('"'))
-            if name not in checked:
-                unchecked.add((e.id, name))
-    assert unchecked == set(UNCHECKED_GEOMETRIES)
+def _xfail_marks():
+    """(claimed, written): the (id, statement) of every published() call
+    in the test modules, and for every xfail written out in full, the
+    name of the test it decorates (None when it decorates none)."""
+    claimed, written = [], []
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        decorates = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for d in fn.decorator_list:
+                    decorates.update((id(n), fn.name) for n in ast.walk(d))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "published":
+                claimed.append(tuple(map(ast.literal_eval, node.args[:2])))
+            elif name == "xfail":
+                written.append(decorates.get(id(node)))
+    return claimed, written
+
+
+def test_differs_claims_are_the_strict_xfails():
+    # each "differs" claim is the reason of exactly one strict xfail,
+    # through published(); any other xfail tests a listed property
+    claims = [(e.id, c) for e in list_census() for c in e.claims]
+    assert {c.status for _, c in claims} <= {"differs", "unchecked"}
+    differs = [(id, c.statement) for id, c in claims
+               if c.status == "differs"]
+    claimed, written = _xfail_marks()
+    assert sorted(claimed) == sorted(differs)
+    assert len(set(differs)) == len(differs)
+    assert written == PROPERTY_XFAILS
 
 
 def test_known_results_have_published_divergence_records():
     k1 = census_entry("k1")
     at6 = next(r for r in k1.known_results if r.index == 6)
-    assert at6.count == 4 and at6.published_count == 5
+    assert at6.count == 4
+    (five,) = [c for c in k1.claims if c.statement == "5 classes at index 6"]
+    assert five.status == "differs"
     k4 = census_entry("k4")
     at4 = next(r for r in k4.known_results if r.index == 4)
     assert at4.count == 4 and at4.raw_count == 7
@@ -143,10 +168,9 @@ def test_commutator_parameter_is_gamma(id):
 
 @pytest.mark.parametrize("id", [
     *KLEINIAN[:-1],
-    pytest.param("k19", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="k19's p, q, gamma fail ([y,x]*y)^2 and (x^-1*[y,x]*y)^2; "
-               "its other four relators hold")),
+    pytest.param("k19", marks=published(
+        "k19", "p, q and gamma give a representation of the presentation",
+        raises=AssertionError)),
 ])
 def test_relators_are_plus_or_minus_identity(id):
     """The census (p, q, gamma) give a representation in SL(2, C) in
@@ -189,3 +213,34 @@ def test_covolume_is_a_bianchi_multiple(id, ratio):
     entry = census_entry(id)
     assert abs(mpf(entry.covolume) - ratio * _bianchi_covolume(entry.d)) \
         < mpf("5e-5")
+
+
+@cache
+def _k2_in_j2():
+    """quotient_pairs for k2's relators in J2 on 100 points (g2/h2): x
+    over the 17 360 elements of order 3, y over one involution per
+    number of fixed points (20 and 0, one per class)."""
+    j2 = group_of(todd_coxeter(census_entry("g2").subgroup("h2")))
+    one, pad = bytes(range(100)), bytes(range(100, 256))
+    threes, involutions = [], {}
+    for e in j2.elements():
+        square = e.translate(e + pad)
+        if square == one and e != one:
+            involutions.setdefault(sum(p == i for i, p in enumerate(e)), e)
+        elif square != one and square.translate(e + pad) == one:
+            threes.append(Permutation(e))
+    assert (len(threes), sorted(involutions)) == (17360, [0, 20])
+    ys = [Permutation(e) for e in involutions.values()]
+    return quotient_pairs(census_entry("k2").presentation.relators,
+                          threes, ys, 604800)
+
+
+@requires_full
+def test_k2_relators_in_j2():
+    assert _k2_in_j2() == (19480, 0)
+
+
+@requires_full
+@published("k2", "J2 is a quotient (a J2 geometry)")
+def test_k2_has_j2_quotient():
+    assert _k2_in_j2()[1] > 0

@@ -10,8 +10,8 @@ from importlib import resources
 import pytest
 
 from conftest import group_of, order_of
-from cosetgeom import cli, dessins, perms
-from cosetgeom.census import census_entry
+from cosetgeom import cli, dessins, low_index_subgroups, perms, todd_coxeter
+from cosetgeom.census import KnownResult, census_entry, list_census
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
                            EXIT_USAGE, main)
 from cosetgeom.contextuality import CosetLabeling, labeling_from_table
@@ -153,7 +153,6 @@ def test_dot_export_without_pair_classes_is_usage_error(capsys):
 
 def test_bundled_certificates_replay():
     from cosetgeom.cli import bundled_certificate
-    from cosetgeom.toddcox import todd_coxeter
     assert todd_coxeter(bundled_certificate("k1", 21)).n == 21
     assert todd_coxeter(bundled_certificate("k5", 45)).n == 45
 
@@ -480,12 +479,49 @@ def test_dead_flags_removed():
 def test_reproduce_fast(capsys, tmp_path):
     path = tmp_path / "reproduce.json"
     assert cli.run_reproduce("fast", json_path=str(path)) == EXIT_OK
-    checks = json.loads(path.read_text())["checks"]
+    report = json.loads(path.read_text())
+    checks = report["checks"]
     claims = ["%s@%d" % (id, r.index)
               for id in ("k1", "k2", "k4", "k5", "k19")
               for r in census_entry(id).known_results]
     assert [c["claim"] for c in checks] == claims
     assert len(claims) == 11 and all(c["pass"] for c in checks)
+    # every Claim of every entry, in the JSON and one line each on stdout
+    ledger = [{"id": e.id, **vars(c)} for e in list_census() for c in e.claims]
+    assert report["claims"] == ledger and len(ledger) == 13
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "reproduce fast: 11/11 checks passed"
+    assert lines[11:-1] == ['%-9s %-4s published "%s": %s' % (
+        c["status"], c["id"], c["statement"], c["reason"]) for c in ledger]
+
+
+def test_reproduce_replays_only_the_records_subgroup(capsys, tmp_path,
+                                                     monkeypatch):
+    # an entry with two distinguished subgroups: each record enumerates
+    # its own subgroup once, never the other one
+    k1 = census_entry("k1")
+    small = {}
+    for t in low_index_subgroups(k1.presentation, 10):
+        if (t.n, order_of(t)) in ((7, 168), (10, 60)):
+            small.setdefault(t.n, t)
+    entry = dataclasses.replace(
+        k1, subgroups=tuple(("s%d" % n, t.subgroup) for n, t in small.items()),
+        known_results=tuple(
+            KnownResult(index=n, count=1, order=order_of(t),
+                        subgroup="s%d" % n) for n, t in small.items()),
+        claims=())
+    replayed = []
+
+    def counting(spec, **kw):
+        replayed.append(spec)
+        return todd_coxeter(spec, **kw)
+    monkeypatch.setattr(cli, "list_census", lambda: [entry])
+    monkeypatch.setattr(cli, "todd_coxeter", counting)
+    path = tmp_path / "reproduce.json"
+    assert cli.run_reproduce("full", json_path=str(path)) == EXIT_OK
+    checks = json.loads(path.read_text())["checks"]
+    assert [c["source"] for c in checks] == ["subgroup"] * 2
+    assert replayed == [small[7].subgroup, small[10].subgroup]
 
 
 def test_reproduce_wrong_count_fails(capsys, tmp_path, monkeypatch):
