@@ -54,8 +54,8 @@ every relator from every coset.
 
 from __future__ import annotations
 
-from .toddcox import CosetTable, NLETTERS, schreier_generators
-from .words import Presentation, SubgroupSpec
+from .toddcox import CosetTable, NLETTERS
+from .words import Presentation
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -211,7 +211,7 @@ class _Search:
         # unset slot holds 0, which counts only for the base, mu[0].
         # Two lists of k ints per base for k allocated cosets: on
         # < x, y | x^2, y^3 > with a 2000-node budget, about 12 MB at 858
-        # cosets, beside about 1.19 GB of emitted tables (tracemalloc).
+        # cosets, beside about 31 MB of emitted tables (tracemalloc).
         self.renumberings = []
         # a cell that is always defined, watched by a base to compare
         self.defined = [0]
@@ -459,18 +459,18 @@ class _Search:
             if twin not in tables:
                 tables.append(twin)
         for action in tables:
-            table = CosetTable(action=action,
-                               subgroup=SubgroupSpec(self.pres, ()))
             self.results.append(CosetTable(action=action,
-                                           subgroup=schreier_generators(table)))
+                                           presentation=self.pres))
 
 
 def low_index_subgroups(pres: Presentation, max_index: int,
                         node_budget: int | None = None):
     """One standardized CosetTable per conjugacy class of index <= max_index.
 
-    Deterministic output, sorted by (index, table bytes).  Raises
-    SearchBudgetExceeded when node_budget definitions have been tried.
+    Deterministic output, sorted by (index, table bytes).  A table holds
+    only its action: its replay certificate, table.subgroup, is read off
+    the table on each access.  Raises SearchBudgetExceeded when
+    node_budget definitions have been tried.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")

@@ -33,10 +33,14 @@ class CosetLimitExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete action of x, x^-1, y, y^-1 on the cosets of a subgroup."""
+    """Complete action of x, x^-1, y, y^-1 on the cosets of a subgroup.
+
+    The table alone determines its subgroup, so it holds no generator
+    words: subgroup reads a free basis off the table on each access.
+    """
 
     action: tuple            # one row of 4 cosets per coset
-    subgroup: SubgroupSpec
+    presentation: Presentation
 
     @property
     def n(self) -> int:
@@ -44,8 +48,15 @@ class CosetTable:
         return len(self.action)
 
     @property
-    def presentation(self) -> Presentation:
-        return self.subgroup.parent
+    def subgroup(self) -> SubgroupSpec:
+        """The Schreier generators of the stabilizer of coset 0, the
+        table's replay certificate; see schreier_generators.
+
+        Recomputed on each read, O(n^2) letters for index n, and never
+        cached, so a table costs only its action: a caller that needs
+        the words twice should hold them.
+        """
+        return schreier_generators(self)
 
     def word_action(self, w: Word, coset: int) -> int:
         c = coset
@@ -72,7 +83,7 @@ class CosetTable:
             for c in range(n):
                 assert self.word_action(r, c) == c, "relator not closed"
         for g in self.subgroup.generators:
-            assert self.word_action(g, 0) == 0, "subgroup generator leaves coset 0"
+            assert self.word_action(g, 0) == 0, "certificate word leaves coset 0"
 
 
 class _Enumerator:
@@ -224,7 +235,7 @@ def todd_coxeter(spec: SubgroupSpec,
                 order.append(d)
         action.append(tuple(new_of[d] for d in row))
     assert len(order) == enum.nalive, "coset graph is not connected"
-    return CosetTable(action=tuple(action), subgroup=spec)
+    return CosetTable(action=tuple(action), presentation=spec.parent)
 
 
 def _transversal_letters(table: CosetTable):
@@ -259,8 +270,10 @@ def schreier_generators(table: CosetTable) -> SubgroupSpec:
     outside the BFS tree, taken in the direction met first, that is when
     (c, l) < (d, l^-1).  The transversal is prefix-closed, so the words
     need no reduction and form a free basis of the subgroup: n + 1 words
-    for index n.  Guarantees todd_coxeter on the result rebuilds a table
-    of equal index.
+    for index n.  Guarantees todd_coxeter on the result rebuilds a
+    table of equal index, the same table if it is BFS-numbered.
+    CosetTable.subgroup returns this: the words, O(n^2) letters, are
+    built on request and no table stores them.
     """
     reps = _transversal_letters(table)
     inverses = [tuple(m ^ 1 for m in reversed(r)) for r in reps]

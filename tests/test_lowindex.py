@@ -13,7 +13,7 @@ from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import (SearchBudgetExceeded, _Search,
                                 low_index_subgroups)
-from cosetgeom.toddcox import CosetTable, todd_coxeter
+from cosetgeom.toddcox import CosetTable, schreier_generators, todd_coxeter
 from cosetgeom.words import (X, XI, Y, YI, Presentation, SubgroupSpec,
                              Word, parse_presentation)
 
@@ -61,9 +61,17 @@ def test_deterministic(k19_pres):
 
 
 def test_emitted_certificates_replay(k19_to_9):
-    for t in k19_to_9:
+    # an enumerated table's certificate is the Schreier basis of the
+    # subgroup its spec generates, not the spec's own words
+    spec = SubgroupSpec(parse_presentation("< x, y | x^2, y^3, (x*y)^4 >"),
+                        (Word((X, Y, X, YI)),))
+    enumerated = todd_coxeter(spec)
+    assert enumerated.n > 1 and enumerated.subgroup != spec
+    for t in list(k19_to_9) + [enumerated]:
         if t.n > 1:
-            replay = todd_coxeter(t.subgroup)
+            certificate = t.subgroup
+            assert certificate == schreier_generators(t)
+            replay = todd_coxeter(certificate)
             assert replay.n == t.n
             assert replay.action == t.action
 
@@ -299,8 +307,7 @@ def sympy_class_counts(pres, max_index):
     group, _ = sympy_fp_group(pres)
     counts = Counter()
     for c in sympy_low_index(group, max_index):
-        t = CosetTable(action=tuple(map(tuple, c.table)),
-                       subgroup=SubgroupSpec(pres, ()))
+        t = CosetTable(action=tuple(map(tuple, c.table)), presentation=pres)
         if all(t.word_action(r, k) == k
                for r in pres.relators for k in range(t.n)):
             counts[t.n] += 1
@@ -471,6 +478,20 @@ def test_no_preallocation_by_max_index(k1_pres):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_emitted_tables_hold_no_certificates():
+    # a table holds its action only; holding its n + 1 Schreier words as
+    # well, O(n^2) letters, this search peaks near 22 MB
+    pres = parse_presentation("< x, y | x^2, y^3 >")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            low_index_subgroups(pres, 10 ** 4, node_budget=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def _stack_depth():

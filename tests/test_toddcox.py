@@ -19,9 +19,11 @@ def spec(pres_text, *words):
 
 def test_trivial_subgroup_of_finite_group():
     # S3 = < x, y | x^2, y^3, (x*y)^2 >
-    table = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^2 >"))
+    s = spec("< x, y | x^2, y^3, (x*y)^2 >")
+    table = todd_coxeter(s)
     assert table.n == 6
     table.check_invariants()
+    assert all(table.word_action(g, 0) == 0 for g in s.generators)
 
 
 def test_cyclic_subgroup_index():
@@ -90,8 +92,9 @@ def test_schreier_generators_replay():
 
 
 def test_subgroup_words_fix_coset_zero():
-    table = todd_coxeter(spec("< x, y | x^2, y^3, (x*y)^4 >", "x*y*x*y^-1"))
-    for g in table.subgroup.generators:
+    s = spec("< x, y | x^2, y^3, (x*y)^4 >", "x*y*x*y^-1")
+    table = todd_coxeter(s)
+    for g in s.generators:
         assert table.word_action(g, 0) == 0
 
 
@@ -158,7 +161,7 @@ def triangle_quotients(draw):
             img = [action[c][l] for c in img]
         relators.append(Word(w * Permutation(img).order()))
     pres = Presentation(tuple(relators))
-    table = CosetTable(action=action, subgroup=SubgroupSpec(pres, ()))
+    table = CosetTable(action=action, presentation=pres)
     return schreier_generators(table), n
 
 
@@ -179,6 +182,7 @@ def test_index_matches_sympy_on_random_presentations(pres, words):
                          max_cosets=100 * SYMPY_MAX_COSETS)
     assert table.n == len(theirs.table)
     table.check_invariants()
+    assert all(table.word_action(w, 0) == 0 for w in words)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -191,6 +195,7 @@ def test_index_matches_sympy_on_triangle_quotients(quotient):
     table = todd_coxeter(spec)
     assert table.n == index
     table.check_invariants()
+    assert all(table.word_action(g, 0) == 0 for g in spec.generators)
     group, word = sympy_fp_group(spec.parent)
     theirs = coset_enumeration_r(group, [word(w) for w in spec.generators],
                                  max_cosets=SYMPY_MAX_COSETS)
@@ -251,7 +256,7 @@ def test_schreier_generators_ignore_numbering(k4_to_9):
         action = [None] * t.n
         for c, row in enumerate(t.action):
             action[new[c]] = tuple(new[d] for d in row)
-        renumbered = CosetTable(tuple(action), t.subgroup)
+        renumbered = CosetTable(tuple(action), presentation=t.presentation)
         assert schreier_generators(renumbered).generators == \
             oracle_schreier_generators(renumbered)
 
