@@ -27,11 +27,9 @@ Entries are only ever added inside a subtree of the search.  So a base
 coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
-undecided base cosets down to the children, each with one undefined cell
-its comparison stopped at and the state of its renumbering there.  A
-descendant resumes that comparison only once that cell is defined: until
-both cells the comparison read there are defined, it stops at the same
-place, and the prefix it compared equal stays equal, so it goes on from
+undecided bases down to the children.  A base only ever waits on the
+undefined cell of its own renumbering that its comparison stopped at: a
+descendant resumes that comparison only once that cell is defined, from
 where it stopped rather than from coset 0.
 The columns grow as cosets are created, never up front by max_index.
 
@@ -45,11 +43,12 @@ columns it reads.  A new entry (a, l) = b is scanned along each rotation
 that starts with l, from a only, beginning after the new edge: a cycle
 through the edge read from b is, read backwards, one of those rotations
 read from a.  A scan that stops one entry short of closing its cycle
-forces that entry.  A forced entry skips the rotation it was read from,
-which the entry closes: entries are only added, so that cycle stays
-closed.  Propagation ends at the closure of the deductions whatever the
-order it finds them in, so every node's verdict is that of scanning
-every relator from every coset.
+forces that entry, set where it is found: a later conflicting deduction
+fails the scan that walks into it.  A forced entry skips the rotation it
+was read from, which the entry closes: entries are only added, so that
+cycle stays closed.  Propagation ends at the closure of the deductions
+whatever the order it finds them in, so every node's verdict is that of
+scanning every relator from every coset.
 """
 
 from __future__ import annotations
@@ -223,27 +222,19 @@ class _Search:
         """Set entry (a, l) = b and process all consequences.
 
         Every entry set goes on the trail; False on a forced coincidence.
-        A deduction carries the rotation it closes, which is not scanned
-        again from its coset: entries are only added, so that cycle stays
-        closed.
+        An entry is set where it is found, the new edge first and a
+        forced entry at its scan's one gap, and queued only to be scanned
+        from: a conflicting deduction fails the scan that walks into it.
+        A forced entry is not scanned along the rotation it closes:
+        entries are only added, so that cycle stays closed.
         """
         cols, trail, from_f = self.cols, self.trail, self.from_f
+        cols[l][a] = b
+        cols[l ^ 1][b] = a
+        trail.append((a, l, b))
         pending = [(a, l, b, None)]
         while pending:
             f, l, b, closed = pending.pop()
-            col = cols[l]
-            cur = col[f]
-            if cur is not None:
-                if cur != b:
-                    return False
-                continue
-            inv = cols[l ^ 1]
-            prev = inv[b]
-            if prev is not None and prev != f:
-                return False
-            col[f] = b
-            inv[b] = f
-            trail.append((f, l, b))
             # scan the rotations through the new edge from f, starting
             # after the edge itself
             for r in from_f[l]:
@@ -273,6 +264,9 @@ class _Search:
                         # another coset than x
                         return False
                     # one undefined entry left: the relator forces it
+                    cols[letter][x] = y
+                    last[y] = x
+                    trail.append((x, letter, y))
                     pending.append((x, letter, y, shifted))
         return True
 
@@ -283,16 +277,24 @@ class _Search:
         one of them gives a lex-smaller table.
 
         An entry is (watched, row, pairs, mu, nu, alpha, pos, count): its
-        watched cell watched[row], an undefined cell its last comparison
-        stopped at; the column pairs its renumbering reads; its
-        renumbering pair, mu new -> old and nu old -> new, with mu[0] its
-        base; and where that comparison stopped, at row alpha and pair
-        pos with count cosets renumbered.  It is compared again only once
-        the watched cell is defined: until both cells the comparison read
-        there are defined it stops at the same step, and then watches the
-        other.  The comparison goes on from where it stopped: the rows
-        and cells before it are defined and equal, and stay so.  A base to
-        compare in any case, as the new coset is, watches self.defined.
+        watched cell watched[row], the undefined cell of its renumbering
+        its last comparison stopped at; the column pairs its renumbering
+        reads; its renumbering pair, mu new -> old and nu old -> new,
+        with mu[0] its base; and where that comparison stopped, at row
+        alpha and pair pos with count cosets renumbered.  It is compared
+        again, from where it stopped, once the watched cell is defined:
+        the rows and cells before it are defined and equal, and stay so.
+        A base to compare in any case watches self.defined.
+
+        A base only ever waits on its own renumbering's cell: the table's
+        cell col[alpha] is defined wherever it is read.  The test runs
+        only on a table T closed under the relators, and every definition
+        on the search path lies before T's first undefined cell s.  A
+        renumbering T' that agrees with T before s holds them all; T' is
+        closed too (a twisted base's as s maps relators onto relators),
+        so it holds their closure T, and with no more cells, T' = T.  So
+        T' is undefined at s as well and the gamma check stops first; a
+        counterexample would raise TypeError at g > col[alpha].
 
         A base coset reads each column from itself.  The bases at coset 0
         under the letter automorphisms s of the presentation read column
@@ -318,17 +320,13 @@ class _Search:
                     if gamma is None:
                         watched, row = src, m
                         break
-                    orig = col[alpha]
-                    if orig is None:
-                        watched, row = col, alpha
-                        break
                     g = nu[gamma]
                     if g >= count or mu[g] != gamma:
                         nu[gamma] = g = count
                         mu[count] = gamma
                         count += 1
-                    if g != orig:
-                        order = 1 if g > orig else -1
+                    if g != col[alpha]:
+                        order = 1 if g > col[alpha] else -1
                         break
                     pos += 1
                 else:
@@ -358,10 +356,11 @@ class _Search:
 
         A live entry is (watched, row, pairs, mu, nu, alpha, pos, count),
         as _first_in_class reads it.  A new base starts at row 0, pair 0,
-        with its base renumbered 0, and watches self.defined.  A child
-        replaces an entry by a new tuple and leaves its parent's as it
-        was, so a sibling resumes from the parent's state; what the child
-        wrote into mu and nu at or beyond that count does not count.
+        with its base renumbered 0, and watches self.defined, then only
+        cells of its own renumbering.  A child replaces an entry by a new
+        tuple and leaves its parent's as it was, so a sibling resumes from
+        the parent's state; what the child wrote into mu and nu at or
+        beyond that count does not count.
         """
         cols, trail, defined = self.cols, self.trail, self.defined
         propagate, first_in_class = self._propagate, self._first_in_class

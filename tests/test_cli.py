@@ -284,6 +284,8 @@ def test_every_int_flag_has_a_minimum():
     '{"subgroup_words": {"x": 1, "y": 2}}',     # an object, not a list
     '{"subgroup_words": ["x^1000000000"]}',     # refused before it is built
     '{"subgroup_words": ["%sx%s"]}' % ("(" * 5000, ")" * 5000),  # too deep
+    '{"subgroup_words": ["x*y)"]}',             # trailing input
+    '{"subgroup_words": ["x^"]}',               # a bare ^
 ])
 def test_bad_certificate_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "cert.json"
@@ -436,6 +438,28 @@ def test_unwritable_json_path_is_usage_error(capsys, no_work, tmp_path,
 def test_json_path_that_is_a_directory_is_usage_error(capsys, no_work,
                                                       tmp_path, argv):
     assert usage_error(capsys, *argv, "--json", str(tmp_path)) == EXIT_USAGE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_json_write_is_usage_error(capsys):
+    # /dev/full passes the path checks and refuses the write itself
+    assert main(["census", "k1", "--json", "/dev/full"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: cannot write JSON to /dev/full: "
+                   "No space left on device\n")
+
+
+def test_failed_certificate_write_is_usage_error(capsys, tmp_path):
+    # the out directory passes its check; the first certificate's path,
+    # taken by a directory, fails only when it is opened
+    (tmp_path / "4-1.json").mkdir()
+    assert main(["discover", "k4", "--index", "4",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: cannot write certificates to %s: Is a directory\n"
+                   % tmp_path)
 
 
 # argv up to the budget's value; discover writes into the working directory

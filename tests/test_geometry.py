@@ -22,6 +22,8 @@ def test_incidence_geometry_validation():
         IncidenceGeometry(3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         IncidenceGeometry(3, ((0, 1), (0, 1, 2)))
+    with pytest.raises(ValueError, match="out of range"):
+        IncidenceGeometry(3, ((0, 3),))
     # the shorter line lies in one of two longer lines of equal size
     with pytest.raises(ValueError, match="contains"):
         IncidenceGeometry(4, ((0, 1), (0, 1, 2), (1, 2, 3)))
@@ -268,6 +270,7 @@ def test_clique_lines_are_the_largest_cliques_of_the_graph(
     ([(0, 0), (0, 1), (1, 2)], "itself"),
     ([(0, 1), (0, 1), (1, 2)], "repeated"),
     ([(0, 1), (1, 0), (1, 2)], "repeated"),
+    ([], "empty"),
 ])
 def test_geometry_from_class_refuses_malformed_pairs(pairs, message):
     g = PermGroup([parse_cycles("(1,2,3)", 3)])
@@ -279,6 +282,8 @@ def test_geometry_from_class_needs_a_transitive_group():
     g = PermGroup([parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)])
     with pytest.raises(ValueError, match="transitive"):
         geometry_from_class(g, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="transitive"):
+        pair_classes(g)
 
 
 @requires_full

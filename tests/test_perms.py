@@ -56,6 +56,12 @@ def test_stabilizers_and_transitivity():
     assert g.two_point_stabilizer(0, 1).order() == 6
     with pytest.raises(ValueError):
         g.two_point_stabilizer(2, 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation([0, 0])
+    with pytest.raises(ValueError, match="degree required"):
+        PermGroup([])
+    with pytest.raises(ValueError, match="mixed degrees"):
+        PermGroup([parse_cycles("(1,2)", 2), parse_cycles("(1,2)", 3)])
 
 
 def test_fingerprint_and_identify_a5():

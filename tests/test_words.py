@@ -53,6 +53,15 @@ def test_parse_errors():
         parse_word("x*")
     with pytest.raises(ParseError):
         parse_presentation("< x | x^2 >")
+    for text, message in [("(x", r"expected '\)'"),
+                          ("x^", "expected integer"),
+                          ("x*y)", "trailing input")]:
+        with pytest.raises(ParseError, match=message):
+            parse_word(text)
+    for text, message in [("< x, y | x^2 > z", "trailing input"),
+                          ("< x, y | x*x^-1 >", "reduces to the identity")]:
+        with pytest.raises(ParseError, match=message):
+            parse_presentation(text)
     with pytest.raises(ValueError):
         Presentation((Word(),))
 
