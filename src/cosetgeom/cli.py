@@ -420,8 +420,19 @@ def build_parser():
                    help="restrict the report to one pair class (1-based)")
     a.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
     a.add_argument("--export", choices=("dot", "json"), default="json")
-    a.add_argument("--certificate", metavar="PATH")
-    a.add_argument("--node-budget", type=int, default=None)
+    a.add_argument("--certificate", metavar="PATH",
+                   help="replay the subgroup from a certificate instead "
+                        "of searching; without one, analyze searches "
+                        "every index up to --index, bounded only by "
+                        "--node-budget.  Bundled: "
+                        "src/cosetgeom/data/certificates/k1/21-1.json "
+                        "(k1@21) and "
+                        "src/cosetgeom/data/certificates/k5/45-1.json "
+                        "(k5@45)")
+    a.add_argument("--node-budget", type=int, default=None,
+                   help="cap on the search's nodes (default: none); "
+                        "without --certificate the only bound on the "
+                        "search up to --index")
     a.add_argument("--max-cosets", type=int, default=MAX_COSETS)
     a.add_argument("--json", metavar="PATH")
     a.set_defaults(func=cmd_analyze)

@@ -99,12 +99,14 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
 
     The commutator a^-1 b^-1 a b of representatives a, b acts on a coset
     k as b(a(b^-1(a^-1(k)))); free reduction does not change the action
-    on a complete table.
+    on a complete table.  The verdict ignores the order of the line's
+    points: [b, a] = [a, b]^-1 is trivial, or lies in H, exactly when
+    [a, b] does.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
     actions = labeling.actions
-    for i, j in combinations(sorted(line), 2):
+    for i, j in combinations(line, 2):
         a, a_inv = actions[i]
         b, b_inv = actions[j]
         if mode == "coset":
@@ -117,11 +119,12 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
 
 def contextuality_report(labeling: CosetLabeling, geometry: IncidenceGeometry,
                          mode: str = DEFAULT_MODE) -> ContextualityReport:
-    """Verdicts on the lines of a geometry whose points are the cosets."""
+    """Verdicts on the lines of a geometry whose points are the cosets,
+    in the geometry's line order; a verdict ignores point order."""
     if geometry.n != labeling.table.n:
         raise ValueError("geometry has %d points, the table %d cosets"
                          % (geometry.n, labeling.table.n))
-    lines = sorted(geometry.lines)
+    lines = geometry.lines
     per_line = tuple((line, line_commutes(labeling, line, mode))
                      for line in lines)
     bad = sum(1 for _, c in per_line if not c)

@@ -19,7 +19,10 @@ cliques of its neighbourhood (Bron-Kerbosch with pivoting, on int
 bitsets).  Both kinds are checked against the named line systems they
 must reproduce.
 
-A geometry carries the point permutations that preserve it (its
+A geometry orders its lines once, when it is made: its constructor
+sorts the lines it is given, and that order is the one its line
+action, its statistics, its JSON and the contextuality verdicts read.
+It carries the point permutations that preserve it (its
 ``symmetry``: the generators of the group it was built from) and their
 line action, the index of each line's image under each of them, which
 is computed once, when the geometry is built.  Incidence statistics
@@ -52,8 +55,11 @@ def _image(perm, points):
 class IncidenceGeometry:
     """Points 0..n-1 and lines as sorted point tuples.
 
-    symmetry holds point permutations that map the line set onto itself
-    (generators of a group of automorphisms); it only speeds up stats.
+    The constructor sorts the lines, in any order given, so lines is the
+    one order every reader uses, and two geometries with the same lines
+    compare equal.  symmetry holds point permutations that map the line
+    set onto itself (generators of a group of automorphisms); it only
+    speeds up stats.
     """
 
     n: int
@@ -61,7 +67,7 @@ class IncidenceGeometry:
     symmetry: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
+        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
         for line in self.lines:
             if len(line) < 2:
                 raise ValueError("line with fewer than 2 points")
@@ -69,9 +75,8 @@ class IncidenceGeometry:
                 raise ValueError("line must be sorted and duplicate-free")
             if line[0] < 0 or line[-1] >= self.n:
                 raise ValueError("point out of range")
-            if line in seen:
-                raise ValueError("duplicate line")
-            seen.add(line)
+        if any(map(tuple.__eq__, self.lines, self.lines[1:])):
+            raise ValueError("duplicate line")
         # a line lies in another iff its points share a second line, which
         # is longer: distinct lines of one size contain neither the other
         longest = max(map(len, self.lines), default=0)
@@ -106,7 +111,7 @@ class IncidenceGeometry:
     def to_json_dict(self) -> dict:
         return {
             "points": self.n,
-            "lines": [[p + 1 for p in line] for line in sorted(self.lines)],
+            "lines": [[p + 1 for p in line] for line in self.lines],
         }
 
 
@@ -284,8 +289,7 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
     for seed in seeds:
         if seed not in lines:
             lines |= _orbit(seed, g.generators, _image)
-    return IncidenceGeometry(n=n, lines=tuple(sorted(lines)),
-                             symmetry=g.generators)
+    return IncidenceGeometry(n=n, lines=lines, symmetry=g.generators)
 
 
 def _fixed_sets_through_0(g: PermGroup):

@@ -9,7 +9,11 @@ bytes.translate in C, and tuples composed by one itemgetter above that.
 Every group computation runs on a deterministic Schreier-Sims
 stabilizer chain (_Chain); for an empty base prefix its base and strong
 generators are sympy's.  A point stabilizer is the second level of a
-chain whose base starts at the point, and comes with its order.
+chain whose base starts at the point, and comes with its order.  A
+group keeps one chain, for the empty base prefix: its base, its strong
+generators per level and its level transversals, which order() and
+elements() read.  Once built, that chain drops its check cursors and
+the inverse tables it cached while sifting.
 
 Every element is the product of one transversal element per chain
 level: the element-order histogram lists them all and walks the powers
@@ -432,6 +436,13 @@ class _Chain:
         self._cursor[i] = (b, 0)
         return None
 
+    def release(self):
+        """Drop the build state: the check cursors, which only
+        construction reads, and the inverse tables cached while sifting,
+        which a later sift refills on demand."""
+        self._cursor = None
+        self._inverses = [{} for _ in self.base]
+
     def __contains__(self, h):
         """Whether h sifts from level 0 to the identity."""
         residue, _ = self._sift(h, 0)
@@ -474,9 +485,10 @@ class PermGroup:
     def chain(self, base_prefix=()) -> _Chain:
         """A stabilizer chain whose base starts with base_prefix.
 
-        The chain for the empty prefix, which elements() reads, is kept.
-        Its base starts at the first point the first generator moves, so
-        it is also the chain for that one point.
+        The chain for the empty prefix, which elements() reads, is kept,
+        with its build state released.  Its base starts at the first
+        point the first generator moves, so it is also the chain for that
+        one point.
         """
         gens = self._gens
         first = _first_moved(gens[0]) if gens else None
@@ -484,6 +496,7 @@ class PermGroup:
             return _Chain(self._enc, gens, base_prefix)
         if self._chain is None:
             self._chain = _Chain(self._enc, gens)
+            self._chain.release()
         return self._chain
 
     def order(self) -> int:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -94,6 +94,24 @@ def test_mode_monotonicity(k19_to_9, k1_to_10):
             for line in geom.lines:
                 if line_commutes(lab, line, "perm"):
                     assert line_commutes(lab, line, "coset")
+
+
+def test_verdicts_ignore_point_order(k19_to_9, k1_to_10):
+    """[b, a] = [a, b]^-1, so reordering a line's points changes no
+    verdict: on the k19@9 grids and the k1@10 geometries, in both
+    modes."""
+    tables = [t for t in k19_to_9 if t.n == 9]
+    tables += [t for t in k1_to_10 if t.n == 10]
+    verdicts = set()
+    for t in tables:
+        for _, geom, lab in labelings_of(t):
+            for line in geom.lines:
+                for mode in MODES:
+                    got = {line_commutes(lab, order, mode)
+                           for order in permutations(line)}
+                    assert len(got) == 1
+                    verdicts |= {(mode, v) for v in got}
+    assert verdicts == {(m, v) for m in MODES for v in (False, True)}
 
 
 def test_report_shape(k19_to_9):

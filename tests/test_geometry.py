@@ -189,6 +189,16 @@ def test_exports():
     assert geom.to_json_dict() == {"points": 3, "lines": [[1, 2], [2, 3]]}
 
 
+def test_lines_are_ordered_by_the_constructor():
+    """The pentagon given in ring order holds, compares and prints its
+    lines sorted."""
+    ring = IncidenceGeometry(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    assert ring.lines == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    assert ring == IncidenceGeometry(5, tuple(sorted(ring.lines)))
+    assert ring.to_json_dict()["lines"] \
+        == [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]
+
+
 def test_stats_from_orbit_representatives(census_groups):
     for g in census_groups:
         for cls in pair_classes(g):

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations
+from random import Random
 
 import pytest
 from sympy import totient
@@ -9,8 +10,8 @@ from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 from conftest import brute_force_order, group_of, relabel, requires_full
 from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
-from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _orbit,
-                             cycle_type_str, identify, parse_cycles,
+from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _Chain,
+                             _orbit, cycle_type_str, identify, parse_cycles,
                              simultaneously_conjugate)
 from cosetgeom.toddcox import todd_coxeter
 
@@ -188,6 +189,30 @@ def test_stabilizers_have_few_generators(differential_tables):
                 for q in range(g.degree) if q != p]
             for s in stabs:
                 assert len(s.generators) <= max(1, s.order().bit_length() - 1)
+
+
+def test_kept_chain_answers_after_its_build_state_is_released(
+        census_groups):
+    """The chain a group keeps drops its check cursors and sifting
+    cache, and answers order, elements and membership as a freshly
+    built chain does, on the group's elements and on random
+    permutations of its points."""
+    rng = Random(0)
+    answers = set()
+    for g in census_groups:
+        kept = g.chain()
+        assert kept._cursor is None and not any(kept._inverses)
+        fresh = _Chain(g._enc, g._gens)
+        twin = PermGroup(g.generators, degree=g.degree)
+        twin._chain = fresh
+        assert kept.order() == fresh.order() == g.order()
+        elements = g.elements()
+        assert elements == twin.elements()
+        shuffled = [rng.sample(range(g.degree), g.degree) for _ in range(20)]
+        for x in elements + [g._enc.encode(p) for p in shuffled]:
+            assert (x in kept) == (x in fresh)
+            answers.add(x in kept)
+    assert answers == {False, True}
 
 
 def test_psl2_257_on_the_projective_line():
