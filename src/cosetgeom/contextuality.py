@@ -16,9 +16,9 @@ mode.
 
 One labeling per table serves every geometry on its cosets; the verdicts
 take the geometry as an argument.  A labeling computes once, when made,
-the permutation of the cosets by each representative and by its inverse
-(refusing a word that misses its coset); a commutator's action is read
-from those four permutations, with no word built.
+the permutation of the cosets by each representative (refusing a word
+that misses its coset), and holds no inverses: a commutator's action is
+read from the two permutations of its pair, with no word built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import IncidenceGeometry
-from .perms import _Tuples
 from .toddcox import CosetTable, transversal
 
 MODES = ("perm", "coset")
@@ -46,16 +45,17 @@ class CosetLabeling:
     def __post_init__(self):
         if len(self.transversal) != self.table.n:
             raise ValueError("transversal length must equal the coset count")
-        if any(a[0] != i for i, (a, _) in enumerate(self.actions)):
+        if any(a[0] != i for i, a in enumerate(self.actions)):
             raise ValueError("a representative misses its coset")
 
     @cached_property
     def actions(self):
-        """(action, inverse action) of each representative on the cosets.
+        """The action of each representative w on the cosets, one
+        permutation per coset and no inverse: action[c] is the coset c*w.
 
-        action[c] is the coset c*w.  A word's action is its longest
-        known prefix's followed by one table column per further letter,
-        so a BFS transversal costs one column per representative.
+        A word's action is its longest known prefix's followed by one
+        table column per further letter, so a BFS transversal costs one
+        column per representative.
         """
         columns = tuple(zip(*self.table.action))
         known = {(): tuple(range(self.table.n))}
@@ -69,7 +69,7 @@ class CosetLabeling:
             for j in range(k, len(letters)):
                 a = tuple(map(columns[letters[j]].__getitem__, a))
                 known[letters[:j + 1]] = a
-            out.append((a, _Tuples.inverse_table(a)))
+            out.append(a)
         return tuple(out)
 
 
@@ -99,20 +99,21 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
 
     The commutator a^-1 b^-1 a b of representatives a, b acts on a coset
     k as b(a(b^-1(a^-1(k)))); free reduction does not change the action
-    on a complete table.  The verdict ignores the order of the line's
-    points: [b, a] = [a, b]^-1 is trivial, or lies in H, exactly when
-    [a, b] does.
+    on a complete table.  It is the identity exactly when ab = ba, so
+    perm mode compares b(a(k)) with a(b(k)) at every k; coset mode takes
+    a^-1 and b^-1 at the one coset it reads by index.  The verdict
+    ignores the order of the line's points: [b, a] = [a, b]^-1 is
+    trivial, or lies in H, exactly when [a, b] does.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
     actions = labeling.actions
     for i, j in combinations(line, 2):
-        a, a_inv = actions[i]
-        b, b_inv = actions[j]
+        a, b = actions[i], actions[j]
         if mode == "coset":
-            if b[a[b_inv[a_inv[0]]]]:
+            if b[a[b.index(a.index(0))]]:
                 return False
-        elif any(b[a[b_inv[a_inv[k]]]] != k for k in range(len(a))):
+        elif list(map(b.__getitem__, a)) != list(map(a.__getitem__, b)):
             return False
     return True
 

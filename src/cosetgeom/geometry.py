@@ -140,21 +140,6 @@ class PolygonCheck:
     t: int | None
 
 
-def _transversal(g: PermGroup):
-    """For each point p, the images of an element taking 0 to p, found
-    breadth-first over the generators."""
-    rows = [None] * g.degree
-    rows[0] = tuple(range(g.degree))
-    queue = [0]
-    for p in queue:
-        for images in (h.images for h in g.generators):
-            q = images[p]
-            if rows[q] is None:
-                rows[q] = tuple(map(images.__getitem__, rows[p]))
-                queue.append(q)
-    return rows
-
-
 def _suborbits(g: PermGroup):
     """(least point, orbit) of each suborbit of g: each orbit of G_0, the
     stabilizer of point 0, on the points 1..n-1."""
@@ -169,9 +154,10 @@ def _pair_orbits(g: PermGroup):
     suborbit D(q) of G_0 and in its paired suborbit D*(q), the one that
     holds t_q^-1(0).  Over D(q) u D*(q) each pair p < t_p(r) occurs once.
     q is the least point of D(q) u D*(q), so (0, q) is the least pair of
-    the orbit, and |G_0q| = |G_0| / |D(q)|.
+    the orbit, and |G_0q| = |G_0| / |D(q)|.  t_p is g's transversal, read
+    off its stabilizer chain.
     """
-    rows = _transversal(g)
+    rows = g.transversal()
     suborbits = _suborbits(g)
     suborbit = {r: delta for _, delta in suborbits for r in delta}
     order = g.point_stabilizer(0).order()

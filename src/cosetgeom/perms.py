@@ -8,12 +8,13 @@ images: bytes up to degree 256, where one composition is a single
 bytes.translate in C, and tuples composed by one itemgetter above that.
 Every group computation runs on a deterministic Schreier-Sims
 stabilizer chain (_Chain); for an empty base prefix its base and strong
-generators are sympy's.  A point stabilizer is the second level of a
-chain whose base starts at the point, and comes with its order.  A
-group keeps one chain, for the empty base prefix: its base, its strong
-generators per level and its level transversals, which order() and
-elements() read.  Once built, that chain drops its check cursors and
-the inverse tables it cached while sifting.
+generators are sympy's.  A group keeps one chain, based at point 0 and
+built once: its base, its strong generators per level and its level
+transversals, which order(), elements() and transversal() read.  Once
+built, that chain drops its check cursors and the inverse tables it
+cached while sifting.  A point stabilizer is generated by the second
+level of a chain whose base starts at the point, the kept one for point
+0, and keeps that chain's deeper levels as its own chain.
 
 Every element is the product of one transversal element per chain
 level: the element-order histogram lists them all and walks the powers
@@ -448,13 +449,24 @@ class _Chain:
         residue, _ = self._sift(h, 0)
         return residue is None or residue == self.enc.identity
 
-    def order(self, level=0):
-        """The order of the stabilizer of base[:level]."""
-        return prod(len(orbit) for orbit in self._orbits[level:])
+    def order(self):
+        return prod(len(orbit) for orbit in self._orbits)
 
     def stabilizer_gens(self):
         """Strong generators of the stabilizer of base[0]."""
         return [g for g, _ in self._levels[1]] if len(self.base) > 1 else []
+
+    def tail(self):
+        """The chain of the stabilizer of base[0]: the deeper levels,
+        shared with this chain, with no build state."""
+        tail = _Chain.__new__(_Chain)
+        tail.enc = self.enc
+        tail.base = self.base[1:]
+        tail.strong_gens = self.stabilizer_gens()
+        tail._levels = self._levels[1:]
+        tail._orbits = self._orbits[1:]
+        tail.release()
+        return tail
 
 
 class PermGroup:
@@ -477,55 +489,42 @@ class PermGroup:
         self.generators = tuple(generators)
         self._enc = _Bytes(degree) if degree <= 256 else _Tuples(degree)
         self._gens = [self._enc.encode(g.images) for g in generators]
-        self._order = None if generators else 1
         self._stabilizers = {}
         self._chain = None
         self._fingerprint = None
 
-    def chain(self, base_prefix=()) -> _Chain:
-        """A stabilizer chain whose base starts with base_prefix.
-
-        The chain for the empty prefix, which elements() reads, is kept,
-        with its build state released.  Its base starts at the first
-        point the first generator moves, so it is also the chain for that
-        one point.
-        """
-        gens = self._gens
-        first = _first_moved(gens[0]) if gens else None
-        if tuple(base_prefix) not in ((), (first,)):
-            return _Chain(self._enc, gens, base_prefix)
+    def chain(self) -> _Chain:
+        """The stabilizer chain this group keeps, with its build state
+        released: built once with its base starting at point 0, unless
+        the group is a point stabilizer, which inherits the deeper levels
+        of the chain it was read from."""
         if self._chain is None:
-            self._chain = _Chain(self._enc, gens)
+            self._chain = _Chain(self._enc, self._gens, (0,))
             self._chain.release()
         return self._chain
 
     def order(self) -> int:
-        """The product of the orbit lengths of the chain that
-        point_stabilizer(0) builds."""
-        if self._order is None:
-            self.point_stabilizer(0)
-        return self._order
+        return self.chain().order()
 
     def is_transitive(self) -> bool:
-        """Orbit-stabilizer on the chain point_stabilizer(0) builds."""
-        return self.order() == self.degree * self.point_stabilizer(0).order()
+        return len(self.orbit(0)) == self.degree
 
     def orbit(self, point: int):
         return frozenset(_orbit(point, self._gens, lambda g, p: g[p]))
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """The stabilizer of point, generated by the second level of a
-        chain whose base starts at point; kept per point.  Its order, and
-        this group's, come with the chain."""
+        """The stabilizer of point, kept per point.  It is generated by
+        the second level of a chain whose base starts at point, the kept
+        chain when its base does, else a new one, and keeps that chain's
+        deeper levels as its own chain."""
         stab = self._stabilizers.get(point)
         if stab is None:
-            if not self.generators:
-                return self
-            chain = self.chain((point,))
+            chain = self.chain()
+            if chain.base[:1] != [point]:
+                chain = _Chain(self._enc, self._gens, (point,))
             stab = PermGroup([Permutation(h) for h in chain.stabilizer_gens()],
                              degree=self.degree)
-            stab._order = chain.order(1)
-            self._order = chain.order()
+            stab._chain = chain.tail()
             self._stabilizers[point] = stab
         return stab
 
@@ -547,6 +546,17 @@ class PermGroup:
             tables = [self._enc.table(u) for u in tr.values()]
             elements = [step(e, t) for t in tables for e in elements]
         return elements
+
+    def transversal(self):
+        """For each point p, the images of an element taking 0 to p, or
+        None off the orbit of 0: the kept chain's first level, found
+        breadth-first over the generators in order.  A chain inherited
+        from a point stabilizer's parent is not based at 0, and is
+        refused."""
+        chain = self.chain()
+        if chain.base[:1] != [0]:
+            raise ValueError("the kept chain is not based at point 0")
+        return [chain._orbits[0].get(p) for p in range(self.degree)]
 
     def derived_index(self) -> int:
         """|G : G'|."""

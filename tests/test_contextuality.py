@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -10,8 +11,8 @@ from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      to_dot)
 from cosetgeom.geometry import (IncidenceGeometry, geometry_from_class,
                                 pair_classes, recognize)
-from cosetgeom.toddcox import schreier_generators, transversal
-from cosetgeom.words import commutator_word
+from cosetgeom.toddcox import schreier_generators, todd_coxeter, transversal
+from cosetgeom.words import SubgroupSpec, commutator_word, parse_presentation
 
 
 def labelings_of(table):
@@ -41,6 +42,22 @@ def test_labeling_refuses_representatives_that_miss_their_cosets(k19_to_9):
     for bad in (reps[::-1], swapped):
         with pytest.raises(ValueError, match="misses its coset"):
             CosetLabeling(bad, t)
+
+
+def test_labeling_holds_one_permutation_per_coset():
+    # the cyclic group of order 600 on itself: n actions of n cosets,
+    # n * (56 + 8n) bytes as tuples; an inverse beside each action, with
+    # its own ints above 256, took the peak past 4 times that
+    pres = parse_presentation("< x, y | y, x^600 >")
+    table = todd_coxeter(SubgroupSpec(pres))
+    n = table.n
+    tracemalloc.start()
+    try:
+        labeling_from_table(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * (56 + 8 * n)
 
 
 def test_bad_mode(k19_to_9):

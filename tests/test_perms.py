@@ -164,7 +164,7 @@ def test_chain_matches_sympy(differential_tables, s12):
         sym = _sym_group(g)
         assert g.order() == sym.order()
         assert g.is_transitive() == sym.is_transitive()
-        chain = g.chain()
+        chain = _Chain(g._enc, g._gens)
         assert chain.base == sym.base
         assert [tuple(h) for h in chain.strong_gens] \
             == [tuple(h.array_form) for h in sym.strong_gens]
@@ -196,23 +196,80 @@ def test_kept_chain_answers_after_its_build_state_is_released(
     """The chain a group keeps drops its check cursors and sifting
     cache, and answers order, elements and membership as a freshly
     built chain does, on the group's elements and on random
-    permutations of its points."""
+    permutations of its points.  So does the tail of that chain that G_0
+    inherits, against a chain built for G_0 alone."""
     rng = Random(0)
     answers = set()
     for g in census_groups:
-        kept = g.chain()
-        assert kept._cursor is None and not any(kept._inverses)
-        fresh = _Chain(g._enc, g._gens)
-        twin = PermGroup(g.generators, degree=g.degree)
-        twin._chain = fresh
-        assert kept.order() == fresh.order() == g.order()
-        elements = g.elements()
-        assert elements == twin.elements()
-        shuffled = [rng.sample(range(g.degree), g.degree) for _ in range(20)]
-        for x in elements + [g._enc.encode(p) for p in shuffled]:
-            assert (x in kept) == (x in fresh)
-            answers.add(x in kept)
+        for h in (g, g.point_stabilizer(0)):
+            kept = h.chain()
+            assert kept._cursor is None and not any(kept._inverses)
+            fresh = _Chain(h._enc, h._gens, (0,))
+            twin = PermGroup(h.generators, degree=h.degree)
+            twin._chain = fresh
+            assert kept.order() == fresh.order() == h.order()
+            elements = h.elements()
+            assert sorted(elements) == sorted(twin.elements())
+            if h is g:
+                assert elements == twin.elements()
+            shuffled = [rng.sample(range(h.degree), h.degree)
+                        for _ in range(20)]
+            for x in elements + [h._enc.encode(p) for p in shuffled]:
+                assert (x in kept) == (x in fresh)
+                answers.add(x in kept)
     assert answers == {False, True}
+
+
+def test_one_chain_per_group(census_groups, monkeypatch):
+    """A group and its G_0 answer order, transitivity and elements, and
+    the group its point stabilizer, from one Schreier-Sims build."""
+    builds = []
+    init = _Chain.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Chain, "__init__", counted)
+    for g in census_groups:
+        g = PermGroup(g.generators, degree=g.degree)
+        del builds[:]
+        g.order(), g.is_transitive(), g.elements()
+        g0 = g.point_stabilizer(0)
+        g0.order(), g0.elements(), g0.is_transitive()
+        assert len(builds) == 1
+
+
+def _bfs_transversal(g):
+    """For each point p, the images of an element taking 0 to p, found
+    breadth-first over the generators."""
+    rows = [None] * g.degree
+    rows[0] = tuple(range(g.degree))
+    queue = [0]
+    for p in queue:
+        for images in (h.images for h in g.generators):
+            q = images[p]
+            if rows[q] is None:
+                rows[q] = tuple(map(images.__getitem__, rows[p]))
+                queue.append(q)
+    return rows
+
+
+def test_transversal_is_the_breadth_first_one(census_groups):
+    """A group's transversal, its chain's first level, is the BFS from 0
+    over the generators in order, on transitive and intransitive
+    groups and on tuples above degree 256."""
+    c300 = Permutation(tuple((i + 1) % 300 for i in range(300)))
+    small = [PermGroup([parse_cycles(c, n) for c in cycles], degree=n)
+             for cycles, n in ((("(2,3,4)", "(1,2)"), 5), ((), 3))]
+    for g in census_groups + small + [PermGroup([c300, c300 * c300])]:
+        rows = [r if r is None else tuple(r) for r in g.transversal()]
+        assert rows == _bfs_transversal(g)
+    # G_0 keeps the tail of G's chain, based past 0, and a trivial G_0
+    # one with no base at all
+    for g in (census_groups[0], PermGroup([c300])):
+        with pytest.raises(ValueError, match="not based at point 0"):
+            g.point_stabilizer(0).transversal()
 
 
 def test_psl2_257_on_the_projective_line():
