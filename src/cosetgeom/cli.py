@@ -22,8 +22,7 @@ from .census import UnknownId, census_entry, list_census
 from .contextuality import (DEFAULT_MODE, MODES, contextuality_report,
                             labeling_from_table)
 from .contextuality import to_dot as contextuality_dot
-from .dessins import (Dessin, dessin_from_table, modular_data, passport,
-                      signature)
+from .dessins import dessin_from_table, modular_data, passport, signature
 from .dessins import to_dot as dessin_dot
 # incidence_graph_stats is unused here since geometries cache their stats;
 # perfbench/selftest.py checks that the tracer rebinds cli's binding of it
@@ -192,15 +191,15 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     gives the group and the dessin, and one labeling of the cosets
     serves every class.
     """
-    px, py = table.perm_rep()
-    group = PermGroup([px, py], degree=table.n)
+    dessin = dessin_from_table(table)
+    group = PermGroup([dessin.sigma_black, dessin.sigma_white],
+                      degree=table.n)
     labeling = labeling_from_table(table)
     report = {
         "index": table.n,
         "order": group.order(),
         "identified_as": identify(group),
-        "dessin": dessin_report(Dessin(n=table.n, sigma_black=px,
-                                       sigma_white=py)),
+        "dessin": dessin_report(dessin),
         "classes": [],
     }
     for cls in _chosen_classes(group, only_class):
@@ -288,12 +287,13 @@ def bundled_certificate(id, index):
 
 
 def _dessin_claims(table):
-    """The dessin values a KnownResult can record, from dessin_report."""
-    report = dessin_report(dessin_from_table(table))
-    sig, md = report["signature"], report.get("modular_data")
-    return {"passport": report["passport"],
-            "signature": (sig["B"], sig["W"], sig["F"], sig["g"]),
-            "modular_data": md and (md["nu2"], md["nu3"], md["c"], md["f"])}
+    """The dessin values a KnownResult can record, as dessin_report
+    computes them."""
+    p = passport(dessin_from_table(table))
+    md = modular_data(p)
+    return {"passport": str(p),
+            "signature": signature(p).as_tuple(),
+            "modular_data": md and (md.nu2, md.nu3, md.c, md.f)}
 
 
 def _compare(entry, r):

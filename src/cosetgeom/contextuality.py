@@ -121,7 +121,10 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
 def contextuality_report(labeling: CosetLabeling, geometry: IncidenceGeometry,
                          mode: str = DEFAULT_MODE) -> ContextualityReport:
     """Verdicts on the lines of a geometry whose points are the cosets,
-    in the geometry's line order; a verdict ignores point order."""
+    in the geometry's line order; a verdict ignores point order.  The
+    mode is checked here, so a geometry with no lines refuses a bad one."""
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s" % (MODES,))
     if geometry.n != labeling.table.n:
         raise ValueError("geometry has %d points, the table %d cosets"
                          % (geometry.n, labeling.table.n))

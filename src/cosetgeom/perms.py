@@ -21,8 +21,9 @@ level: the element-order histogram lists them all and walks the powers
 of one element per cyclic subgroup, giving every power its order at
 once.  It is computed only up to EXACT_ORDER_BOUND; above it a
 fingerprint has no histogram.  The derived subgroup, the normal closure
-of the generators' commutators, grows as a chain that an element joins
-when it does not sift through it, at every order.
+of the generators' commutators, is one chain, built once and extended
+by add() with each element that does not sift through it, at every
+order.
 
 Fingerprints are computed when asked for and cached per group:
 identify(group) fingerprints only a group whose order is in its table.
@@ -247,9 +248,9 @@ def _derived_order(enc, gens):
     """|G'| for G = <gens>: the normal closure of the generators'
     pairwise commutators.
 
-    G' is a chain, rebuilt each time a queued element it does not
-    contain joins its generators; that element's conjugates by G's
-    generators join the queue.
+    G' is one chain, which each queued element extends unless it sifts
+    through it; an element that extends it queues its conjugates by G's
+    generators.
     """
     step = enc.step
     tables = [enc.table(g) for g in gens]
@@ -258,13 +259,10 @@ def _derived_order(enc, gens):
     queue = [step(step(step(inverses[i], inverse_tables[j]), tables[i]),
                   tables[j])
              for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    derived = []
-    chain = _Chain(enc, derived)
+    chain = _Chain(enc, [])
     while queue:
         x = queue.pop()
-        if x not in chain:
-            derived.append(x)
-            chain = _Chain(enc, derived)
+        if chain.add(x):
             t = enc.table(x)
             queue.extend(step(step(i, t), g) for i, g in zip(inverses, tables))
     return chain.order()
@@ -316,7 +314,8 @@ class _Chain:
     schreier_sims_incremental.  Level i is checked only once every
     deeper level is complete, so a Schreier generator that sifted to the
     identity sifts to it again: a level resumes its check where it found
-    a new strong generator instead of starting over.
+    a new strong generator instead of starting over.  add(h) extends a
+    built chain by h in the same way, from the level h stops sifting at.
     """
 
     def __init__(self, enc, gens, base_prefix=()):
@@ -333,9 +332,25 @@ class _Chain:
         self._cursor = [None] * len(base)
         for level in range(len(base)):
             self._reset(level)
-        i = len(base) - 1
-        while i >= 0:
-            found = self._check(i)
+        self._complete(len(base) - 1)
+
+    def add(self, h):
+        """Extend the chain, not yet released, by h unless h is in it;
+        whether the chain grew."""
+        found = self._sift(h, 0)
+        if found[0] is not None:
+            self._complete(-1, found)
+        return found[0] is not None
+
+    def _complete(self, i, found=None):
+        """Check levels i, i-1, ..., 0 in turn, each with every deeper
+        level complete.  A residue h found at level i that stopped at
+        level j, given as found or from the check, becomes a strong
+        generator of levels i+1..j, its first moved point a new base
+        point when j is past the base, and the checks resume at j."""
+        base = self.base
+        while found is not None or i >= 0:
+            found = found or self._check(i)
             if found is None:
                 i -= 1
                 continue
@@ -346,11 +361,11 @@ class _Chain:
                                   self._inverses, self._cursor):
                     per_level.append([])
             self.strong_gens.append(h)
-            t = enc.table(h)
+            t = self.enc.table(h)
             for level in range(i + 1, j + 1):
                 self._levels[level].append((h, t))
                 self._reset(level)
-            i = j
+            i, found = j, None
 
     def _distribute(self, gens):
         """Per level, each of gens with its table, if it fixes the base
@@ -410,6 +425,8 @@ class _Chain:
             if h == u:
                 return None, None
             h = step(h, self._inverse(level, beta))
+        if h == self.enc.identity:
+            return None, None
         return h, len(base)
 
     def _check(self, i):
@@ -446,8 +463,7 @@ class _Chain:
 
     def __contains__(self, h):
         """Whether h sifts from level 0 to the identity."""
-        residue, _ = self._sift(h, 0)
-        return residue is None or residue == self.enc.identity
+        return self._sift(h, 0)[0] is None
 
     def order(self):
         return prod(len(orbit) for orbit in self._orbits)

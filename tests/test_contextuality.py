@@ -65,6 +65,10 @@ def test_bad_mode(k19_to_9):
     _, geom, lab = next(labelings_of(t))
     with pytest.raises(ValueError):
         line_commutes(lab, geom.lines[0], "quantum")
+    # a geometry with no lines never reaches a line verdict
+    for report in (contextuality_report, to_dot):
+        with pytest.raises(ValueError, match="mode"):
+            report(lab, IncidenceGeometry(t.n, ()), "bogus")
 
 
 def test_k19_grid_verdicts(k19_to_9):

@@ -11,8 +11,8 @@ from conftest import brute_force_order, group_of, relabel, requires_full
 from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
 from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _Chain,
-                             _orbit, cycle_type_str, identify, parse_cycles,
-                             simultaneously_conjugate)
+                             _orbit, _Tuples, cycle_type_str, identify,
+                             parse_cycles, simultaneously_conjugate)
 from cosetgeom.toddcox import todd_coxeter
 
 
@@ -220,9 +220,9 @@ def test_kept_chain_answers_after_its_build_state_is_released(
     assert answers == {False, True}
 
 
-def test_one_chain_per_group(census_groups, monkeypatch):
-    """A group and its G_0 answer order, transitivity and elements, and
-    the group its point stabilizer, from one Schreier-Sims build."""
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The arguments of each _Chain.__init__ call, in order."""
     builds = []
     init = _Chain.__init__
 
@@ -231,13 +231,31 @@ def test_one_chain_per_group(census_groups, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(_Chain, "__init__", counted)
+    return builds
+
+
+def test_one_chain_per_group(census_groups, chain_builds):
+    """A group and its G_0 answer order, transitivity and elements, and
+    the group its point stabilizer, from one Schreier-Sims build."""
     for g in census_groups:
         g = PermGroup(g.generators, degree=g.degree)
-        del builds[:]
+        del chain_builds[:]
         g.order(), g.is_transitive(), g.elements()
         g0 = g.point_stabilizer(0)
         g0.order(), g0.elements(), g0.is_transitive()
-        assert len(builds) == 1
+        assert len(chain_builds) == 1
+
+
+def test_derived_subgroup_is_one_chain(census_groups, chain_builds):
+    """Once a group's order is known, its derived index builds one
+    chain, for G' alone, which each new generator of G' extends."""
+    for g in census_groups:
+        g = PermGroup(g.generators, degree=g.degree)
+        for h in (g, g.point_stabilizer(0)):
+            h.order()
+            del chain_builds[:]
+            h.derived_index()
+            assert len(chain_builds) == 1
 
 
 def _bfs_transversal(g):
@@ -292,6 +310,15 @@ def test_psl2_257_on_the_projective_line():
     assert fp.element_order_histogram == tuple(sorted(
         [(1, 1), (257, 256)] + [(d, 257 * int(totient(d)))
                                 for d in range(2, 129) if 128 % d == 0]))
+
+
+def test_derived_index_on_tuples():
+    """S3 on 3 of 257 points, so the derived subgroup's chain runs on
+    tuples: G' is A3, of index 2."""
+    g = PermGroup([Permutation.from_cycles([[0, 1, 2]], 257),
+                   Permutation.from_cycles([[0, 1]], 257)])
+    assert isinstance(g._enc, _Tuples)
+    assert g.derived_index() == 2
 
 
 def test_over_bound_fingerprints_are_exact(s12):

@@ -60,6 +60,7 @@ def test_chain_matches_sympy_on_random_pairs(pair):
                   degree=len(pair[0]))
     sym = SymGroup([SymPerm(list(images)) for images in pair])
     assert g.order() == sym.order()
+    assert g.derived_index() == sym.order() // sym.derived_subgroup().order()
     chain = _Chain(g._enc, g._gens)
     assert chain.base == sym.base
     assert [set(tr) for tr in chain._orbits] \
