@@ -461,10 +461,6 @@ class _Chain:
         self._cursor = None
         self._inverses = [{} for _ in self.base]
 
-    def __contains__(self, h):
-        """Whether h sifts from level 0 to the identity."""
-        return self._sift(h, 0)[0] is None
-
     def order(self):
         return prod(len(orbit) for orbit in self._orbits)
 

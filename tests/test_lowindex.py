@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 import tracemalloc
@@ -492,6 +493,27 @@ def test_emitted_tables_hold_no_certificates():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_emitted_tables_share_rows(k4_pres):
+    # k4 <= 18: 215 classes, twins included, of 2 969 rows, 779 of them
+    # distinct.  Each distinct row is one tuple across the tables, and
+    # the results hold about 110 KB (tracemalloc); with a tuple per row
+    # they hold about 260 KB.  A full collection empties the tuple free
+    # lists, so every tuple the search frees is untraced and every one it
+    # makes is traced.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tables = low_index_subgroups(k4_pres, 18)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 160 * 2 ** 10
+    rows = [row for t in tables for row in t.action]
+    assert (len(tables), len(rows)) == (215, 2969)
+    assert len({id(row) for row in rows}) == len(set(rows)) == 779
 
 
 def _stack_depth():
