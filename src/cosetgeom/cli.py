@@ -83,25 +83,30 @@ def cmd_census(args):
 
 # -- subgroups ------------------------------------------------------------
 
-def _group(table):
-    return PermGroup(table.perm_rep(), degree=table.n)
+def _read(table):
+    """(dessin, group) of a coset table: its dessin, the actions of x and
+    y, and the group of those two permutations.  The one place a command
+    reads a table's action."""
+    dessin = dessin_from_table(table)
+    return dessin, PermGroup([dessin.sigma_black, dessin.sigma_white],
+                             degree=table.n)
 
 
 def _subgroup_record(table):
-    px, py = table.perm_rep()
-    group = PermGroup([px, py], degree=table.n)
+    dessin, group = _read(table)
     fp = group.fingerprint()
     orders = fp.element_orders()
     return {
         "index": table.n,
-        "generators": {"x": str(px), "y": str(py)},
+        "generators": {"x": str(dessin.sigma_black),
+                       "y": str(dessin.sigma_white)},
         "order": fp.order,
         "fingerprint": {
             "order": fp.order,
             "element_orders": None if orders is None else sorted(orders),
             "exact": fp.exact,
             "derived_index": fp.derived_index,
-            "transitive": fp.transitive,
+            "transitive": group.is_transitive(),
         },
         "identified_as": identify(group),
         "certificate_words": [str(g) for g in table.subgroup.generators],
@@ -161,14 +166,18 @@ def _find_table(entry, args):
     return tables[args.which - 1]
 
 
-def _chosen_classes(group, cls=None):
-    """All pair classes, or only the 1-based class cls."""
+def _geometries(group, cls=None):
+    """(pair class, geometry) for each pair class of group, or for the
+    1-based class cls alone, which is refused before any geometry is
+    built.  The one place a command builds a geometry: each is built
+    when the iteration reaches its class."""
     classes = pair_classes(group)
-    if cls is None:
-        return classes
-    if not 1 <= cls <= len(classes):
-        raise UsageError("no pair class %d (%d classes)" % (cls, len(classes)))
-    return [classes[cls - 1]]
+    if cls is not None:
+        if not 1 <= cls <= len(classes):
+            raise UsageError("no pair class %d (%d classes)"
+                             % (cls, len(classes)))
+        classes = [classes[cls - 1]]
+    return ((c, geometry_from_class(group, c.pairs)) for c in classes)
 
 
 def dessin_report(dessin):
@@ -187,13 +196,11 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     """Full JSON-ready report for one subgroup's coset table.
 
     only_class restricts the report to that 1-based pair class; the
-    other classes' geometries are never built.  One permutation pair
-    gives the group and the dessin, and one labeling of the cosets
+    other classes' geometries are never built.  One reading of the
+    table gives the group and the dessin, and one labeling of the cosets
     serves every class.
     """
-    dessin = dessin_from_table(table)
-    group = PermGroup([dessin.sigma_black, dessin.sigma_white],
-                      degree=table.n)
+    dessin, group = _read(table)
     labeling = labeling_from_table(table)
     report = {
         "index": table.n,
@@ -202,8 +209,7 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
         "dessin": dessin_report(dessin),
         "classes": [],
     }
-    for cls in _chosen_classes(group, only_class):
-        geom = geometry_from_class(group, cls.pairs)
+    for cls, geom in _geometries(group, only_class):
         stats = geom.stats
         ctx = contextuality_report(labeling, geom, mode)
         report["classes"].append({
@@ -224,11 +230,10 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
 def cmd_analyze(args):
     table = _find_table(census_entry(args.id), args)
     if args.export == "dot":
-        group = _group(table)
-        cls = 1 if args.cls is None else args.cls
-        geom = geometry_from_class(group, _chosen_classes(group, cls)[0].pairs)
+        dessin, group = _read(table)
+        _, geom = next(_geometries(group, args.cls or 1))
         print(contextuality_dot(labeling_from_table(table), geom, args.mode))
-        print(dessin_dot(dessin_from_table(table)))
+        print(dessin_dot(dessin))
         return EXIT_OK
     _emit(analyze_table(table, mode=args.mode, only_class=args.cls),
           args.json)
@@ -286,10 +291,10 @@ def bundled_certificate(id, index):
     return _load_certificate(_bundled_path(id, index), census_entry(id))
 
 
-def _dessin_claims(table):
+def _dessin_claims(dessin):
     """The dessin values a KnownResult can record, as dessin_report
     computes them."""
-    p = passport(dessin_from_table(table))
+    p = passport(dessin)
     md = modular_data(p)
     return {"passport": str(p),
             "signature": signature(p).as_tuple(),
@@ -306,7 +311,8 @@ def _compare(entry, r):
     r.order and whose pair classes include the geometry r.geometry (each
     filter only when set, and named in the count's key; classes are
     built in order until one is that geometry); the published
-    pairs and dessin values are checked on those counted tables.
+    pairs and dessin values are checked on the dessins of those counted
+    tables, kept from the one reading of each table.
     """
     if _bundled_path(entry.id, r.index).is_file():
         spec, source = bundled_certificate(entry.id, r.index), "certificate"
@@ -318,13 +324,13 @@ def _compare(entry, r):
               else [todd_coxeter(spec)])
     hits = []
     for t in tables:
-        group = _group(t)
+        dessin, group = _read(t)
         if (t.n == r.index
                 and (r.order is None or group.order() == r.order)
                 and (r.geometry is None or any(
-                    recognize(geometry_from_class(group, c.pairs))
-                    == r.geometry for c in pair_classes(group)))):
-            hits.append(t)
+                    recognize(geom) == r.geometry
+                    for _, geom in _geometries(group)))):
+            hits.append(dessin)
     filters = ["%s=%s" % (k, getattr(r, k)) for k in ("order", "geometry")
                if getattr(r, k) is not None]
     key = "count(%s)" % ", ".join(filters) if filters else "count"
@@ -336,14 +342,15 @@ def _compare(entry, r):
         expected["pairs"] = len(r.pairs)
         computed["pairs"] = sum(
             any(simultaneously_conjugate(
-                t.perm_rep(), tuple(parse_cycles(c, r.index) for c in pair))
-                for t in hits)
+                (d.sigma_black, d.sigma_white),
+                tuple(parse_cycles(c, r.index) for c in pair))
+                for d in hits)
             for pair in r.pairs)
     keys = ("passport", "signature", "modular_data")
-    dessin = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
-    if dessin:
-        expected["dessin"] = [dessin] * r.count
-        computed["dessin"] = [{k: claims[k] for k in dessin}
+    claimed = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
+    if claimed:
+        expected["dessin"] = [claimed] * r.count
+        computed["dessin"] = [{k: claims[k] for k in claimed}
                               for claims in map(_dessin_claims, hits)]
     return source, expected, computed
 

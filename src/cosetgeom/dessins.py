@@ -137,25 +137,21 @@ def modular_data(p: Passport) -> ModularData | None:
 def to_dot(d: Dessin) -> str:
     """DOT graph: filled black nodes b<i>, open white nodes w<j>.
 
-    A colour's vertices are its permutation's cycles, numbered from 1 in
-    order of least point.  One edge per point, labeled with the 1-based
+    A colour's vertices are its permutation's cycles, fixed points
+    included, numbered from 1 in the order Permutation.cycles lists
+    them, of least point.  One edge per point, labeled with the 1-based
     point index.
     """
     lines = ["graph dessin {"]
     vertex_of = []
     for tag, fill, perm in (("b", "black", d.sigma_black),
                             ("w", "white", d.sigma_white)):
-        vertex = [0] * d.n               # 0 until the point's cycle is met
-        k = 0
-        for start in range(d.n):
-            if not vertex[start]:
-                k += 1
-                lines.append('  %s%d [shape=circle, style=filled, '
-                             'fillcolor=%s, label=""];' % (tag, k, fill))
-                p = start
-                while not vertex[p]:
-                    vertex[p] = k
-                    p = perm(p)
+        vertex = [0] * d.n
+        for k, cycle in enumerate(perm.cycles(), 1):
+            lines.append('  %s%d [shape=circle, style=filled, '
+                         'fillcolor=%s, label=""];' % (tag, k, fill))
+            for p in cycle:
+                vertex[p] = k
         vertex_of.append(vertex)
     black, white = vertex_of
     for p in range(d.n):

@@ -252,8 +252,10 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
     stabilizers (the pairs themselves when the stabilizers are trivial).
     Otherwise: the maximum-size cliques of the class graph.  Either way
     the lines through point 0 are carried to every point by the
-    generators.  A pair with a point outside the action, a loop or a
-    repeated pair is refused before any work.
+    generators.  The pairs must be a pair set that g preserves: each
+    generator maps every pair, in either orientation, into the set.  A
+    pair with a point outside the action, a loop, a repeated pair or a
+    pair set g does not preserve is refused before any work.
     """
     if not g.is_transitive():
         raise ValueError("group must be transitive")
@@ -267,6 +269,8 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
         raise ValueError("pair of a point with itself")
     if any(map(tuple.__eq__, pairs, pairs[1:])):
         raise ValueError("repeated pair")
+    if not _preserves(g, pairs):
+        raise ValueError("the group does not preserve the pairs")
     if len(pairs) == n * (n - 1) // 2:
         seeds = _fixed_sets_through_0(g)
     else:
@@ -276,6 +280,21 @@ def geometry_from_class(g: PermGroup, pairs) -> IncidenceGeometry:
         if seed not in lines:
             lines |= _orbit(seed, g.generators, _image)
     return IncidenceGeometry(n=n, lines=lines, symmetry=g.generators)
+
+
+def _preserves(g: PermGroup, pairs):
+    """Whether each generator of g maps every pair, in either
+    orientation, to a pair of pairs.  The set of pairs is freed on
+    return, before the lines are built, which keeps it out of the
+    build's peak memory."""
+    edges = set(pairs)
+    for h in g.generators:
+        images = h.images
+        for p, q in pairs:
+            a, b = images[p], images[q]
+            if (a, b) not in edges and (b, a) not in edges:
+                return False
+    return True
 
 
 def _fixed_sets_through_0(g: PermGroup):

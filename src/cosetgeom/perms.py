@@ -79,39 +79,31 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self):
-        """Nontrivial cycles, each starting at its least point."""
+        """Every cycle, fixed points included, each from its least point,
+        in order of least point."""
         seen = [False] * self.degree
         out = []
         for i in range(self.degree):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
+            cyc = []
+            j = i
+            while not seen[j]:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j]
-            out.append(tuple(cyc))
+            if cyc:
+                out.append(tuple(cyc))
         return out
 
     def cycle_type(self):
         """Multiset of cycle lengths (fixed points included), sorted desc."""
-        lens = [len(c) for c in self.cycles()]
-        lens += [1] * (self.degree - sum(lens))
-        return tuple(sorted(lens, reverse=True))
+        return tuple(sorted(map(len, self.cycles()), reverse=True))
 
     def order(self) -> int:
-        return reduce(lcm, (len(c) for c in self.cycles()), 1)
+        return reduce(lcm, map(len, self.cycles()), 1)
 
     def __str__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join(
-            "(%s)" % ",".join(str(p + 1) for p in c) for c in cycs
-        )
+        return "".join("(%s)" % ",".join(str(p + 1) for p in c)
+                       for c in self.cycles() if len(c) > 1) or "()"
 
     def __repr__(self):
         return "Permutation(%s)" % str(self)
@@ -586,13 +578,15 @@ class PermGroup:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Conjugation-invariant stand-in for an isomorphism class."""
+    """Conjugation-invariant stand-in for an isomorphism class: its
+    order, element-order histogram and derived index.  Transitivity is a
+    property of an action, not of the class, and is read off the group
+    (PermGroup.is_transitive)."""
 
     order: int
     # sorted ((order, count), ...); None above EXACT_ORDER_BOUND
     element_order_histogram: tuple | None
     derived_index: int
-    transitive: bool
 
     @property
     def exact(self):
@@ -615,7 +609,6 @@ def fingerprint(g: PermGroup) -> Fingerprint:
         order=order,
         element_order_histogram=hist,
         derived_index=g.derived_index(),
-        transitive=g.is_transitive(),
     )
 
 

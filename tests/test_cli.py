@@ -19,6 +19,7 @@ from cosetgeom.contextuality import to_dot as contextuality_dot
 from cosetgeom.dessins import ModularData, Signature
 from cosetgeom.geometry import (GraphStats, PolygonCheck, geometry_from_class,
                                 pair_classes)
+from cosetgeom.toddcox import CosetTable
 
 
 def run(capsys, *argv):
@@ -202,6 +203,25 @@ def test_analyze_class_builds_one_geometry(capsys, monkeypatch):
     full = json.loads(full)
     full["classes"] = full["classes"][1:2]
     assert json.loads(out) == full
+
+
+def test_each_table_is_read_once(capsys, monkeypatch):
+    # a command reads a table's action once, through its dessin: the DOT
+    # export of one class, and reproduce over its 53 tables
+    read = []                   # the tables stay alive, so ids stay distinct
+    perm_rep = CosetTable.perm_rep
+
+    def recorded(table):
+        read.append(table)
+        return perm_rep(table)
+    monkeypatch.setattr(CosetTable, "perm_rep", recorded)
+    for argv, tables in ((["analyze", "k1", "--index", "10", "--which", "2",
+                           "--export", "dot"], 1),
+                         (["reproduce", "fast"], 53)):
+        read.clear()
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len({id(t) for t in read}) == len(read) == tables
 
 
 def test_analyze_table_labels_the_cosets_once(monkeypatch, k19_to_9):

@@ -281,6 +281,7 @@ def test_clique_lines_are_the_largest_cliques_of_the_graph(
     ([(0, 1), (0, 1), (1, 2)], "repeated"),
     ([(0, 1), (1, 0), (1, 2)], "repeated"),
     ([], "empty"),
+    ([(0, 1)], "preserve"),
 ])
 def test_geometry_from_class_refuses_malformed_pairs(pairs, message):
     g = PermGroup([parse_cycles("(1,2,3)", 3)])

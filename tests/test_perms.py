@@ -21,12 +21,19 @@ def test_parse_and_print_cycles():
     assert str(p) == "(2,3,5,4)(6,7,8,9)"
     assert p.order() == 4
     assert parse_cycles("()", 3).is_identity()
+    with pytest.raises(ValueError, match="bad cycle notation"):
+        parse_cycles("(1,2", 3)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_cycles("(1,4)", 3)
 
 
 def test_cycle_type_includes_fixed_points():
     p = parse_cycles("(1,2)(3,4)", 6)
     assert p.cycle_type() == (2, 2, 1, 1)
     assert cycle_type_str(p.cycle_type()) == "2^2 1^2"
+    # cycles() lists the fixed points too, every cycle in least-point order
+    assert parse_cycles("(2,5)(3,4)", 6).cycles() == [
+        (0,), (1, 4), (2, 3), (5,)]
 
 
 def test_composition_order():
@@ -95,6 +102,8 @@ def test_simultaneously_conjugate():
         assert relabel(ga, sigma) == gb
     c = (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2,3)", 3))
     assert simultaneously_conjugate(a, c) is None
+    d = (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4))
+    assert simultaneously_conjugate(d, a) is None
 
 
 def test_transitivity_from_point_0_orders(census_groups):
@@ -355,8 +364,9 @@ def test_g1_h1_is_the_tits_group():
 
 def test_degree_300_cyclic_group():
     c300 = Permutation(tuple((i + 1) % 300 for i in range(300)))
-    fp = PermGroup([c300]).fingerprint()
-    assert fp.order == 300 and fp.exact and fp.transitive
+    g = PermGroup([c300])
+    fp = g.fingerprint()
+    assert fp.order == 300 and fp.exact and g.is_transitive()
     assert fp.element_order_histogram == tuple(
         (d, int(totient(d))) for d in range(1, 301) if 300 % d == 0)
     assert fp.derived_index == 300
