@@ -16,9 +16,9 @@ from .dessins import (Dessin, ModularData, Passport, Signature,
 from .geometry import (GraphStats, IncidenceGeometry, PairClass, PolygonCheck,
                        geometry_from_class, incidence_graph_stats,
                        maximal_cliques, pair_classes, polygon_check, recognize)
-from .lowindex import SearchBudgetExceeded, low_index_subgroups
+from .lowindex import SearchBudgetExceeded, least_table, low_index_subgroups
 from .perms import (Fingerprint, PermGroup, Permutation, fingerprint,
-                    identify, parse_cycles, simultaneously_conjugate)
+                    identify, parse_cycles)
 from .toddcox import (CosetLimitExceeded, CosetTable, schreier_generators,
                       todd_coxeter, transversal)
 from .words import (Presentation, SubgroupSpec, Word, commutator_word,

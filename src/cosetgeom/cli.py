@@ -28,9 +28,8 @@ from .dessins import to_dot as dessin_dot
 # perfbench/selftest.py checks that the tracer rebinds cli's binding of it
 from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
                        pair_classes, polygon_check, recognize)
-from .lowindex import SearchBudgetExceeded, low_index_subgroups
-from .perms import (PermGroup, identify, parse_cycles,
-                    simultaneously_conjugate)
+from .lowindex import SearchBudgetExceeded, least_table, low_index_subgroups
+from .perms import PermGroup, identify, parse_cycles
 from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter
 from .words import SubgroupSpec, parse_word
 
@@ -106,7 +105,8 @@ def _subgroup_record(table):
             "element_orders": None if orders is None else sorted(orders),
             "exact": fp.exact,
             "derived_index": fp.derived_index,
-            "transitive": group.is_transitive(),
+            # _read's Dessin refuses a disconnected pair, so this is True
+            "transitive": True,
         },
         "identified_as": identify(group),
         "certificate_words": [str(g) for g in table.subgroup.generators],
@@ -301,6 +301,12 @@ def _dessin_claims(dessin):
             "modular_data": md and (md.nu2, md.nu3, md.c, md.f)}
 
 
+def _pair_rows(x, y):
+    """The action rows (x, x^-1, y, y^-1) of a generator pair."""
+    return list(zip(x.images, x.inverse().images,
+                    y.images, y.inverse().images))
+
+
 def _compare(entry, r):
     """(source, expected, computed) for one KnownResult.
 
@@ -310,9 +316,10 @@ def _compare(entry, r):
     tables of index r.index whose group has order
     r.order and whose pair classes include the geometry r.geometry (each
     filter only when set, and named in the count's key; classes are
-    built in order until one is that geometry); the published
-    pairs and dessin values are checked on the dessins of those counted
-    tables, kept from the one reading of each table.
+    built in order until one is that geometry).  A published pair counts
+    when its least table is that of a counted table; the dessin values
+    are checked on the dessins of the counted tables, kept from the one
+    reading of each table.
     """
     if _bundled_path(entry.id, r.index).is_file():
         spec, source = bundled_certificate(entry.id, r.index), "certificate"
@@ -322,7 +329,8 @@ def _compare(entry, r):
         spec, source = None, "search"
     tables = (_tables_at(entry, r.index) if spec is None
               else [todd_coxeter(spec)])
-    hits = []
+    # a Todd-Coxeter table, numbered from coset 0, is in general not least
+    hits, counted = [], set()
     for t in tables:
         dessin, group = _read(t)
         if (t.n == r.index
@@ -331,6 +339,7 @@ def _compare(entry, r):
                     recognize(geom) == r.geometry
                     for _, geom in _geometries(group)))):
             hits.append(dessin)
+            counted.add(least_table(t.action))
     filters = ["%s=%s" % (k, getattr(r, k)) for k in ("order", "geometry")
                if getattr(r, k) is not None]
     key = "count(%s)" % ", ".join(filters) if filters else "count"
@@ -341,11 +350,8 @@ def _compare(entry, r):
     if r.pairs:
         expected["pairs"] = len(r.pairs)
         computed["pairs"] = sum(
-            any(simultaneously_conjugate(
-                (d.sigma_black, d.sigma_white),
-                tuple(parse_cycles(c, r.index) for c in pair))
-                for d in hits)
-            for pair in r.pairs)
+            least_table(_pair_rows(*(parse_cycles(c, r.index) for c in pair)))
+            in counted for pair in r.pairs)
     keys = ("passport", "signature", "modular_data")
     claimed = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
     if claimed:

@@ -5,10 +5,12 @@ Enumerates one coset table per conjugacy class of subgroups of index
 in row-major order (letter order x, x^-1, y, y^-1), relator scans
 propagate deductions, and a first-in-class test prunes tables that are
 not lexicographically minimal over the choice of base coset, so each
-conjugacy class is produced exactly once.  Completed tables are already
-in BFS-standard numbering by construction.  The depth-first search runs
-on an explicit stack of branch points, each trying its values in place,
-so Python's recursion limit does not bound how deep a search path may go.
+conjugacy class is produced exactly once.  A completed table is its own
+least_table, Sims's standard form (*Computation with Finitely Presented
+Groups*, 1994); equal least tables are the package's one test of
+simultaneous conjugacy.  The depth-first search runs on an explicit
+stack of branch points, each trying its values in place, so Python's
+recursion limit does not bound how deep a search path may go.
 
 The search runs modulo the letter automorphisms of the presentation:
 the signed permutations s of x, x^-1, y, y^-1 that map every relator,
@@ -147,11 +149,18 @@ def _letter_automorphisms(relators, read):
     return found
 
 
-def _least_renumbering(rows, floor):
-    """The least BFS renumbering of the complete table rows over its base
-    cosets, in row-major order, or None once one is found below floor.
+def least_table(rows):
+    """The least BFS renumbering over all base points, in row-major order,
+    of the action on 0..n-1 whose row c holds the images of c under x,
+    x^-1, y and y^-1.  A renumbering is dropped at its first row above
+    the least so far.
 
-    A renumbering is dropped at its first row above the least so far.
+    Two transitive actions are simultaneously conjugate exactly when
+    their least tables are equal: a relabeling carries the renumbering
+    from each base point to the one from its image.  Every table that
+    low_index_subgroups returns is its own least table.  A renumbering
+    reaches one orbit only, so an intransitive action's least table has
+    fewer rows than points and is no transitive action's table.
     """
     n = len(rows)
     best = None
@@ -177,8 +186,6 @@ def _least_renumbering(rows, floor):
             out.append(row)
         else:
             best = tuple(out)
-            if best < floor:
-                return None
     return best
 
 
@@ -457,7 +464,9 @@ class _Search:
         class and its twins' classes, then the least table of each twin.
 
         The twin under an automorphism s reads column l from column s(l);
-        its least renumbering over all bases is its class's table.
+        its least_table is its class's table.  The table is dropped when
+        a twin's least table is smaller: then it is not the least of its
+        class and its twins' classes.
 
         The emitted tables repeat each other's rows (k4 <= 24: 11 539
         rows, 2 135 of them distinct), so every emitted row is the one
@@ -467,9 +476,8 @@ class _Search:
         action = tuple(zip(*(col[:n] for col in self.cols)))
         tables = [action]
         for s in self.automorphisms:
-            twin = _least_renumbering(
-                [tuple(row[k] for k in s) for row in action], action)
-            if twin is None:
+            twin = least_table([tuple(row[k] for k in s) for row in action])
+            if twin < action:
                 return
             if twin not in tables:
                 tables.append(twin)

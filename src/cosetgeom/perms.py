@@ -646,32 +646,3 @@ def identify(g: PermGroup):
             return name
     return None
 
-
-def simultaneously_conjugate(pair_a, pair_b):
-    """A relabeling taking generator pair a to pair b, or None.
-
-    Both pairs must generate transitive groups of equal degree; the image
-    of point 0 then determines the whole relabeling, which is checked.
-    """
-    n = pair_a[0].degree
-    if any(p.degree != n for p in (*pair_a, *pair_b)):
-        return None
-    for base in range(n):
-        sigma = [None] * n
-        sigma[0] = base
-        stack = [0]
-        ok = True
-        while stack and ok:
-            p = stack.pop()
-            for ga, gb in zip(pair_a, pair_b):
-                q, r = ga(p), gb(sigma[p])
-                if sigma[q] is None:
-                    sigma[q] = r
-                    stack.append(q)
-                elif sigma[q] != r:
-                    ok = False
-                    break
-        if ok and all(s is not None for s in sigma) \
-                and sorted(sigma) == list(range(n)):
-            return Permutation(tuple(sigma))
-    return None

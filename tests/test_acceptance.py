@@ -9,16 +9,16 @@ its time budget.
 import time
 from fractions import Fraction
 
-from conftest import (group_of, order_of, published, quotient_pairs,
-                      requires_full)
-from cosetgeom import (census_entry, dessin_from_table, low_index_subgroups,
-                       modular_data, passport, signature, todd_coxeter)
+from conftest import (group_of, order_of, pair_rows, published,
+                      quotient_pairs, requires_full)
+from cosetgeom import (census_entry, dessin_from_table, least_table,
+                       low_index_subgroups, modular_data, passport, signature,
+                       todd_coxeter)
 from cosetgeom.cli import bundled_certificate
 from cosetgeom.contextuality import contextuality_report, labeling_from_table
 from cosetgeom.geometry import (geometry_from_class, incidence_graph_stats,
                                 pair_classes, recognize)
-from cosetgeom.perms import (PermGroup, Permutation, parse_cycles,
-                             simultaneously_conjugate)
+from cosetgeom.perms import PermGroup, Permutation, parse_cycles
 
 
 def _classes_at(id, index):
@@ -39,9 +39,9 @@ def test_criterion_01_k4_index4_published_pairs():
              ("(1,2,4,3)", "(1,2)(3,4)"), ("(1,2,4,3)", "(2,3)")]
     matched = []
     for gx, gy in pairs:
-        target = (parse_cycles(gx, 4), parse_cycles(gy, 4))
-        hit = [t for t in tables
-               if simultaneously_conjugate(t.perm_rep(), target) is not None]
+        target = least_table(pair_rows(parse_cycles(gx, 4),
+                                       parse_cycles(gy, 4)))
+        hit = [t for t in tables if least_table(t.action) == target]
         assert hit, "no class matches (%s, %s)" % (gx, gy)
         matched.extend(hit)
     assert len({t.action for t in matched}) == 4

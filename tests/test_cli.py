@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import group_of, order_of
+from conftest import group_of, order_of, relabel
 from cosetgeom import cli, dessins, low_index_subgroups, perms, todd_coxeter
 from cosetgeom.census import KnownResult, census_entry, list_census
 from cosetgeom.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK,
@@ -19,6 +19,7 @@ from cosetgeom.contextuality import to_dot as contextuality_dot
 from cosetgeom.dessins import ModularData, Signature
 from cosetgeom.geometry import (GraphStats, PolygonCheck, geometry_from_class,
                                 pair_classes)
+from cosetgeom.perms import parse_cycles
 from cosetgeom.toddcox import CosetTable
 
 
@@ -156,6 +157,28 @@ def test_bundled_certificates_replay():
     from cosetgeom.cli import bundled_certificate
     assert todd_coxeter(bundled_certificate("k1", 21)).n == 21
     assert todd_coxeter(bundled_certificate("k5", 45)).n == 45
+
+
+def test_published_pairs_count_up_to_simultaneous_relabeling():
+    # k4's four index-4 pairs, relabeled, and with one pair swapped for
+    # an intransitive pair or for the action of a class of another order
+    entry = census_entry("k4")
+    (known,) = [r for r in entry.known_results if r.index == 4]
+
+    def pairs_computed(pairs):
+        r = dataclasses.replace(known, pairs=pairs)
+        return cli._compare(entry, r)[2]["pairs"]
+
+    sigma = parse_cycles("(1,3,2,4)", 4)
+    relabeled = tuple(tuple(str(relabel(parse_cycles(c, 4), sigma))
+                            for c in pair) for pair in known.pairs)
+    assert relabeled != known.pairs
+    assert pairs_computed(relabeled) == 4
+    rest = known.pairs[1:]
+    assert pairs_computed((("(1,2)", "(3,4)"),) + rest) == 3
+    t = next(t for t in low_index_subgroups(entry.presentation, 4)
+             if t.n == 4 and order_of(t) == 4)
+    assert pairs_computed((tuple(map(str, t.perm_rep())),) + rest) == 3
 
 
 def test_analyze_deterministic(capsys):

@@ -3,17 +3,20 @@ import hashlib
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (order_of, presentations, sympy_fp_group,
-                      symmetric_presentations)
+from conftest import (order_of, pair_rows, presentations, relabel,
+                      sympy_fp_group, symmetric_presentations)
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
-from cosetgeom.lowindex import (SearchBudgetExceeded, _Search,
+from cosetgeom.lowindex import (SearchBudgetExceeded, _Search, least_table,
                                 low_index_subgroups)
+from cosetgeom.perms import Permutation, parse_cycles
 from cosetgeom.toddcox import CosetTable, schreier_generators, todd_coxeter
 from cosetgeom.words import (X, XI, Y, YI, Presentation, SubgroupSpec,
                              Word, parse_presentation)
@@ -350,6 +353,73 @@ def test_emitted_tables_are_first_in_class(pres, max_index):
         assert bfs_renumbering(t.action, 0) == t.action
         for beta in range(1, t.n):
             assert t.action <= bfs_renumbering(t.action, beta)
+
+
+def brute_force_conjugate(a, b):
+    """Whether some relabeling in S_n maps each permutation of pair a onto
+    the same one of pair b."""
+    n = a[0].degree
+    return b[0].degree == n and any(
+        all(relabel(p, sigma) == q for p, q in zip(a, b))
+        for sigma in map(Permutation, permutations(range(n))))
+
+
+def random_transitive_pair(rng, n):
+    """A pair of permutations of 0..n-1 that generates a transitive group."""
+    while True:
+        pair = tuple(Permutation(rng.sample(range(n), n)) for _ in range(2))
+        orbit, frontier = {0}, [0]
+        while frontier:
+            c = frontier.pop()
+            for d in (g(c) for g in pair):
+                if d not in orbit:
+                    orbit.add(d)
+                    frontier.append(d)
+        if len(orbit) == n:
+            return pair
+
+
+def test_least_tables_decide_simultaneous_conjugacy():
+    # against a search of S_n: half the second pairs are relabeled copies
+    # of the first, half are drawn afresh, and some of those conjugate too
+    rng = Random(1)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = random_transitive_pair(rng, n)
+        if rng.random() < 0.5:
+            sigma = Permutation(rng.sample(range(n), n))
+            b = tuple(relabel(p, sigma) for p in a)
+        else:
+            b = random_transitive_pair(rng, rng.randint(max(1, n - 1), n))
+        equal = least_table(pair_rows(*a)) == least_table(pair_rows(*b))
+        assert equal == brute_force_conjugate(a, b)
+        verdicts[equal] += 1
+    assert min(verdicts.values()) > 50
+
+
+def test_least_tables_of_explicit_pairs():
+    # conjugate, not conjugate, and of another degree
+    def least(x, y, n):
+        return least_table(pair_rows(parse_cycles(x, n), parse_cycles(y, n)))
+    a = least("(1,2,3)", "(1,2)", 3)
+    assert a == least("(1,3,2)", "(2,3)", 3)
+    assert a != least("(1,2,3)", "(1,2,3)", 3)
+    assert a != least("(1,2,3,4)", "(1,2)", 4)
+
+
+def test_intransitive_least_table_has_fewer_rows_than_points():
+    table = least_table(pair_rows(parse_cycles("(1,2)", 4),
+                                  parse_cycles("(3,4)", 4)))
+    assert len(table) == 2
+
+
+@pytest.mark.parametrize("cid, max_index", [
+    ("k1", 14), ("k4", 18), ("k5", 12), ("k19", 12)])
+def test_search_tables_are_their_own_least_tables(cid, max_index):
+    tables = low_index_subgroups(census_entry(cid).presentation, max_index)
+    for t in tables:
+        assert least_table(t.action) == t.action
 
 
 def assert_twins_emitted(pres, tables):

@@ -12,7 +12,7 @@ from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
 from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _Chain,
                              _orbit, _Tuples, cycle_type_str, identify,
-                             parse_cycles, simultaneously_conjugate)
+                             parse_cycles)
 from cosetgeom.toddcox import todd_coxeter
 
 
@@ -91,19 +91,6 @@ def test_named_groups_table_is_consistent():
             assert all(order % o == 0 for o in orders)
         assert (name, order) not in seen
         seen.add((name, order))
-
-
-def test_simultaneously_conjugate():
-    a = (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3))
-    b = (parse_cycles("(1,3,2)", 3), parse_cycles("(2,3)", 3))
-    sigma = simultaneously_conjugate(a, b)
-    assert sigma is not None
-    for ga, gb in zip(a, b):
-        assert relabel(ga, sigma) == gb
-    c = (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2,3)", 3))
-    assert simultaneously_conjugate(a, c) is None
-    d = (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4))
-    assert simultaneously_conjugate(d, a) is None
 
 
 def test_transitivity_from_point_0_orders(census_groups):
