@@ -19,8 +19,8 @@ from .geometry import (GraphStats, IncidenceGeometry, PairClass, PolygonCheck,
 from .lowindex import SearchBudgetExceeded, least_table, low_index_subgroups
 from .perms import (Fingerprint, PermGroup, Permutation, fingerprint,
                     identify, parse_cycles)
-from .toddcox import (CosetLimitExceeded, CosetTable, schreier_generators,
-                      todd_coxeter, transversal)
+from .toddcox import (CosetLimitExceeded, CosetTable, pair_rows,
+                      schreier_generators, todd_coxeter, transversal)
 from .words import (Presentation, SubgroupSpec, Word, commutator_word,
                     parse_presentation, parse_word)
 

@@ -30,7 +30,7 @@ from .geometry import (geometry_from_class, incidence_graph_stats,  # noqa: F401
                        pair_classes, polygon_check, recognize)
 from .lowindex import SearchBudgetExceeded, least_table, low_index_subgroups
 from .perms import PermGroup, identify, parse_cycles
-from .toddcox import MAX_COSETS, CosetLimitExceeded, todd_coxeter
+from .toddcox import MAX_COSETS, CosetLimitExceeded, pair_rows, todd_coxeter
 from .words import SubgroupSpec, parse_word
 
 EXIT_OK = 0
@@ -301,12 +301,6 @@ def _dessin_claims(dessin):
             "modular_data": md and (md.nu2, md.nu3, md.c, md.f)}
 
 
-def _pair_rows(x, y):
-    """The action rows (x, x^-1, y, y^-1) of a generator pair."""
-    return list(zip(x.images, x.inverse().images,
-                    y.images, y.inverse().images))
-
-
 def _compare(entry, r):
     """(source, expected, computed) for one KnownResult.
 
@@ -350,7 +344,7 @@ def _compare(entry, r):
     if r.pairs:
         expected["pairs"] = len(r.pairs)
         computed["pairs"] = sum(
-            least_table(_pair_rows(*(parse_cycles(c, r.index) for c in pair)))
+            least_table(pair_rows(*(parse_cycles(c, r.index) for c in pair)))
             in counted for pair in r.pairs)
     keys = ("passport", "signature", "modular_data")
     claimed = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}

@@ -7,10 +7,12 @@ propagate deductions, and a first-in-class test prunes tables that are
 not lexicographically minimal over the choice of base coset, so each
 conjugacy class is produced exactly once.  A completed table is its own
 least_table, Sims's standard form (*Computation with Finitely Presented
-Groups*, 1994); equal least tables are the package's one test of
-simultaneous conjugacy.  The depth-first search runs on an explicit
-stack of branch points, each trying its values in place, so Python's
-recursion limit does not bound how deep a search path may go.
+Groups*, 1994): the least over base cosets of toddcox.renumber, the BFS
+that numbers a finished Todd-Coxeter enumeration from coset 0.  Equal
+least tables are the package's one test of simultaneous conjugacy.  The
+depth-first search runs on an explicit stack of branch points, each
+trying its values in place, so Python's recursion limit does not bound
+how deep a search path may go.
 
 The search runs modulo the letter automorphisms of the presentation:
 the signed permutations s of x, x^-1, y, y^-1 that map every relator,
@@ -61,7 +63,7 @@ about a third of the memory that a tuple per row would take.
 
 from __future__ import annotations
 
-from .toddcox import CosetTable, NLETTERS
+from .toddcox import CosetTable, NLETTERS, renumber
 from .words import Presentation
 
 
@@ -152,8 +154,8 @@ def _letter_automorphisms(relators, read):
 def least_table(rows):
     """The least BFS renumbering over all base points, in row-major order,
     of the action on 0..n-1 whose row c holds the images of c under x,
-    x^-1, y and y^-1.  A renumbering is dropped at its first row above
-    the least so far.
+    x^-1, y and y^-1: toddcox.renumber from each base, bounded by the
+    least so far.
 
     Two transitive actions are simultaneously conjugate exactly when
     their least tables are equal: a relabeling carries the renumbering
@@ -162,30 +164,9 @@ def least_table(rows):
     reaches one orbit only, so an intransitive action's least table has
     fewer rows than points and is no transitive action's table.
     """
-    n = len(rows)
     best = None
-    for beta in range(n):
-        new = [-1] * n
-        new[beta] = 0
-        order = [beta]
-        out = []
-        below = best is None
-        for c in order:
-            row = []
-            for d in rows[c]:
-                if new[d] == -1:
-                    new[d] = len(order)
-                    order.append(d)
-                row.append(new[d])
-            row = tuple(row)
-            if not below:
-                least = best[len(out)]
-                if row > least:
-                    break
-                below = row < least
-            out.append(row)
-        else:
-            best = tuple(out)
+    for beta in range(len(rows)):
+        best = renumber(rows.__getitem__, beta, best) or best
     return best
 
 

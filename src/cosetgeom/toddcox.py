@@ -4,9 +4,9 @@ The enumerator is the HLT strategy (relator scanning with filling) with
 a standard union-find coincidence queue.  It holds its table by column,
 one list per letter with None while a cell is undefined, as the
 low-index search does, and grows each column as cosets are defined.  A
-finished enumeration is numbered by one BFS over its live cosets from
-coset 0 in the canonical letter order x, x^-1, y, y^-1, so equal
-subgroups always yield byte-identical tables.
+finished enumeration is numbered by renumber from coset 0, the BFS that
+lowindex.least_table minimizes over base cosets, so equal subgroups
+always yield byte-identical tables.
 
 Cosets are 0-based internally and in the Python API; JSON output is
 1-based to match the human-facing reports.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .perms import Permutation
 from .words import Word, Presentation, SubgroupSpec
 
 NLETTERS = 4
@@ -65,8 +66,7 @@ class CosetTable:
         return c
 
     def perm_rep(self):
-        """Permutations (pi_x, pi_y) of the coset set."""
-        from .perms import Permutation
+        """Permutations (pi_x, pi_y) of the coset set; see pair_rows."""
         px = Permutation(tuple(row[0] for row in self.action))
         py = Permutation(tuple(row[2] for row in self.action))
         return px, py
@@ -84,6 +84,36 @@ class CosetTable:
                 assert self.word_action(r, c) == c, "relator not closed"
         for g in self.subgroup.generators:
             assert self.word_action(g, 0) == 0, "certificate word leaves coset 0"
+
+
+def pair_rows(x, y):
+    """The rows (x, x^-1, y, y^-1) of a generator pair: perm_rep's inverse."""
+    return list(zip(x.images, x.inverse().images,
+                    y.images, y.inverse().images))
+
+
+def renumber(row, base, bound=None):
+    """The rows row(c), c's images under x, x^-1, y and y^-1, of base's
+    orbit renumbered by BFS: base is 0 and each coset takes the next
+    number when first read.  With a bound, a table, None at the first
+    row above the bound's, every earlier row equal: never above it."""
+    new, order, out = {base: 0}, [base], []
+    below = bound is None
+    for c in order:
+        numbered = []
+        for d in row(c):
+            k = new.get(d)
+            if k is None:
+                k = new[d] = len(order)
+                order.append(d)
+            numbered.append(k)
+        numbered = tuple(numbered)
+        if not below:
+            if numbered > bound[len(out)]:
+                return None
+            below = numbered < bound[len(out)]
+        out.append(numbered)
+    return tuple(out)
 
 
 class _Enumerator:
@@ -217,25 +247,19 @@ def todd_coxeter(spec: SubgroupSpec,
     """Enumerate the cosets of the subgroup; raises CosetLimitExceeded."""
     enum = _Enumerator(spec.parent.relators, max_cosets)
     enum.run(spec.generators)
-    # number the live cosets in BFS order from coset 0; with no
-    # coincidence every coset is live and its own root
+    # number the live cosets reached from coset 0; with no coincidence
+    # every coset is live and its own root
     cols, rep = enum.cols, enum.rep
     merged = enum.nalive != len(enum.p)
-    order = [0]
-    new_of = {0: 0}
-    action = []
-    for c in order:
-        row = [col[c] for col in cols]        # columns in LETTER_ORDER
-        assert None not in row, "HLT left an undefined entry"
-        if merged:
-            row = [rep(d) for d in row]
-        for d in row:
-            if d not in new_of:
-                new_of[d] = len(order)
-                order.append(d)
-        action.append(tuple(new_of[d] for d in row))
-    assert len(order) == enum.nalive, "coset graph is not connected"
-    return CosetTable(action=tuple(action), presentation=spec.parent)
+
+    def row(c):
+        images = [col[c] for col in cols]     # columns in LETTER_ORDER
+        assert None not in images, "HLT left an undefined entry"
+        return [rep(d) for d in images] if merged else images
+
+    action = renumber(row, 0)
+    assert len(action) == enum.nalive, "coset graph is not connected"
+    return CosetTable(action=action, presentation=spec.parent)
 
 
 def _transversal_letters(table: CosetTable):

@@ -125,13 +125,6 @@ def relabel(p, sigma):
     return Permutation(img)
 
 
-def pair_rows(x, y):
-    """The action rows (x, x^-1, y, y^-1) of a generator pair, as
-    least_table reads them."""
-    return list(zip(x.images, x.inverse().images, y.images,
-                    y.inverse().images))
-
-
 def sympy_fp_group(pres):
     """pres as a sympy FpGroup, and the map from a Word to its free group.
 

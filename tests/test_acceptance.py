@@ -9,11 +9,11 @@ its time budget.
 import time
 from fractions import Fraction
 
-from conftest import (group_of, order_of, pair_rows, published,
-                      quotient_pairs, requires_full)
+from conftest import (group_of, order_of, published, quotient_pairs,
+                      requires_full)
 from cosetgeom import (census_entry, dessin_from_table, least_table,
-                       low_index_subgroups, modular_data, passport, signature,
-                       todd_coxeter)
+                       low_index_subgroups, modular_data, pair_rows, passport,
+                       signature, todd_coxeter)
 from cosetgeom.cli import bundled_certificate
 from cosetgeom.contextuality import contextuality_report, labeling_from_table
 from cosetgeom.geometry import (geometry_from_class, incidence_graph_stats,

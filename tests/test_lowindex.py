@@ -10,14 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (order_of, pair_rows, presentations, relabel,
-                      sympy_fp_group, symmetric_presentations)
+from conftest import (order_of, presentations, relabel, sympy_fp_group,
+                      symmetric_presentations)
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import (SearchBudgetExceeded, _Search, least_table,
                                 low_index_subgroups)
 from cosetgeom.perms import Permutation, parse_cycles
-from cosetgeom.toddcox import CosetTable, schreier_generators, todd_coxeter
+from cosetgeom.toddcox import (CosetTable, pair_rows, renumber,
+                               schreier_generators, todd_coxeter)
 from cosetgeom.words import (X, XI, Y, YI, Presentation, SubgroupSpec,
                              Word, parse_presentation)
 
@@ -412,6 +413,40 @@ def test_intransitive_least_table_has_fewer_rows_than_points():
     table = least_table(pair_rows(parse_cycles("(1,2)", 4),
                                   parse_cycles("(3,4)", 4)))
     assert len(table) == 2
+
+
+def test_least_table_is_least_unbounded_renumbering():
+    # seeded random actions of degree 1-8: a renumbering bounded by
+    # another is that renumbering when it is no larger, else None, and
+    # least_table is the least unbounded renumbering over all bases
+    rng = Random(35)
+    transitive = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        # about half the pairs fix the points below a random split, and
+        # a relabeling by sigma scatters the two sets
+        split = rng.randint(1, n - 1) if n > 1 and rng.random() < 0.5 else 0
+        sigma = Permutation(rng.sample(range(n), n))
+        rows = pair_rows(*(relabel(Permutation(
+            rng.sample(range(split), split)
+            + rng.sample(range(split, n), n - split)), sigma)
+            for _ in range(2)))
+        unbounded = [renumber(rows.__getitem__, b) for b in range(n)]
+        assert unbounded == [bfs_renumbering(rows, b) for b in range(n)]
+        for bound in unbounded:
+            for b, table in enumerate(unbounded):
+                assert renumber(rows.__getitem__, b, bound) == (
+                    table if table <= bound else None)
+        assert least_table(rows) == min(unbounded)
+        transitive[len(unbounded[0]) == n] += 1
+    assert min(transitive.values()) > 50
+
+
+def test_pair_rows_inverts_perm_rep():
+    for cid, max_index in (("k1", 14), ("k4", 18)):
+        pres = census_entry(cid).presentation
+        for t in low_index_subgroups(pres, max_index):
+            assert pair_rows(*t.perm_rep()) == list(t.action)
 
 
 @pytest.mark.parametrize("cid, max_index", [
