@@ -307,11 +307,12 @@ def _compare(entry, r):
     The tables at r.index come from a bundled certificate, else the
     entry's distinguished subgroup r.subgroup, else the low-index
     search; a replay enumerates that one subgroup.  The count is of the
-    tables of index r.index whose group has order
-    r.order and whose pair classes include the geometry r.geometry (each
-    filter only when set, and named in the count's key; classes are
-    built in order until one is that geometry).  A published pair counts
-    when its least table is that of a counted table; the dessin values
+    tables of index r.index whose group has order r.order and whose pair
+    classes include the geometry r.geometry (each filter only when set,
+    and named in the count's key; classes are built in order until one
+    is that geometry).  A published pair counts when its least table is
+    that of a counted table: a search table is its own, a Todd-Coxeter
+    table, numbered from coset 0, is in general not.  The dessin values
     are checked on the dessins of the counted tables, kept from the one
     reading of each table.
     """
@@ -323,7 +324,6 @@ def _compare(entry, r):
         spec, source = None, "search"
     tables = (_tables_at(entry, r.index) if spec is None
               else [todd_coxeter(spec)])
-    # a Todd-Coxeter table, numbered from coset 0, is in general not least
     hits, counted = [], set()
     for t in tables:
         dessin, group = _read(t)
@@ -333,7 +333,7 @@ def _compare(entry, r):
                     recognize(geom) == r.geometry
                     for _, geom in _geometries(group)))):
             hits.append(dessin)
-            counted.add(least_table(t.action))
+            counted.add(t.action if spec is None else least_table(t.action))
     filters = ["%s=%s" % (k, getattr(r, k)) for k in ("order", "geometry")
                if getattr(r, k) is not None]
     key = "count(%s)" % ", ".join(filters) if filters else "count"

@@ -15,10 +15,10 @@ the repository notes); the default is the weaker, well-defined-on-cosets
 mode.
 
 One labeling per table serves every geometry on its cosets; the verdicts
-take the geometry as an argument.  A labeling computes once, when made,
-the permutation of the cosets by each representative (refusing a word
-that misses its coset), and holds no inverses: a commutator's action is
-read from the two permutations of its pair, with no word built.
+take the geometry as an argument.  A labeling holds, computed once when
+made, the permutation of the cosets by each representative's inverse
+(refusing a word that misses its coset); both modes compare k*a^-1*b^-1
+with k*b^-1*a^-1 for a pair a, b, and no word is built.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import ne
 
 from .geometry import IncidenceGeometry
 from .toddcox import CosetTable, transversal
@@ -45,17 +46,17 @@ class CosetLabeling:
     def __post_init__(self):
         if len(self.transversal) != self.table.n:
             raise ValueError("transversal length must equal the coset count")
-        if any(a[0] != i for i, a in enumerate(self.actions)):
+        if any(a[c] != 0 for c, a in enumerate(self.actions)):
             raise ValueError("a representative misses its coset")
 
     @cached_property
     def actions(self):
-        """The action of each representative w on the cosets, one
-        permutation per coset and no inverse: action[c] is the coset c*w.
+        """Each representative's inverse action, one permutation per
+        coset: actions[c][k] is k*w^-1 for c's word w, so actions[c][c] is 0.
 
-        A word's action is its longest known prefix's followed by one
-        table column per further letter, so a BFS transversal costs one
-        column per representative.
+        A word's action is its longest known prefix's, read through the
+        column of each further letter's inverse, so a BFS transversal
+        costs one column per representative.
         """
         columns = tuple(zip(*self.table.action))
         known = {(): tuple(range(self.table.n))}
@@ -67,7 +68,7 @@ class CosetLabeling:
                 k -= 1
             a = known[letters[:k]]
             for j in range(k, len(letters)):
-                a = tuple(map(columns[letters[j]].__getitem__, a))
+                a = tuple(map(a.__getitem__, columns[letters[j] ^ 1]))
                 known[letters[:j + 1]] = a
             out.append(a)
         return tuple(out)
@@ -97,13 +98,12 @@ def labeling_from_table(table: CosetTable) -> CosetLabeling:
 def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bool:
     """Pairwise commutation of the line's coset representatives.
 
-    The commutator a^-1 b^-1 a b of representatives a, b acts on a coset
-    k as b(a(b^-1(a^-1(k)))); free reduction does not change the action
-    on a complete table.  It is the identity exactly when ab = ba, so
-    perm mode compares b(a(k)) with a(b(k)) at every k; coset mode takes
-    a^-1 and b^-1 at the one coset it reads by index.  The verdict
-    ignores the order of the line's points: [b, a] = [a, b]^-1 is
-    trivial, or lies in H, exactly when [a, b] does.
+    The commutator a^-1 b^-1 a b of representatives a, b fixes coset k
+    exactly when k*a^-1*b^-1 = k*b^-1*a^-1, read from the labeling's
+    inverse actions; free reduction does not change the action on a
+    complete table.  Coset mode compares at coset 0, perm mode at every
+    coset, so perm implies coset.  The verdict ignores point order:
+    [b, a] = [a, b]^-1 is trivial, or lies in H, exactly when [a, b] does.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
@@ -111,9 +111,9 @@ def line_commutes(labeling: CosetLabeling, line, mode: str = DEFAULT_MODE) -> bo
     for i, j in combinations(line, 2):
         a, b = actions[i], actions[j]
         if mode == "coset":
-            if b[a[b.index(a.index(0))]]:
+            if b[a[0]] != a[b[0]]:
                 return False
-        elif list(map(b.__getitem__, a)) != list(map(a.__getitem__, b)):
+        elif any(map(ne, map(b.__getitem__, a), map(a.__getitem__, b))):
             return False
     return True
 

@@ -79,6 +79,17 @@ def test_report_json_is_pinned(differential_tables):
         "abf345613f17f2124ea7d03bf3d01f12857d2f3f435b86fe995afa269dc96f83")
 
 
+def test_perm_report_json_is_pinned(differential_tables):
+    # analyze --mode perm JSON, byte for byte, of the 85 differential
+    # tables: the other pins read coset-mode verdicts only
+    h = hashlib.sha256()
+    for t in differential_tables:
+        h.update(json.dumps(cli.analyze_table(t, mode="perm"),
+                            indent=2).encode())
+    assert h.hexdigest() == (
+        "7a0c63ed37d0aa9a0db944050a6979e7a28d89ef9a960536ebad6aeeb780def0")
+
+
 def test_dot_export_is_pinned(differential_tables):
     # analyze --export dot, byte for byte, of the 85 differential tables:
     # the first pair class's contextuality graph (where there is a pair),

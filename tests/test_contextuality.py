@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import group_of, order_of
+from conftest import group_of, order_of, requires_full
+from cosetgeom import census_entry
 from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
@@ -45,9 +46,9 @@ def test_labeling_refuses_representatives_that_miss_their_cosets(k19_to_9):
 
 
 def test_labeling_holds_one_permutation_per_coset():
-    # the cyclic group of order 600 on itself: n actions of n cosets,
-    # n * (56 + 8n) bytes as tuples; an inverse beside each action, with
-    # its own ints above 256, took the peak past 4 times that
+    # the cyclic group of order 600 on itself: n inverse actions of n
+    # cosets, n * (56 + 8n) bytes as tuples; a second permutation beside
+    # each, with its own ints above 256, took the peak past 4 times that
     pres = parse_presentation("< x, y | y, x^600 >")
     table = todd_coxeter(SubgroupSpec(pres))
     n = table.n
@@ -115,6 +116,23 @@ def test_mode_monotonicity(k19_to_9, k1_to_10):
             for line in geom.lines:
                 if line_commutes(lab, line, "perm"):
                     assert line_commutes(lab, line, "coset")
+
+
+@requires_full
+def test_g1_h1_verdicts():
+    # index 1755, the Tits group's action: on pair classes 1 and 2 a
+    # line that commutes in perm mode commutes in coset mode, and no line
+    # commutes in either mode
+    t = todd_coxeter(census_entry("g1").subgroup("h1"))
+    g = group_of(t)
+    lab = labeling_from_table(t)
+    for cls in pair_classes(g)[:2]:
+        geom = geometry_from_class(g, cls.pairs)
+        perm, coset = (contextuality_report(lab, geom, mode)
+                       for mode in ("perm", "coset"))
+        assert all(c for (_, p), (_, c) in zip(perm.per_line,
+                                                coset.per_line) if p)
+        assert perm.score == coset.score == 1
 
 
 def test_verdicts_ignore_point_order(k19_to_9, k1_to_10):
