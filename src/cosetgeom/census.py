@@ -13,13 +13,13 @@ tr[y, x] - 2 = gamma, and every relator of k1, k2, k4 and k5 is +-I;
 k19's first Claim records that two of its relators are not.
 
 Each published claim about an entry is stated once, in one of two
-records.  A claim the code reproduces is a KnownResult, which
-``cosetgeom reproduce`` checks: a class passes its geometry filter when
-the named geometry is among the names ``recognize`` gives its pair
-classes.  A claim it does not reproduce is a Claim with its status and
-reason: "differs" when the code computes something else, each such
-claim being one strict xfail in the tests whose reason is the record's,
-or "unchecked" when nothing computes it.
+records.  A claim the code reproduces is a KnownResult, every field of
+which ``cosetgeom reproduce`` checks, as the tests do: a class passes
+its geometry filter when the named geometry is among the names
+``recognize`` gives its pair classes.  A claim it does not reproduce is
+a Claim with its status and reason: "differs" when the code computes
+something else, each such claim being one strict xfail in the tests
+whose reason is the record's, or "unchecked" when nothing computes it.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ class KnownResult:
 
     count is the number of conjugacy classes at the index that satisfy
     the filter (image order and/or a geometry among the recognized names
-    of its pair classes); raw_count is the total number of classes at
-    the index when the filter is proper.  The tables come from the
-    entry's distinguished subgroup named by subgroup when it is set.
-    The remaining fields hold published data about the counted classes:
-    generator pairs (x, y) in 1-based cycle notation, each the action of
-    some counted class up to simultaneous relabeling, and the passport,
-    signature (B, W, F, g) and modular data (nu2, nu3, c, f) of every
-    counted class's dessin.
+    of its pair classes); raw_count, the total number of classes at the
+    index when the filter is proper, makes the check a search.  Without
+    it the tables come from the entry's distinguished subgroup named by
+    subgroup when it is set.  The remaining fields hold published data
+    about the counted classes: generator pairs (x, y) in 1-based cycle
+    notation, each the action of a different counted class up to
+    simultaneous relabeling, and the passport, signature (B, W, F, g)
+    and modular data (nu2, nu3, c, f) of every counted class's dessin.
     """
 
     index: int

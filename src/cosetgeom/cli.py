@@ -302,23 +302,22 @@ def _dessin_claims(dessin):
 
 
 def _compare(entry, r):
-    """(source, expected, computed) for one KnownResult.
+    """(source, expected, computed) of every field one KnownResult sets.
 
-    The tables at r.index come from a bundled certificate, else the
-    entry's distinguished subgroup r.subgroup, else the low-index
-    search; a replay enumerates that one subgroup.  The count is of the
-    tables of index r.index whose group has order r.order and whose pair
-    classes include the geometry r.geometry (each filter only when set,
-    and named in the count's key; classes are built in order until one
-    is that geometry).  A published pair counts when its least table is
-    that of a counted table: a search table is its own, a Todd-Coxeter
-    table, numbered from coset 0, is in general not.  The dessin values
-    are checked on the dessins of the counted tables, kept from the one
-    reading of each table.
+    A record that states r.raw_count is checked on the low-index search,
+    whose total that is; else on a bundled certificate, else on the
+    entry's distinguished subgroup r.subgroup (that one enumeration),
+    else on the search.  The count is of the tables of index r.index
+    whose group has order r.order and whose pair classes include the
+    geometry r.geometry (each filter only when set, and named in the
+    count's key; classes are built in order until one is that geometry).
+    The published pairs count the distinct counted tables whose least
+    table one of them has (a search table is its own least table).  The
+    dessin values are checked on the counted tables' dessins.
     """
-    if _bundled_path(entry.id, r.index).is_file():
+    if r.raw_count is None and _bundled_path(entry.id, r.index).is_file():
         spec, source = bundled_certificate(entry.id, r.index), "certificate"
-    elif r.subgroup:
+    elif r.raw_count is None and r.subgroup:
         spec, source = entry.subgroup(r.subgroup), "subgroup"
     else:
         spec, source = None, "search"
@@ -343,9 +342,9 @@ def _compare(entry, r):
         computed["raw_count"] = len(tables)
     if r.pairs:
         expected["pairs"] = len(r.pairs)
-        computed["pairs"] = sum(
+        computed["pairs"] = len(counted.intersection(
             least_table(pair_rows(*(parse_cycles(c, r.index) for c in pair)))
-            in counted for pair in r.pairs)
+            for pair in r.pairs))
     keys = ("passport", "signature", "modular_data")
     claimed = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
     if claimed:

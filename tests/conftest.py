@@ -200,3 +200,19 @@ def census_groups(census_tables):
 def differential_tables(census_tables, k19_to_9):
     """census_tables plus k19 <= 9, the inputs of the differential tests."""
     return list(census_tables) + list(k19_to_9)
+
+
+@pytest.fixture(scope="session")
+def h1_table():
+    """g1's coset table on h1, index 1755: the Tits group's action.  HLT
+    defines ~3M cosets before collapsing to it, so the session
+    enumerates it once."""
+    from cosetgeom.toddcox import todd_coxeter
+    return todd_coxeter(census_entry("g1").subgroup("h1"))
+
+
+@pytest.fixture(scope="session")
+def h1_group(h1_table):
+    """The group of h1_table, one for the session, so that its order
+    and stabilizer chain are computed once."""
+    return group_of(h1_table)

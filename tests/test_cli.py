@@ -192,6 +192,39 @@ def test_published_pairs_count_up_to_simultaneous_relabeling():
     assert pairs_computed((tuple(map(str, t.perm_rep())),) + rest) == 3
 
 
+def test_every_field_a_record_sets_is_checked():
+    # each field a record without a distinguished subgroup sets, made
+    # wrong in turn, fails its check; fields it leaves unset stay unset,
+    # since a raw_count on k5@45 would send it to the index-45 search
+    wrong_value = {
+        "count": lambda v: v + 1,
+        "order": lambda v: 2 * v,
+        "raw_count": lambda v: v + 1,
+        # a name whose point count is not the record's index
+        "geometry": lambda v: ("Hesse configuration" if v == "Fano plane"
+                               else "Fano plane"),
+        "pairs": lambda v: v[:1] * 2 + v[2:],       # one class named twice
+        "passport": lambda v: "[%s]" % ", ".join(v[1:-1].split(", ")[::-1]),
+        "signature": lambda v: (v[0] + 1,) + v[1:],
+        "modular_data": lambda v: (v[0] + 1,) + v[1:],
+    }
+    checked = set()
+    for entry in list_census():
+        for r in entry.known_results:
+            if r.subgroup:
+                continue
+            for f in dataclasses.fields(r):
+                value = getattr(r, f.name)
+                if f.name == "index" or value == f.default:
+                    continue
+                wrong = dataclasses.replace(
+                    r, **{f.name: wrong_value[f.name](value)})
+                _, expected, computed = cli._compare(entry, wrong)
+                assert computed != expected, (entry.id, r.index, f.name)
+                checked.add(f.name)
+    assert checked == wrong_value.keys()
+
+
 def test_analyze_deterministic(capsys):
     _, a = run(capsys, "analyze", "k19", "--index", "9", "--which", "3")
     _, b = run(capsys, "analyze", "k19", "--index", "9", "--which", "3")
@@ -241,7 +274,8 @@ def test_analyze_class_builds_one_geometry(capsys, monkeypatch):
 
 def test_each_table_is_read_once(capsys, monkeypatch):
     # a command reads a table's action once, through its dessin: the DOT
-    # export of one class, and reproduce over its 53 tables
+    # export of one class, and reproduce over its 62 tables (k1@21's 10
+    # among them, from the search its raw_count names)
     read = []                   # the tables stay alive, so ids stay distinct
     perm_rep = CosetTable.perm_rep
 
@@ -251,7 +285,7 @@ def test_each_table_is_read_once(capsys, monkeypatch):
     monkeypatch.setattr(CosetTable, "perm_rep", recorded)
     for argv, tables in ((["analyze", "k1", "--index", "10", "--which", "2",
                            "--export", "dot"], 1),
-                         (["reproduce", "fast"], 53)):
+                         (["reproduce", "fast"], 62)):
         read.clear()
         assert main(argv) == EXIT_OK
         capsys.readouterr()

@@ -5,7 +5,6 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import group_of, order_of, requires_full
-from cosetgeom import census_entry
 from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
@@ -119,15 +118,13 @@ def test_mode_monotonicity(k19_to_9, k1_to_10):
 
 
 @requires_full
-def test_g1_h1_verdicts():
+def test_g1_h1_verdicts(h1_table, h1_group):
     # index 1755, the Tits group's action: on pair classes 1 and 2 a
     # line that commutes in perm mode commutes in coset mode, and no line
     # commutes in either mode
-    t = todd_coxeter(census_entry("g1").subgroup("h1"))
-    g = group_of(t)
-    lab = labeling_from_table(t)
-    for cls in pair_classes(g)[:2]:
-        geom = geometry_from_class(g, cls.pairs)
+    lab = labeling_from_table(h1_table)
+    for cls in pair_classes(h1_group)[:2]:
+        geom = geometry_from_class(h1_group, cls.pairs)
         perm, coset = (contextuality_report(lab, geom, mode)
                        for mode in ("perm", "coset"))
         assert all(c for (_, p), (_, c) in zip(perm.per_line,

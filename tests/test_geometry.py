@@ -3,13 +3,11 @@ from itertools import combinations
 import pytest
 
 from conftest import group_of, order_of, relabel, requires_full
-from cosetgeom.census import census_entry
 from cosetgeom.geometry import (IncidenceGeometry, _bfs, _image,
                                 _incidence_masks, _orbits, geometry_from_class,
                                 incidence_graph_stats, maximal_cliques,
                                 pair_classes, polygon_check, recognize)
 from cosetgeom.perms import PermGroup, Permutation, parse_cycles
-from cosetgeom.toddcox import todd_coxeter
 
 
 def test_incidence_geometry_validation():
@@ -298,8 +296,8 @@ def test_geometry_from_class_needs_a_transitive_group():
 
 
 @requires_full
-def test_g1_h1_class_geometries():
-    g = group_of(todd_coxeter(census_entry("g1").subgroup("h1")))
+def test_g1_h1_class_geometries(h1_group):
+    g = h1_group
     classes = pair_classes(g)
     first, second, third = (geometry_from_class(g, c.pairs)
                             for c in classes[:3])

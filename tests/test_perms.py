@@ -8,12 +8,10 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
 from conftest import brute_force_order, group_of, relabel, requires_full
-from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
 from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _Chain,
                              _orbit, _Tuples, cycle_type_str, identify,
                              parse_cycles)
-from cosetgeom.toddcox import todd_coxeter
 
 
 def test_parse_and_print_cycles():
@@ -344,9 +342,8 @@ def test_large_cyclic_group_is_not_tits():
 
 
 @requires_full
-def test_g1_h1_is_the_tits_group():
-    t = todd_coxeter(census_entry("g1").subgroup("h1"))
-    assert identify(group_of(t)) == "Tits T"
+def test_g1_h1_is_the_tits_group(h1_group):
+    assert identify(h1_group) == "Tits T"
 
 
 def test_degree_300_cyclic_group():
