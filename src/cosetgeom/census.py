@@ -12,14 +12,15 @@ a + d = 2cos(pi/q), ad - c = 1 and c = -gamma/(l - 1/l)^2 give
 tr[y, x] - 2 = gamma, and every relator of k1, k2, k4 and k5 is +-I;
 k19's first Claim records that two of its relators are not.
 
-Each published claim about an entry is stated once, in one of two
-records.  A claim the code reproduces is a KnownResult, every field of
-which ``cosetgeom reproduce`` checks, as the tests do: a class passes
-its geometry filter when the named geometry is among the names
-``recognize`` gives its pair classes.  A claim it does not reproduce is
-a Claim with its status and reason: "differs" when the code computes
-something else, each such claim being one strict xfail in the tests
-whose reason is the record's, or "unchecked" when nothing computes it.
+Each published claim about an entry is stated once, here, in one of
+two records; CENSUS_IDS and list_census read the entry list, and the
+command line and the tests read the records.  A claim the code
+reproduces is a KnownResult, every field of which ``cosetgeom
+reproduce`` checks, as the tests do.  A claim it does not reproduce is
+a Claim with its status and reason: "unchecked" when nothing computes
+it, or "differs" when the code computes something else; the tests check
+the figures such a reason cites, and its claim is one strict xfail,
+whose reason is the record's and which alone writes out the published value.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ _ENTRIES = (
 )
 
 _BY_ID = {e.id: e for e in _ENTRIES}
-CENSUS_IDS = ("k1", "k2", "k4", "k5", "k19", "g1", "g2")
+CENSUS_IDS = tuple(_BY_ID)
 
 
 def census_entry(id: str) -> CensusEntry:
@@ -308,4 +309,4 @@ def census_entry(id: str) -> CensusEntry:
 
 
 def list_census():
-    return [_BY_ID[i] for i in CENSUS_IDS]
+    return list(_ENTRIES)

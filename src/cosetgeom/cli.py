@@ -6,7 +6,7 @@ it early, as ``| head`` does, with nothing on stderr.  main is the one
 place that maps an exception to its exit code; before any work it
 checks each numeric flag against
 FLAG_MINIMA, that --json goes with a JSON report and that each output
-path can be written to.
+path is not empty and can be written to.
 """
 
 from __future__ import annotations
@@ -372,8 +372,7 @@ def _check(entry, r):
 
 def run_reproduce(suite, json_path=None):
     """Check every census KnownResult, then list every Claim; the fast
-    suite skips the records that replay a distinguished subgroup (the
-    index-1755, 3510 and 100 runs)."""
+    suite skips the records that name a distinguished subgroup."""
     checks = [_check(entry, r) for entry in list_census()
               for r in entry.known_results
               if suite == "full" or not r.subgroup]
@@ -480,7 +479,10 @@ def main(argv=None):
             if not args.certificate and args.max_cosets != MAX_COSETS:
                 raise UsageError("--max-cosets caps a certificate replay; "
                                  "it needs --certificate")
-        # output paths that cannot be written fail before the work
+        # an empty output path, or one that cannot be written, fails first
+        for flag in ("json", "out"):
+            if getattr(args, flag, None) == "":
+                raise UsageError("--%s takes a path, not ''" % flag)
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"
                              % json_path)

@@ -15,14 +15,26 @@ requires_full = pytest.mark.skipif(
     not FULL_SUITE, reason="full suite only (set COSETGEOM_FULL=1)")
 
 
+def record(id, index):
+    """The KnownResult of census entry id at index."""
+    (r,) = [r for r in census_entry(id).known_results if r.index == index]
+    return r
+
+
+def differs(id, statement):
+    """The reason of census entry id's "differs" claim statement."""
+    for c in census_entry(id).claims:
+        if c.statement == statement and c.status == "differs":
+            return c.reason
+    raise LookupError("%s has no differs claim %r" % (id, statement))
+
+
 def published(id, statement, **kwargs):
     """The strict xfail of a published claim about census entry id that
     the code does not reproduce; its reason is the claim's census
     record, which must have status "differs"."""
-    for c in census_entry(id).claims:
-        if c.statement == statement and c.status == "differs":
-            return pytest.mark.xfail(strict=True, reason=c.reason, **kwargs)
-    raise LookupError("%s has no differs claim %r" % (id, statement))
+    return pytest.mark.xfail(strict=True, reason=differs(id, statement),
+                             **kwargs)
 
 
 def group_of(table):
@@ -178,6 +190,15 @@ def k4_to_9(k4_pres):
 @pytest.fixture(scope="session")
 def k19_to_9(k19_pres):
     return low_index_subgroups(k19_pres, 9)
+
+
+@pytest.fixture(scope="session")
+def k19_grids(k19_to_9):
+    """The class that k19@9's record counts, the one class at index 9 of
+    the record's order; both its pair classes are grids."""
+    r = record("k19", 9)
+    (t,) = [t for t in k19_to_9 if t.n == r.index and order_of(t) == r.order]
+    return t
 
 
 @pytest.fixture(scope="session")

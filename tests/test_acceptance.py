@@ -13,8 +13,8 @@ tests is written.
 import time
 from fractions import Fraction
 
-from conftest import (group_of, order_of, published, quotient_pairs,
-                      requires_full)
+from conftest import (differs, group_of, order_of, published, quotient_pairs,
+                      record, requires_full)
 from cosetgeom import (census_entry, dessin_from_table, low_index_subgroups,
                        passport, signature, todd_coxeter)
 from cosetgeom.cli import _compare, bundled_certificate
@@ -28,17 +28,11 @@ def _classes_at(id, index):
     return [t for t in low_index_subgroups(pres, index) if t.n == index]
 
 
-def _record(id, index):
-    """The KnownResult of census entry id at index."""
-    (r,) = [r for r in census_entry(id).known_results if r.index == index]
-    return r
-
-
 def _reproduces(id, *indices):
     """Run reproduce's check of id's records at indices: every field
     each one sets is computed and compared."""
     for index in indices:
-        _, expected, computed = _compare(census_entry(id), _record(id, index))
+        _, expected, computed = _compare(census_entry(id), record(id, index))
         assert computed == expected, "%s@%d" % (id, index)
 
 
@@ -86,14 +80,17 @@ def test_criterion_03_k4_index10_and_15():
     _reproduces("k4", 10, 15)
     # every class of the record's order at index 10 is S5, the two that
     # stabilize the Petersen graph among them
-    order = _record("k4", 10).order
+    order = record("k4", 10).order
     ten = [g for g in map(group_of, _classes_at("k4", 10))
            if g.order() == order]
     assert ten and {identify(g) for g in ten} == {"S5"}
+    # as many as the reason for the published count says
+    assert "%d classes of order %d (all S5) exist" % (len(ten), order) \
+        in differs("k4", "2 classes of order 120 at index 10")
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
-    print("PASS criterion 3: k4@10 and k4@15 reproduced; k4@10's classes of "
-          "the record's order are S5 (%.2fs)" % elapsed)
+    print("PASS criterion 3: k4@10 and k4@15 reproduced; k4@10's %d classes "
+          "of the record's order are S5 (%.2fs)" % (len(ten), elapsed))
 
 
 @published("k4", "2 classes of order 120 at index 10")
@@ -106,7 +103,7 @@ def test_criterion_04_k19_grids():
     t0 = time.perf_counter()
     _reproduces("k19", 9)
     # the record counts the class by one grid; both its pair classes are
-    r = _record("k19", 9)
+    r = record("k19", 9)
     (t,) = [t for t in _classes_at("k19", 9) if order_of(t) == r.order]
     assert _recognized(t) == [r.geometry] * 2
     elapsed = time.perf_counter() - t0
@@ -119,7 +116,8 @@ def test_criterion_04_k19_grids():
     "k19",
     "the grids (Mermin squares) at index 9 are 0/6 and 1/6 non-commuting")
 def test_criterion_04_grid_verdict_pattern():
-    (t,) = [t for t in _classes_at("k19", 9) if order_of(t) == 36]
+    order = record("k19", 9).order
+    (t,) = [t for t in _classes_at("k19", 9) if order_of(t) == order]
     g = group_of(t)
     lab = labeling_from_table(t)
     scores = set()
@@ -175,7 +173,7 @@ def test_criterion_06_k1_index21():
     search_elapsed = time.perf_counter() - t0
     assert search_elapsed < 300
     # the bundled certificate replays the counted class
-    r = _record("k1", 21)
+    r = record("k1", 21)
     t0 = time.perf_counter()
     replay = todd_coxeter(bundled_certificate("k1", 21))
     replay_elapsed = time.perf_counter() - t0
@@ -210,7 +208,7 @@ def test_criterion_08_index45_uniqueness_by_quotient_enumeration():
     # so there is exactly one epimorphism kernel and exactly one
     # conjugacy class of index-45 subgroups with that image
     t0 = time.perf_counter()
-    order = _record("k5", 45).order
+    order = record("k5", 45).order
     a6 = PermGroup([parse_cycles(c, 6) for c in ("(1,2,3)", "(2,3,4,5,6)")])
     assert a6.order() == order
     els = [Permutation(e) for e in a6.elements()]
@@ -231,7 +229,7 @@ def test_criterion_08_go21_maximal():
     g = group_of(table)
     for cls in pair_classes(g):
         geom = geometry_from_class(g, cls.pairs)
-        if recognize(geom) == "GO(2,1)":
+        if recognize(geom) == record("k5", 45).geometry:
             report = contextuality_report(labeling_from_table(table), geom,
                                           "coset")
             assert report.maximal
@@ -242,17 +240,21 @@ def test_criterion_08_go21_maximal():
 @requires_full
 def test_criterion_09_heavy_enumerations(h1_table, h1_group):
     t0 = time.perf_counter()
-    r1, r2 = _record("g1", 1755), _record("g2", 100)
+    r1, r2 = record("g1", 1755), record("g2", 100)
     assert (h1_table.n, h1_group.order()) == (r1.index, r1.order)
     t2 = todd_coxeter(census_entry("g2").subgroup(r2.subgroup))
     assert (t2.n, order_of(t2)) == (r2.index, r2.order)
-    # derived truth for the big dessin: exactly half the published counts
-    sig = signature(passport(dessin_from_table(h1_table)))
-    assert sig.as_tuple() == (923, 585, 135, 57)
+    # derived truth for the big dessin, as the published signature's
+    # reason cites it: B, W and F are half of K's at index 3510
+    sig = signature(passport(dessin_from_table(h1_table))).as_tuple()
+    assert "h1's dessin has exactly half, %s" % (sig,) in differs(
+        "g1", "dessin signature (1846, 1170, 270, 113) at index 1755")
+    assert [2 * v for v in sig[:3]] == \
+        list(record("g1", 3510).signature[:3])
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
     print("PASS criterion 9: g1@1755 and g2@100 orders; computed dessin "
-          "signature (923,585,135,57) (%.1fs)" % elapsed)
+          "signature %s (%.1fs)" % (sig, elapsed))
 
 
 @requires_full
@@ -260,7 +262,7 @@ def test_criterion_09_double_cover_signature():
     # K, h1's one subgroup of index 2, carries the published signature:
     # the double cover doubles B, W and F and takes genus 57 to 113
     t0 = time.perf_counter()
-    r = _record("g1", 3510)
+    r = record("g1", 3510)
     k = todd_coxeter(census_entry("g1").subgroup(r.subgroup))
     assert k.n == r.index
     assert signature(passport(dessin_from_table(k))).as_tuple() == \

@@ -7,17 +7,21 @@ import pytest
 from mpmath import (catalan, cos, dirichlet, exp, matrix, mp, mpc, mpf, pi,
                     sqrt, zeta)
 
-from conftest import group_of, published, quotient_pairs, requires_full
+from conftest import (differs, group_of, published, quotient_pairs, record,
+                      requires_full)
 from cosetgeom import Permutation, todd_coxeter
 from cosetgeom.census import (CENSUS_IDS, UnknownId, census_entry,
                               list_census)
+from cosetgeom.cli import _compare
 from cosetgeom.words import parse_presentation
 
 
-def test_seven_entries_in_order():
+def test_entry_ids_in_order():
+    # one id per entry, in the order the census writes them
     entries = list_census()
     assert [e.id for e in entries] == list(CENSUS_IDS)
-    assert len(entries) == 7
+    assert [census_entry(id) for id in CENSUS_IDS] == entries
+    assert len(set(CENSUS_IDS)) == len(entries)
 
 
 def test_unknown_id():
@@ -110,15 +114,27 @@ def test_differs_claims_are_the_strict_xfails():
     assert written == PROPERTY_XFAILS
 
 
+# each count a "differs" claim's reason cites: the entry, the claim's
+# statement, the phrase with the count, and the index and field of the
+# record that states it
+REASON_COUNTS = [
+    ("k1", "5 classes at index 6", "search finds %d classes", 6, "count"),
+    ("k4", "4 classes at index 4", "search finds %d conjugacy classes", 4,
+     "raw_count"),
+    ("k1", "1 class at index 21", "%d conjugacy classes exist", 21,
+     "raw_count"),
+]
+
+
 def test_known_results_have_published_divergence_records():
-    k1 = census_entry("k1")
-    at6 = next(r for r in k1.known_results if r.index == 6)
-    assert at6.count == 4
-    (five,) = [c for c in k1.claims if c.statement == "5 classes at index 6"]
-    assert five.status == "differs"
-    k4 = census_entry("k4")
-    at4 = next(r for r in k4.known_results if r.index == 4)
-    assert at4.count == 4 and at4.raw_count == 7
+    # the reason's count is its record's, which reproduce's check of the
+    # record computes
+    for id, statement, phrase, index, field in REASON_COUNTS:
+        r = record(id, index)
+        value = getattr(r, field)
+        assert phrase % value in differs(id, statement), (id, statement)
+        _, expected, computed = _compare(census_entry(id), r)
+        assert expected[field] == computed[field] == value, (id, index)
 
 
 def test_json_dump_shape():
@@ -153,7 +169,8 @@ def _inverse(m):
     return matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-KLEINIAN = ("k1", "k2", "k4", "k5", "k19")
+# the entries with Kleinian metadata
+KLEINIAN = tuple(e.id for e in list_census() if e.p is not None)
 
 
 @pytest.mark.parametrize("id", KLEINIAN)
@@ -167,10 +184,10 @@ def test_commutator_parameter_is_gamma(id):
 
 
 @pytest.mark.parametrize("id", [
-    *KLEINIAN[:-1],
     pytest.param("k19", marks=published(
         "k19", "p, q and gamma give a representation of the presentation",
-        raises=AssertionError)),
+        raises=AssertionError)) if id == "k19" else id
+    for id in KLEINIAN
 ])
 def test_relators_are_plus_or_minus_identity(id):
     """The census (p, q, gamma) give a representation in SL(2, C) in
@@ -232,7 +249,7 @@ def _k2_in_j2():
     assert (len(threes), sorted(involutions)) == (17360, [0, 20])
     ys = [Permutation(e) for e in involutions.values()]
     return quotient_pairs(census_entry("k2").presentation.relators,
-                          threes, ys, 604800)
+                          threes, ys, record("g2", 100).order)
 
 
 @requires_full

@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import group_of, order_of, requires_full
+from conftest import differs, group_of, order_of, record, requires_full
+from cosetgeom.cli import bundled_certificate
 from cosetgeom.contextuality import (MODES, CosetLabeling,
                                      contextuality_report,
                                      labeling_from_table, line_commutes,
@@ -35,8 +36,8 @@ def test_labeling_validation(k19_to_9):
         to_dot(lab, other)
 
 
-def test_labeling_refuses_representatives_that_miss_their_cosets(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
+def test_labeling_refuses_representatives_that_miss_their_cosets(k19_grids):
+    t = k19_grids
     reps = tuple(transversal(t))
     swapped = (reps[0], reps[2], reps[1]) + reps[3:]
     for bad in (reps[::-1], swapped):
@@ -71,14 +72,76 @@ def test_bad_mode(k19_to_9):
             report(lab, IncidenceGeometry(t.n, ()), "bogus")
 
 
-def test_k19_grid_verdicts(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    scores = {}
-    for cls, geom, lab in labelings_of(t):
-        r = contextuality_report(lab, geom, "coset")
-        assert recognize(geom) == "GQ(2,1)"
-        scores[cls.stab_order] = r.score
-    assert scores == {2: Fraction(2, 3), 1: Fraction(1)}
+def _non_commuting(report):
+    """How many of the report's lines do not commute, of how many."""
+    return "%d/%d" % (sum(not c for _, c in report.per_line),
+                      len(report.per_line))
+
+
+def test_k19_grid_verdicts(k19_grids):
+    # in both modes the two grids, in pair class order, score as the
+    # reason for the published 0/6 and 1/6 says
+    reason = differs("k19", "the grids (Mermin squares) at index 9 are 0/6 "
+                            "and 1/6 non-commuting")
+    for mode in MODES:
+        verdicts = []
+        for _, geom, lab in labelings_of(k19_grids):
+            assert recognize(geom) == record("k19", 9).geometry
+            verdicts.append(_non_commuting(contextuality_report(lab, geom,
+                                                                mode)))
+        assert "verdicts are %s non-commuting lines (both modes)" \
+            % " and ".join(verdicts) in reason, mode
+
+
+def _no_line_commutes(lab, geom, name, reason):
+    """Check that no line of geom commutes in either mode, and that
+    reason says so of all of them, as lines of the geometry name."""
+    for mode in MODES:
+        assert contextuality_report(lab, geom, mode).score == 1, mode
+    assert "all %d %s lines non-commute in both modes" \
+        % (len(geom.lines), name) in reason
+
+
+def test_hesse_lines_never_commute(k4_to_9):
+    # each class k4@9's record counts has one pair class, its Hesse
+    # configuration
+    r = record("k4", 9)
+    reason = differs("k4", "the Hesse configuration at index 9 is "
+                           "maximally contextual")
+    tables = [t for t in k4_to_9 if t.n == r.index and order_of(t) == r.order]
+    assert len(tables) == r.count
+    for t in tables:
+        ((_, geom, lab),) = labelings_of(t)
+        assert recognize(geom) == r.geometry
+        _no_line_commutes(lab, geom, "Hesse", reason)
+
+
+def test_go21_lines_never_commute():
+    # the class k5@45's record counts, replayed from its certificate
+    r = record("k5", 45)
+    reason = differs("k5", "GO(2,1) at index 45 is maximally contextual")
+    table = todd_coxeter(bundled_certificate("k5", r.index))
+    ((geom, lab),) = [(geom, lab) for _, geom, lab in labelings_of(table)
+                      if recognize(geom) == r.geometry]
+    _no_line_commutes(lab, geom, r.geometry, reason)
+
+
+def test_fano_image_is_two_transitive(k1_to_10):
+    # why no representative-independent relation tells the Fano lines
+    # apart: G and the stabilizer of coset 0 are transitive on the cosets
+    # and on the rest, as the reason for the published maximal verdict says
+    r = record("k1", 7)
+    reason = differs("k1", "the Fano planes at index 7 are maximally "
+                           "contextual")
+    tables = [t for t in k1_to_10 if t.n == r.index]
+    assert len(tables) == r.count
+    for t in tables:
+        g = group_of(t)
+        assert g.order() == r.order
+        assert len(g.orbit(0)) == len(g.point_stabilizer(0).orbit(1)) + 1 \
+            == t.n
+        assert "the order-%d image is 2-transitive on %d cosets" \
+            % (g.order(), t.n) in reason
 
 
 def test_k6_gamma2_type_verdicts(k1_to_10):
@@ -150,9 +213,8 @@ def test_verdicts_ignore_point_order(k19_to_9, k1_to_10):
     assert verdicts == {(m, v) for m in MODES for v in (False, True)}
 
 
-def test_report_shape(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    _, geom, lab = next(labelings_of(t))
+def test_report_shape(k19_grids):
+    _, geom, lab = next(labelings_of(k19_grids))
     r = contextuality_report(lab, geom, "coset")
     d = r.to_json_dict()
     assert d["mode"] == "coset"
@@ -162,9 +224,8 @@ def test_report_shape(k19_to_9):
     assert int(den) > 0
 
 
-def test_maximal_definition(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    for _, geom, lab in labelings_of(t):
+def test_maximal_definition(k19_grids):
+    for _, geom, lab in labelings_of(k19_grids):
         r = contextuality_report(lab, geom, "coset")
         expected = all((0 in line) == c for line, c in r.per_line)
         assert r.maximal == expected
@@ -192,9 +253,8 @@ def test_rep_change_invariance(k1_pres):
                         assert line_commutes(lab2, line, "coset") == base
 
 
-def test_dot_export(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    _, geom, lab = next(labelings_of(t))
+def test_dot_export(k19_grids):
+    _, geom, lab = next(labelings_of(k19_grids))
     dot = to_dot(lab, geom, "coset")
     assert dot.startswith("graph contextuality {")
     assert "red" in dot

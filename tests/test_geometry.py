@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import group_of, order_of, relabel, requires_full
+from conftest import group_of, order_of, record, relabel, requires_full
 from cosetgeom.geometry import (IncidenceGeometry, _bfs, _image,
                                 _incidence_masks, _orbits, geometry_from_class,
                                 incidence_graph_stats, maximal_cliques,
@@ -44,9 +44,8 @@ def test_pair_classes_regular_action():
     assert sum(len(c.pairs) for c in classes) == 6
 
 
-def test_pair_classes_sorted_and_partition(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    g = group_of(t)
+def test_pair_classes_sorted_and_partition(k19_grids):
+    g = group_of(k19_grids)
     classes = pair_classes(g)
     assert [c.stab_order for c in classes] == [2, 1]
     assert sorted(len(c.pairs) for c in classes) == [18, 18]
@@ -56,36 +55,37 @@ def test_pair_classes_sorted_and_partition(k19_to_9):
     assert everything == set(combinations(range(9), 2))
 
 
-def test_k19_grids(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    g = group_of(t)
+def test_k19_grids(k19_grids):
+    g = group_of(k19_grids)
     for cls in pair_classes(g):
         geom = geometry_from_class(g, cls.pairs)
-        assert recognize(geom) == "GQ(2,1)"
+        assert recognize(geom) == record("k19", 9).geometry
         check = polygon_check(geom)
         assert check.is_gp and (check.n, check.s, check.t) == (4, 2, 1)
 
 
 def test_hesse_from_fix_sets(k4_to_9):
+    r = record("k4", 9)
     hits = 0
-    for t in (t for t in k4_to_9 if t.n == 9 and order_of(t) == 144):
+    for t in (t for t in k4_to_9 if t.n == 9 and order_of(t) == r.order):
         g = group_of(t)
         (cls,) = pair_classes(g)
         geom = geometry_from_class(g, cls.pairs)
-        assert recognize(geom) == "Hesse configuration"
+        assert recognize(geom) == r.geometry
         assert len(geom.lines) == 12
         assert not polygon_check(geom).is_gp
         hits += 1
-    assert hits == 2
+    assert hits == r.count
 
 
 def test_pentagram_from_cliques(k1_to_10):
-    t = next(t for t in k1_to_10 if t.n == 10 and order_of(t) == 60)
+    r = record("k1", 10)
+    t = next(t for t in k1_to_10 if t.n == 10 and order_of(t) == r.order)
     g = group_of(t)
     classes = pair_classes(g)
     trivial = next(c for c in classes if c.stab_order == 1)
     geom = geometry_from_class(g, trivial.pairs)
-    assert recognize(geom) == "Mermin pentagram"
+    assert recognize(geom) == r.geometry
     assert len(geom.lines) == 5 and all(len(l) == 4 for l in geom.lines)
     petersen = next(c for c in classes if c.stab_order == 2)
     assert recognize(geometry_from_class(g, petersen.pairs)) == "Petersen graph"
@@ -101,14 +101,16 @@ def test_k6_from_complete_trivial_class(k1_to_10):
 
 
 def test_fano(k1_pres):
+    # every class at index 7 is one that k1@7's record counts
     from cosetgeom import low_index_subgroups
+    r = record("k1", 7)
     tables = [t for t in low_index_subgroups(k1_pres, 7) if t.n == 7]
-    assert len(tables) == 2
+    assert len(tables) == r.count
     for t in tables:
         g = group_of(t)
         (cls,) = pair_classes(g)
         geom = geometry_from_class(g, cls.pairs)
-        assert recognize(geom) == "Fano plane"
+        assert recognize(geom) == r.geometry
         check = polygon_check(geom)
         assert check.is_gp and (check.n, check.s, check.t) == (3, 2, 2)
 
@@ -158,9 +160,8 @@ def test_doily_is_named_by_the_polygon_test():
     assert recognize(geom) == "GQ(2,2)"
 
 
-def test_geometry_conjugation_invariance(k19_to_9):
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
-    g = group_of(t)
+def test_geometry_conjugation_invariance(k19_grids):
+    g = group_of(k19_grids)
     sigma = parse_cycles("(1,9)(2,8)", 9)
     g2 = PermGroup([relabel(p, sigma) for p in g.generators])
     names = sorted(recognize(geometry_from_class(g, c.pairs)) or "-"
@@ -305,7 +306,7 @@ def test_g1_h1_class_geometries(h1_group):
     assert {len(line) for line in first.lines} == {3}
     check = polygon_check(first)
     assert (check.n, check.s, check.t) == (8, 2, 4)
-    assert recognize(first) == "GO(2,4)"
+    assert recognize(first) == record("g1", 1755).geometry
     assert len(second.lines) == 56160
     assert {len(line) for line in second.lines} == {5}
     assert len(third.lines) == 249600
@@ -326,14 +327,13 @@ def test_symmetry_must_preserve_lines():
         IncidenceGeometry(4, ((0, 1, 2, 3), (1, 3)))
 
 
-def test_analyze_table_computes_stats_once_per_class(monkeypatch, k19_to_9):
+def test_analyze_table_computes_stats_once_per_class(monkeypatch, k19_grids):
     from cosetgeom import cli, geometry
-    t = next(t for t in k19_to_9 if t.n == 9 and order_of(t) == 36)
     calls = []
     stats = geometry.incidence_graph_stats
     monkeypatch.setattr(geometry, "incidence_graph_stats",
                         lambda geom: calls.append(geom) or stats(geom))
-    report = cli.analyze_table(t)
+    report = cli.analyze_table(k19_grids)
     assert len(calls) == len(report["classes"]) == 2
 
 
