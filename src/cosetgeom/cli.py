@@ -1,12 +1,15 @@
 """Command-line surface: census, subgroups, analyze, discover, reproduce.
 
-Exit codes: 0 success, 1 check or verification failure, 2 usage error,
-3 budget exceeded, 141 (128 + SIGPIPE) when the reader of stdout closed
-it early, as ``| head`` does, with nothing on stderr.  main is the one
-place that maps an exception to its exit code; before any work it
-checks each numeric flag against
-FLAG_MINIMA, that --json goes with a JSON report and that each output
-path is not empty and can be written to.
+analyze prints a table's report, whose dessin block is
+Dessin.to_json_dict's; reproduce checks a census record's dessin values
+against that same block.  Exit codes: 0 success, 1 check or
+verification failure, 2 usage error, 3 budget exceeded, 141 (128 +
+SIGPIPE) when the reader of stdout closed it early, as ``| head`` does,
+with nothing on stderr.  main is the one place that maps an exception
+to its exit code; before any work it checks each numeric flag against
+FLAG_MINIMA, that no path is empty, that --json goes with a JSON report
+and that each output path can be written to.  An argument is absent
+only when it is None: an empty id or path is never read as none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .census import UnknownId, census_entry, list_census
 from .contextuality import (DEFAULT_MODE, MODES, contextuality_report,
                             labeling_from_table)
 from .contextuality import to_dot as contextuality_dot
-from .dessins import dessin_from_table, modular_data, passport, signature
+from .dessins import dessin_from_table
 from .dessins import to_dot as dessin_dot
 # incidence_graph_stats is unused here since geometries cache their stats;
 # perfbench/selftest.py checks that the tracer rebinds cli's binding of it
@@ -58,7 +61,7 @@ FLAG_MINIMA = {"index": ("--index", 1), "max_index": ("--max-index", 1),
 
 def _emit(obj, json_path=None):
     text = json.dumps(obj, indent=2)
-    if json_path:
+    if json_path is not None:
         try:
             with open(json_path, "w") as fh:
                 fh.write(text + "\n")
@@ -72,10 +75,7 @@ def _emit(obj, json_path=None):
 # -- census ---------------------------------------------------------------
 
 def cmd_census(args):
-    if args.id:
-        entries = [census_entry(args.id)]
-    else:
-        entries = list_census()
+    entries = list_census() if args.id is None else [census_entry(args.id)]
     _emit([e.to_json_dict() for e in entries], args.json)
     return EXIT_OK
 
@@ -150,7 +150,7 @@ def _tables_at(entry, index, node_budget=None):
 
 
 def _find_table(entry, args):
-    if args.certificate:
+    if args.certificate is not None:
         spec = _load_certificate(args.certificate, entry)
         table = todd_coxeter(spec, max_cosets=args.max_cosets)
         if table.n != args.index:
@@ -180,18 +180,6 @@ def _geometries(group, cls=None):
     return ((c, geometry_from_class(group, c.pairs)) for c in classes)
 
 
-def dessin_report(dessin):
-    """The dessin part of a report: passport, signature, modular data."""
-    p = passport(dessin)
-    # a block is its dataclass's vars(), the fields in order without the
-    # deep copy asdict makes; each is built for this report alone
-    report = {"passport": str(p), "signature": vars(signature(p))}
-    md = modular_data(p)
-    if md is not None:
-        report["modular_data"] = vars(md)
-    return report
-
-
 def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
     """Full JSON-ready report for one subgroup's coset table.
 
@@ -206,7 +194,7 @@ def analyze_table(table, mode=DEFAULT_MODE, only_class=None):
         "index": table.n,
         "order": group.order(),
         "identified_as": identify(group),
-        "dessin": dessin_report(dessin),
+        "dessin": dessin.to_json_dict(),
         "classes": [],
     }
     for cls, geom in _geometries(group, only_class):
@@ -231,7 +219,8 @@ def cmd_analyze(args):
     table = _find_table(census_entry(args.id), args)
     if args.export == "dot":
         dessin, group = _read(table)
-        _, geom = next(_geometries(group, args.cls or 1))
+        cls = 1 if args.cls is None else args.cls
+        _, geom = next(_geometries(group, cls))
         print(contextuality_dot(labeling_from_table(table), geom, args.mode))
         print(dessin_dot(dessin))
         return EXIT_OK
@@ -244,7 +233,8 @@ def cmd_analyze(args):
 
 def _discover_dir(args):
     """Where discover writes: --out, else certificates/<id>."""
-    return args.out or os.path.join("certificates", args.id)
+    return (os.path.join("certificates", args.id) if args.out is None
+            else args.out)
 
 
 def _can_be_dir(path):
@@ -291,16 +281,6 @@ def bundled_certificate(id, index):
     return _load_certificate(_bundled_path(id, index), census_entry(id))
 
 
-def _dessin_claims(dessin):
-    """The dessin values a KnownResult can record, as dessin_report
-    computes them."""
-    p = passport(dessin)
-    md = modular_data(p)
-    return {"passport": str(p),
-            "signature": signature(p).as_tuple(),
-            "modular_data": md and (md.nu2, md.nu3, md.c, md.f)}
-
-
 def _compare(entry, r):
     """(source, expected, computed) of every field one KnownResult sets.
 
@@ -313,7 +293,9 @@ def _compare(entry, r):
     count's key; classes are built in order until one is that geometry).
     The published pairs count the distinct counted tables whose least
     table one of them has (a search table is its own least table).  The
-    dessin values are checked on the counted tables' dessins.
+    dessin values are checked against the dessin block analyze prints for
+    each counted table: the signature as the block's values in field
+    order, the modular data as its nu2, nu3, c and f.
     """
     if r.raw_count is None and _bundled_path(entry.id, r.index).is_file():
         spec, source = bundled_certificate(entry.id, r.index), "certificate"
@@ -349,8 +331,15 @@ def _compare(entry, r):
     claimed = {k: getattr(r, k) for k in keys if getattr(r, k) is not None}
     if claimed:
         expected["dessin"] = [claimed] * r.count
-        computed["dessin"] = [{k: claims[k] for k in claimed}
-                              for claims in map(_dessin_claims, hits)]
+        computed["dessin"] = []
+        for dessin in hits:
+            block = dessin.to_json_dict()
+            md = block.get("modular_data")
+            values = {"passport": block["passport"],
+                      "signature": tuple(block["signature"].values()),
+                      "modular_data": md and tuple(
+                          map(md.get, ("nu2", "nu3", "c", "f")))}
+            computed["dessin"].append({k: values[k] for k in claimed})
     return source, expected, computed
 
 
@@ -382,7 +371,7 @@ def run_reproduce(suite, json_path=None):
         print('%-9s %-4s published "%s": %s'
               % (c["status"], c["id"], c["statement"], c["reason"]))
     failed = sum(1 for c in checks if not c["pass"])
-    if json_path:
+    if json_path is not None:
         _emit({"checks": checks, "claims": claims,
                "summary": {"total": len(checks), "failed": failed}},
               json_path)
@@ -463,26 +452,28 @@ def main(argv=None):
             value = getattr(args, dest, None)
             if value is not None and value < least:
                 raise UsageError("%s must be >= %d" % (flag, least))
+        # an empty path names no file; read as no path, it would print
+        # the JSON, write into the working directory or start a search
+        for flag in ("json", "out", "certificate"):
+            if getattr(args, flag, None) == "":
+                raise UsageError("--%s takes a path, not ''" % flag)
         json_path = getattr(args, "json", None)
-        if json_path and getattr(args, "export", None) == "dot":
+        if json_path is not None and getattr(args, "export", None) == "dot":
             raise UsageError("--export dot prints to stdout; it takes no "
                              "--json")
         # analyze replays a certificate or searches, never both, so a flag
         # of the other path would be read by nothing
         if args.func is cmd_analyze:
-            if args.certificate and args.node_budget is not None:
+            if args.certificate is not None and args.node_budget is not None:
                 raise UsageError("--certificate replays without a search; "
                                  "it takes no --node-budget")
-            if args.certificate and args.which != 1:
+            if args.certificate is not None and args.which != 1:
                 raise UsageError("--certificate names one subgroup; it "
                                  "takes no --which")
-            if not args.certificate and args.max_cosets != MAX_COSETS:
+            if args.certificate is None and args.max_cosets != MAX_COSETS:
                 raise UsageError("--max-cosets caps a certificate replay; "
                                  "it needs --certificate")
-        # an empty output path, or one that cannot be written, fails first
-        for flag in ("json", "out"):
-            if getattr(args, flag, None) == "":
-                raise UsageError("--%s takes a path, not ''" % flag)
+        # an output path that cannot be written fails before any work
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"
                              % json_path)

@@ -1,42 +1,60 @@
 """Bipartite maps (dessins) attached to a coset table.
 
 A complete coset table on n cosets gives a pair of permutations: the
-action of x (black vertices) and of y (white vertices).  The pair is a
-dessin when it is connected, that is when the orbit of point 0 under
-both permutations is every point; no group is built.  From the pair
-we read off the passport (cycle structures of black, white and face
-permutations).  The signature (B, W, F, g) and, when one generator acts
-with order 2 and the other with order 3, the elliptic-point / cusp /
-fraction counts of the associated modular-curve data are derived from
-the passport alone; which generator has order 2 is read off its cycle
-lengths.
+action of x (black vertices) and of y (white vertices).  A Dessin is
+that pair, connected: the orbit of point 0 under both permutations is
+every point; no group is built.  From the pair we read off the passport
+(cycle structures of black, white and face permutations).  The
+signature (B, W, F, g) and, when one generator acts with order 2 and
+the other with order 3, the elliptic-point / cusp / fraction counts of
+the associated modular-curve data are derived from the passport alone;
+which generator has order 2 is read off its cycle lengths.  The three
+make the dessin block (Dessin.to_json_dict) that analyze prints and
+reproduce checks the census records against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .perms import Permutation, _orbit, cycle_type_str
+from .perms import Permutation, _orbit
 
 
 @dataclass(frozen=True)
 class Dessin:
     """A connected bipartite map given by two permutations of 0..n-1."""
 
-    n: int
     sigma_black: Permutation
     sigma_white: Permutation
 
     def __post_init__(self):
-        if self.sigma_black.degree != self.n or self.sigma_white.degree != self.n:
-            raise ValueError("permutation degree must equal n")
+        if self.sigma_black.degree != self.sigma_white.degree:
+            raise ValueError("the two permutations' degrees differ")
         if not self.n or len(_orbit(0, (self.sigma_black, self.sigma_white),
                                     lambda h, p: h.images[p])) != self.n:
             raise ValueError("dessin is not connected")
 
+    @property
+    def n(self) -> int:
+        """The common degree of the two permutations."""
+        return self.sigma_black.degree
+
     def face_permutation(self) -> Permutation:
         # apply black then white, then invert
         return (self.sigma_black * self.sigma_white).inverse()
+
+    def to_json_dict(self) -> dict:
+        """The report's dessin block: passport, signature and modular data
+        (when there is any), all read off one passport."""
+        p = passport(self)
+        # a block is its dataclass's vars(), the fields in order without
+        # the deep copy asdict makes; each is built for this block alone
+        block = {"passport": str(p), "signature": vars(signature(p))}
+        md = modular_data(p)
+        if md is not None:
+            block["modular_data"] = vars(md)
+        return block
 
 
 @dataclass(frozen=True)
@@ -48,8 +66,10 @@ class Passport:
     face_cycles: tuple
 
     def __str__(self):
-        return "[%s, %s, %s]" % tuple(
-            cycle_type_str(c)
+        # each run of one cycle length as length^count: (3, 3, 3, 1) is
+        # "3^3 1^1"
+        return "[%s]" % ", ".join(
+            " ".join("%d^%d" % (k, len(list(run))) for k, run in groupby(c))
             for c in (self.black_cycles, self.white_cycles, self.face_cycles))
 
 
@@ -61,9 +81,6 @@ class Signature:
     W: int
     F: int
     g: int
-
-    def as_tuple(self):
-        return (self.B, self.W, self.F, self.g)
 
 
 @dataclass(frozen=True)
@@ -88,8 +105,7 @@ class ModularData:
 
 def dessin_from_table(table) -> Dessin:
     """Dessin of a complete coset table: black = pi_x, white = pi_y."""
-    px, py = table.perm_rep()
-    return Dessin(n=table.n, sigma_black=px, sigma_white=py)
+    return Dessin(*table.perm_rep())
 
 
 def passport(d: Dessin) -> Passport:

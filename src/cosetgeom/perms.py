@@ -140,19 +140,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
-def cycle_type_str(ct) -> str:
-    """Compact exponent form, e.g. (3,3,3,1) -> "3^3 1^1"."""
-    parts = []
-    i = 0
-    while i < len(ct):
-        j = i
-        while j < len(ct) and ct[j] == ct[i]:
-            j += 1
-        parts.append("%d^%d" % (ct[i], j - i))
-        i = j
-    return " ".join(parts)
-
-
 class _Bytes:
     """Images of degree <= 256 as bytes.
 

@@ -11,6 +11,7 @@ tests is written.
 """
 
 import time
+from dataclasses import astuple
 from fractions import Fraction
 
 from conftest import (differs, group_of, order_of, published, quotient_pairs,
@@ -246,7 +247,7 @@ def test_criterion_09_heavy_enumerations(h1_table, h1_group):
     assert (t2.n, order_of(t2)) == (r2.index, r2.order)
     # derived truth for the big dessin, as the published signature's
     # reason cites it: B, W and F are half of K's at index 3510
-    sig = signature(passport(dessin_from_table(h1_table))).as_tuple()
+    sig = astuple(signature(passport(dessin_from_table(h1_table))))
     assert "h1's dessin has exactly half, %s" % (sig,) in differs(
         "g1", "dessin signature (1846, 1170, 270, 113) at index 1755")
     assert [2 * v for v in sig[:3]] == \
@@ -265,7 +266,7 @@ def test_criterion_09_double_cover_signature():
     r = record("g1", 3510)
     k = todd_coxeter(census_entry("g1").subgroup(r.subgroup))
     assert k.n == r.index
-    assert signature(passport(dessin_from_table(k))).as_tuple() == \
+    assert astuple(signature(passport(dessin_from_table(k)))) == \
         r.signature
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
@@ -276,7 +277,7 @@ def test_criterion_09_double_cover_signature():
 @requires_full
 @published("g1", "dessin signature (1846, 1170, 270, 113) at index 1755")
 def test_criterion_09_published_signature(h1_table):
-    assert signature(passport(dessin_from_table(h1_table))).as_tuple() == \
+    assert astuple(signature(passport(dessin_from_table(h1_table)))) == \
         (1846, 1170, 270, 113)
 
 

@@ -64,9 +64,12 @@ def test_census_k4_published_pairs(capsys, tmp_path):
 
 
 def test_census_unknown_id(capsys):
-    assert main(["census", "k7"]) == EXIT_USAGE
-    assert capsys.readouterr().err == (
-        "error: unknown census id 'k7' (known: %s)\n" % ", ".join(CENSUS_IDS))
+    # an empty id names no entry either; read as none, it would print all
+    for id in ("k7", ""):
+        assert main(["census", id]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: unknown census id %r "
+                                       "(known: %s)\n"
+                                       % (id, ", ".join(CENSUS_IDS)))
 
 
 def test_usage_error_exit_code():
@@ -423,7 +426,7 @@ def test_one_passport_per_report(monkeypatch, k1_to_10):
         return face(self)
     monkeypatch.setattr(dessins.Dessin, "face_permutation", counted)
     for t in k1_to_10:
-        report = cli.dessin_report(dessins.dessin_from_table(t))
+        report = dessins.dessin_from_table(t).to_json_dict()
         assert "modular_data" in report
     assert len(calls) == len(k1_to_10)
 
@@ -438,7 +441,7 @@ def test_dessin_report_builds_no_group(monkeypatch, k1_to_10):
         init(self, *args, **kwargs)
     monkeypatch.setattr(perms.PermGroup, "__init__", counted)
     for t in k1_to_10:
-        cli.dessin_report(dessins.dessin_from_table(t))
+        dessins.dessin_from_table(t).to_json_dict()
     assert calls == []
 
 
@@ -549,13 +552,37 @@ def test_json_path_that_is_a_directory_is_usage_error(capsys, no_work,
 @pytest.mark.parametrize("argv", [
     *((*argv, "--json", "") for argv in JSON_ARGV),
     ("discover", "k1", "--index", "3", "--out", ""),
-], ids=[argv[0] for argv in JSON_ARGV] + ["discover"])
+    ("analyze", "k4", "--index", "4", "--certificate", ""),
+    ("analyze", "k5", "--index", "45", "--certificate", ""),
+    ("analyze", "k4", "--index", "4", "--certificate", "",
+     "--node-budget", "5"),
+], ids=[argv[0] for argv in JSON_ARGV]
+    + ["discover", "certificate-k4", "certificate-k5",
+       "certificate-node-budget"])
 def test_empty_output_path_is_usage_error(capsys, monkeypatch, no_work,
                                           tmp_path, argv):
     # an empty path names no file; read as no path, it would print the
-    # JSON or write certificates/<id> into the working directory
+    # JSON, write certificates/<id> into the working directory or search
+    # (k5's search to index 45 has no bound); an empty certificate is
+    # refused with the output paths
     monkeypatch.chdir(tmp_path)
-    assert usage_error(capsys, *argv) == EXIT_USAGE
+    assert main(list(argv)) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: %s takes a path, not ''\n" % argv[argv.index("") - 1])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_json_path_is_refused_past_main(capsys, monkeypatch,
+                                              tmp_path):
+    # _emit and run_reproduce, called directly, read an empty path as a
+    # path too: neither prints the JSON, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(cli.UsageError):
+        cli._emit({"checks": []}, "")
+    assert capsys.readouterr().out == ""
+    with pytest.raises(cli.UsageError):
+        cli.run_reproduce("fast", json_path="")
+    assert '"summary"' not in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -638,6 +665,18 @@ def test_reproduce_fast(capsys, tmp_path):
     assert lines[n:-1] == ['%-9s %-4s published "%s": %s' % (
         c["status"], c["id"], c["statement"], c["reason"]) for c in ledger]
     assert lines[-1] == "reproduce fast: %d/%d checks passed" % (n, n)
+
+
+def test_reproduce_fast_json_is_pinned(capsys, tmp_path):
+    # every source, expected and computed value of reproduce fast, and
+    # its claims, byte for byte; only the timings vary from run to run
+    path = tmp_path / "reproduce.json"
+    assert cli.run_reproduce("fast", json_path=str(path)) == EXIT_OK
+    report = json.loads(path.read_text())
+    for check in report["checks"]:
+        del check["runtime_s"]
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() \
+        == "30f619e74fd004d238a439f1820ff1eacd2385ffbb82cf139ac897f265c2fd2a"
 
 
 def test_reproduce_replays_only_the_records_subgroup(capsys, tmp_path,

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 from conftest import relabel
@@ -10,23 +12,25 @@ def pentagram_dessin():
     # order-3 and order-2 permutations generating the degree-10 action
     alpha = parse_cycles("(2,3,4)(5,7,8)(6,9,10)", 10)
     beta = parse_cycles("(1,2)(3,5)(4,6)(7,10)", 10)
-    return Dessin(n=10, sigma_black=alpha, sigma_white=beta)
+    return Dessin(sigma_black=alpha, sigma_white=beta)
 
 
 def test_trivial_dessin():
-    d = Dessin(1, Permutation.identity(1), Permutation.identity(1))
+    d = Dessin(Permutation.identity(1), Permutation.identity(1))
+    assert d.n == 1
     assert passport(d).black_cycles == (1,)
-    assert signature(passport(d)).as_tuple() == (1, 1, 1, 0)
+    assert astuple(signature(passport(d))) == (1, 1, 1, 0)
 
 
 def test_disconnected_rejected():
     with pytest.raises(ValueError):
-        Dessin(4, parse_cycles("(1,2)", 4), parse_cycles("(1,2)", 4))
+        Dessin(parse_cycles("(1,2)", 4), parse_cycles("(1,2)", 4))
 
 
 def test_degree_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Dessin(3, Permutation.identity(3), Permutation.identity(4))
+    # the orbit of point 0 is all of the first permutation's points
+    with pytest.raises(ValueError, match="degrees differ"):
+        Dessin(parse_cycles("(1,2,3)", 3), Permutation.identity(4))
 
 
 def test_pentagram_passport():
@@ -38,8 +42,7 @@ def test_pentagram_passport():
 
 
 def test_pentagram_signature():
-    assert signature(passport(pentagram_dessin())).as_tuple() == \
-        (4, 6, 2, 0)
+    assert astuple(signature(passport(pentagram_dessin()))) == (4, 6, 2, 0)
 
 
 def test_pentagram_modular_data():
@@ -52,10 +55,10 @@ def test_pentagram_modular_data():
 
 def test_role_mismatch():
     # neither colour has order 2 with the other of order 3
-    four_cycle = Dessin(4, parse_cycles("(1,2,3,4)", 4),
+    four_cycle = Dessin(parse_cycles("(1,2,3,4)", 4),
                         parse_cycles("(1,2)(3,4)", 4))
     assert modular_data(passport(four_cycle)) is None
-    two_involutions = Dessin(3, parse_cycles("(1,2)", 3),
+    two_involutions = Dessin(parse_cycles("(1,2)", 3),
                              parse_cycles("(2,3)", 3))
     assert modular_data(passport(two_involutions)) is None
 
@@ -72,7 +75,7 @@ def test_fixed_point_free_modular_data():
     # S3 regular-ish action: order-2 and order-3 with no fixed points
     b = parse_cycles("(1,2,3)(4,5,6)", 6)
     w = parse_cycles("(1,4)(2,6)(3,5)", 6)
-    md = modular_data(passport(Dessin(6, b, w)))
+    md = modular_data(passport(Dessin(b, w)))
     assert md.order2_role == "white"
     assert md.nu2 == 0 and md.nu3 == 0
 
@@ -86,6 +89,7 @@ def test_face_count_invariant_under_inverse():
 def test_passport_sums_to_n(k1_to_10):
     for t in k1_to_10:
         d = dessin_from_table(t)
+        assert d.n == t.n
         p = passport(d)
         for cycles in (p.black_cycles, p.white_cycles, p.face_cycles):
             assert sum(cycles) == t.n
@@ -94,7 +98,7 @@ def test_passport_sums_to_n(k1_to_10):
 def test_signature_relabel_invariant():
     d = pentagram_dessin()
     sigma = parse_cycles("(1,10)(2,9)", 10)
-    d2 = Dessin(10, relabel(d.sigma_black, sigma),
+    d2 = Dessin(relabel(d.sigma_black, sigma),
                 relabel(d.sigma_white, sigma))
     assert signature(passport(d2)) == signature(passport(d))
 
