@@ -6,9 +6,9 @@ against that same block.  Exit codes: 0 success, 1 check or
 verification failure, 2 usage error, 3 budget exceeded, 141 (128 +
 SIGPIPE) when the reader of stdout closed it early, as ``| head`` does,
 with nothing on stderr.  main is the one place that maps an exception
-to its exit code; before any work it checks each numeric flag against
-FLAG_MINIMA, that no path is empty, that --json goes with a JSON report
-and that each output path can be written to.  An argument is absent
+to its exit code; before any work it refuses, by FLAG_RULES, an empty
+path, a value below its least and a flag of an analyze path not taken,
+and an output path that cannot be written to.  An argument is absent
 only when it is None: an empty id or path is never read as none.
 """
 
@@ -51,12 +51,25 @@ class CheckFailed(Exception):
     """A result that fails its check; main() prints it and exits 1."""
 
 
-# Per numeric flag, by argparse dest: its name and least value.  A
-# budget's least is 0: a zero budget is a budget, exceeded (exit 3).
-FLAG_MINIMA = {"index": ("--index", 1), "max_index": ("--max-index", 1),
-               "which": ("--which", 1), "cls": ("--class", 1),
-               "node_budget": ("--node-budget", 0),
-               "max_cosets": ("--max-cosets", 0)}
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are UsageErrors: one line, not the usage."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# Per flag, by argparse dest: its name, its least value (None for a path)
+# and the one analyze path that reads it (None: every path).  A budget's
+# least is 0: a zero budget is a budget, exceeded (exit 3).  An empty path
+# names no file; read as none, it would print the JSON, write into the
+# working directory or search.  Path rows come first, so it is named first.
+FLAG_RULES = {
+    "json": ("--json", None, "json"), "out": ("--out", None, None),
+    "certificate": ("--certificate", None, None),
+    "index": ("--index", 1, None), "max_index": ("--max-index", 1, None),
+    "which": ("--which", 1, "search"), "cls": ("--class", 1, None),
+    "node_budget": ("--node-budget", 0, "search"),
+    "max_cosets": ("--max-cosets", 0, "certificate")}
 
 
 def _emit(obj, json_path=None):
@@ -152,18 +165,20 @@ def _tables_at(entry, index, node_budget=None):
 def _find_table(entry, args):
     if args.certificate is not None:
         spec = _load_certificate(args.certificate, entry)
-        table = todd_coxeter(spec, max_cosets=args.max_cosets)
+        table = todd_coxeter(spec, max_cosets=MAX_COSETS
+                             if args.max_cosets is None else args.max_cosets)
         if table.n != args.index:
             raise CheckFailed(
                 "certificate replay gave index %d, expected %d"
                 % (table.n, args.index))
         return table
     tables = _tables_at(entry, args.index, args.node_budget)
-    if args.which > len(tables):
+    which = 1 if args.which is None else args.which
+    if which > len(tables):
         raise UsageError(
             "no subgroup (index=%d, which=%d); %d classes at that index"
-            % (args.index, args.which, len(tables)))
-    return tables[args.which - 1]
+            % (args.index, which, len(tables)))
+    return tables[which - 1]
 
 
 def _geometries(group, cls=None):
@@ -387,7 +402,7 @@ def cmd_reproduce(args):
 # -- entry point ----------------------------------------------------------
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cosetgeom",
         description="Coset geometries and contextuality reports for the "
                     "bundled census of finitely presented groups.")
@@ -408,7 +423,7 @@ def build_parser():
     a = sub.add_parser("analyze", help="full report for one subgroup")
     a.add_argument("id")
     a.add_argument("--index", type=int, required=True)
-    a.add_argument("--which", type=int, default=1,
+    a.add_argument("--which", type=int,
                    help="1-based class number at the index (default 1)")
     a.add_argument("--class", dest="cls", type=int, default=None,
                    help="restrict the report to one pair class (1-based)")
@@ -427,7 +442,7 @@ def build_parser():
                    help="cap on the search's nodes (default: none); "
                         "without --certificate the only bound on the "
                         "search up to --index")
-    a.add_argument("--max-cosets", type=int, default=MAX_COSETS)
+    a.add_argument("--max-cosets", type=int)
     a.add_argument("--json", metavar="PATH")
     a.set_defaults(func=cmd_analyze)
 
@@ -446,33 +461,24 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        for dest, (flag, least) in FLAG_MINIMA.items():
+        args = build_parser().parse_args(argv)
+        # the paths this run takes (any other command's: search and json)
+        paths = {None, getattr(args, "export", "json"), "search"
+                 if getattr(args, "certificate", None) is None
+                 else "certificate"}
+        for dest, (flag, least, path) in FLAG_RULES.items():
             value = getattr(args, dest, None)
-            if value is not None and value < least:
+            if value is None:
+                continue
+            if least is None and value == "":
+                raise UsageError("%s takes a path, not ''" % flag)
+            if least is not None and value < least:
                 raise UsageError("%s must be >= %d" % (flag, least))
-        # an empty path names no file; read as no path, it would print
-        # the JSON, write into the working directory or start a search
-        for flag in ("json", "out", "certificate"):
-            if getattr(args, flag, None) == "":
-                raise UsageError("--%s takes a path, not ''" % flag)
+            if path not in paths:       # the flag would be read by nothing
+                raise UsageError("%s is read only on analyze's %s path"
+                                 % (flag, path))
         json_path = getattr(args, "json", None)
-        if json_path is not None and getattr(args, "export", None) == "dot":
-            raise UsageError("--export dot prints to stdout; it takes no "
-                             "--json")
-        # analyze replays a certificate or searches, never both, so a flag
-        # of the other path would be read by nothing
-        if args.func is cmd_analyze:
-            if args.certificate is not None and args.node_budget is not None:
-                raise UsageError("--certificate replays without a search; "
-                                 "it takes no --node-budget")
-            if args.certificate is not None and args.which != 1:
-                raise UsageError("--certificate names one subgroup; it "
-                                 "takes no --which")
-            if args.certificate is None and args.max_cosets != MAX_COSETS:
-                raise UsageError("--max-cosets caps a certificate replay; "
-                                 "it needs --certificate")
         # an output path that cannot be written fails before any work
         if json_path and not os.path.isdir(os.path.dirname(json_path) or "."):
             raise UsageError("cannot write JSON to %s: no such directory"

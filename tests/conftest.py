@@ -29,12 +29,13 @@ def differs(id, statement):
     raise LookupError("%s has no differs claim %r" % (id, statement))
 
 
-def published(id, statement, **kwargs):
+def published(id, statement, raises=AssertionError, **kwargs):
     """The strict xfail of a published claim about census entry id that
     the code does not reproduce; its reason is the claim's census
-    record, which must have status "differs"."""
+    record, which must have status "differs".  Only a failed assertion
+    is the claim failing: any other exception fails the test."""
     return pytest.mark.xfail(strict=True, reason=differs(id, statement),
-                             **kwargs)
+                             raises=raises, **kwargs)
 
 
 def group_of(table):

@@ -174,8 +174,17 @@ KLEINIAN = tuple(e.id for e in list_census() if e.p is not None)
 
 @pytest.mark.parametrize("id", KLEINIAN)
 def test_commutator_parameter_is_gamma(id):
+    # gamma is an algebraic integer of Q(sqrt(-d)): gamma = (x + y sqrt(-d))/2
+    # with x and y integers, of one parity when d = 3 mod 4 and both even
+    # otherwise; _generators then gives tr[f, g] - 2 = gamma in SL(2, C)
+    entry = census_entry(id)
     with mp.workdps(50):
-        f, g, gamma = _generators(census_entry(id))
+        f, g, gamma = _generators(entry)
+        x, y = 2 * gamma.real, 2 * gamma.imag / sqrt(entry.d)
+        assert max(abs(x - mp.nint(x)), abs(y - mp.nint(y))) \
+            < mp.mpf(10) ** -45, (entry.d, entry.gamma)
+        assert (mp.nint(x) - mp.nint(y)) % 2 == 0, (entry.d, entry.gamma)
+        assert entry.d % 4 == 3 or mp.nint(x) % 2 == 0, (entry.d, entry.gamma)
         comm = _inverse(f) * _inverse(g) * f * g
         assert abs(comm[0, 0] + comm[1, 1] - 2 - gamma) < mp.mpf(10) ** -45
         assert abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1) \
@@ -184,8 +193,8 @@ def test_commutator_parameter_is_gamma(id):
 
 @pytest.mark.parametrize("id", [
     pytest.param("k19", marks=published(
-        "k19", "p, q and gamma give a representation of the presentation",
-        raises=AssertionError)) if id == "k19" else id
+        "k19", "p, q and gamma give a representation of the presentation"))
+    if id == "k19" else id
     for id in KLEINIAN
 ])
 def test_relators_are_plus_or_minus_identity(id):

@@ -72,10 +72,24 @@ def test_census_unknown_id(capsys):
                                        % (id, ", ".join(CENSUS_IDS)))
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys, no_work):
+    # argparse's own errors are one line too, not its usage text
+    for argv in (["subgroups"],             # missing id and --max-index
+                 ["analyze", "k5"],         # missing --index
+                 ["analyze", "k5", "--index", "x"],
+                 ["analyze", "k5", "--index", "45", "--mode", "foo"],
+                 ["foo"]):                  # no such subcommand
+        assert usage_error(capsys, *argv) == EXIT_USAGE, argv
+    # argparse reports each of them through error()
+    with pytest.raises(cli.UsageError, match="^bad$"):
+        cli.build_parser().error("bad")
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["subgroups"])         # missing id and --max-index
-    assert exc.value.code == EXIT_USAGE
+        main(["analyze", "-h"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: cosetgeom analyze")
 
 
 def test_subgroups_k4(capsys):
@@ -343,11 +357,16 @@ K1_CERT = str(resources.files("cosetgeom").joinpath(
 @pytest.mark.parametrize("argv", [
     ("--index", "21", "--certificate", K1_CERT, "--node-budget", "0"),
     ("--index", "21", "--certificate", K1_CERT, "--which", "5"),
+    ("--index", "21", "--certificate", K1_CERT, "--which", "1"),
     ("--index", "7", "--max-cosets", "0"),
-], ids=["certificate-node-budget", "certificate-which", "max-cosets-search"])
+    ("--index", "7", "--max-cosets", str(cli.MAX_COSETS)),
+], ids=["certificate-node-budget", "certificate-which",
+        "certificate-which-1", "max-cosets-search",
+        "max-cosets-search-default"])
 def test_analyze_refuses_a_flag_its_path_never_reads(capsys, no_work, argv):
     # a certificate is replayed, never searched for, and a search runs no
-    # enumeration: the flag would be read by nothing
+    # enumeration: the flag would be read by nothing, even at the value
+    # the path that reads it takes by default
     assert usage_error(capsys, "analyze", "k1", *argv) == EXIT_USAGE
 
 
@@ -372,17 +391,26 @@ def test_index_zero_is_usage_error(capsys, no_work, argv):
 
 
 def test_every_int_flag_has_a_minimum():
+    # every int and every path option has the row of its dest, which names
+    # it, gives an int its least value and a path none, and reads on one
+    # of analyze's paths or on all; no row names an option that is gone
     (subparsers,) = [a for a in cli.build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
+    (export,) = [a for a in subparsers.choices["analyze"]._actions
+                 if a.dest == "export"]
     dests = set()
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
-            if action.type is int:
-                assert action.dest in cli.FLAG_MINIMA, (name, action.dest)
-                flag, _ = cli.FLAG_MINIMA[action.dest]
+            is_path = action.metavar in ("PATH", "DIR")
+            if action.type is int or is_path:
+                assert action.dest in cli.FLAG_RULES, (name, action.dest)
+                flag, least, path = cli.FLAG_RULES[action.dest]
                 assert flag in action.option_strings, (name, flag)
+                assert (least is None) == is_path, (name, flag)
+                assert path in (None, "search", "certificate",
+                                *export.choices), (name, flag)
                 dests.add(action.dest)
-    assert dests == set(cli.FLAG_MINIMA)
+    assert dests == set(cli.FLAG_RULES)
 
 
 @pytest.mark.parametrize("text", [
@@ -482,13 +510,22 @@ def test_certificate_of_another_index_fails_the_check(capsys):
     assert "45" in err and "44" in err
 
 
-def test_max_cosets_is_a_budget(capsys):
+def test_max_cosets_is_a_budget(capsys, monkeypatch):
     code = main(["analyze", "k5", "--index", "45", "--certificate", K5_CERT,
                  "--max-cosets", "10"])
     err = capsys.readouterr().err
     assert code == EXIT_BUDGET and err.count("\n") == 1, err
-    assert cli.build_parser().parse_args(
-        ["analyze", "k5", "--index", "45"]).max_cosets == cli.MAX_COSETS
+    # without --max-cosets, the replay gets the enumerator's budget
+    budgets = []
+    replay = cli.todd_coxeter
+
+    def recorded(spec, max_cosets):
+        budgets.append(max_cosets)
+        return replay(spec, max_cosets)
+    monkeypatch.setattr(cli, "todd_coxeter", recorded)
+    assert main(["analyze", "k5", "--index", "45", "--certificate", K5_CERT,
+                 "--class", "1"]) == EXIT_OK
+    assert budgets == [cli.MAX_COSETS]
 
 
 def test_zero_max_cosets_is_exceeded_at_index_1(capsys, tmp_path):
@@ -636,14 +673,11 @@ def test_zero_budget_is_exceeded(capsys, monkeypatch, tmp_path, argv):
     assert code == EXIT_BUDGET and err.count("\n") == 1, err
 
 
-def test_dead_flags_removed():
-    from cosetgeom.cli import build_parser
+def test_dead_flags_removed(capsys, no_work):
     for argv in (["analyze", "k4", "--index", "4", "--seed", "1"],
                  ["subgroups", "k4", "--max-index", "4",
                   "--max-cosets", "10"]):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
-        assert exc.value.code == EXIT_USAGE
+        assert usage_error(capsys, *argv) == EXIT_USAGE
 
 
 def test_reproduce_fast(capsys, tmp_path):
