@@ -52,7 +52,13 @@ class CheckFailed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors are UsageErrors: one line, not the usage."""
+    """A parser whose errors are UsageErrors: one line, not the usage.
+    It and the subparsers it makes take flags by their full names only:
+    a prefix of a flag is an unknown flag."""
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(**kwargs)
 
     def error(self, message):
         raise UsageError(message)

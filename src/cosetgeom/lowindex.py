@@ -32,9 +32,10 @@ coset whose renumbering is found larger than the table at an entry
 defined on both sides, with every earlier entry defined and equal,
 stays larger in every extension; the first-in-class test hands only the
 undecided bases down to the children.  A base only ever waits on the
-undefined cell of its own renumbering that its comparison stopped at: a
-descendant resumes that comparison only once that cell is defined, from
-where it stopped rather than from coset 0.
+undefined cell of its own renumbering that its comparison stopped at,
+which is read off where it stopped, not stored: a descendant resumes
+that comparison only once that cell is defined, from where it stopped
+rather than from coset 0.
 The columns grow as cosets are created, never up front by max_index.
 
 The partial table is held by column, one list per letter.  An
@@ -48,11 +49,12 @@ that starts with l, from a only, beginning after the new edge: a cycle
 through the edge read from b is, read backwards, one of those rotations
 read from a.  A scan that stops one entry short of closing its cycle
 forces that entry, set where it is found: a later conflicting deduction
-fails the scan that walks into it.  A forced entry skips the rotation it
-was read from, which the entry closes: entries are only added, so that
-cycle stays closed.  Propagation ends at the closure of the deductions
-whatever the order it finds them in, so every node's verdict is that of
-scanning every relator from every coset.
+fails the scan that walks into it.  Nothing skips a closed rotation: a
+forced entry is scanned along every rotation that starts with its
+letter, and the one it was read from walks the cycle it closed.
+Propagation ends at the closure of the deductions whatever the order it
+finds them in, so every node's verdict is that of scanning every relator
+from every coset.
 
 The tables of one search share their rows: each emitted row is the one
 tuple the search holds for its value, and that map is dropped with the
@@ -89,28 +91,24 @@ def _compile_rotations(relators, read, cols):
     adds none by its inverse.  The compiled w is a list of steps (column,
     gap), one per letter w[i] of w[1:]: column is the column of w[i], and
     gap, the stop record of a forward scan stopped before w[i], is
-    (w[i], backward, last, shifted): the columns of the first
-    len(w) - i - 1 letters of w^-1, the column of the letter w[i]^-1 that
-    ends that backward scan, and the compiled rotation of w starting at
-    w[i].
+    (w[i], backward, last): the columns of the first len(w) - i - 1
+    letters of w^-1 and the column of the letter w[i]^-1 that ends that
+    backward scan.
     """
     from_f = [[] for _ in range(NLETTERS)]
-    compiled = {}
+    rotations = {}
     for rel in relators:
         w = tuple(read[l] for l in rel)
         if len(set(w)) == 1 and read[w[0] ^ 1] == w[0] and len(w) % 2 == 0:
             continue        # an even power of a self-inverse column
         for word in (w, tuple(read[k ^ 1] for k in reversed(w))):
-            for i in range(len(word)):
-                compiled.setdefault(word[i:] + word[:i], [])
-    for rot, steps in compiled.items():
-        inverse = [read[k ^ 1] for k in reversed(rot)]
-        for i in range(1, len(rot)):
-            rest = len(rot) - i
-            steps.append((cols[rot[i]], (
-                rot[i], tuple(cols[k] for k in inverse[:rest - 1]),
-                cols[inverse[rest - 1]], compiled[rot[i:] + rot[:i]])))
-        from_f[rot[0]].append(steps)
+            rotations.update(dict.fromkeys(
+                word[i:] + word[:i] for i in range(len(word))))
+    for rot in rotations:
+        inverse = [cols[k ^ 1] for k in reversed(rot)]     # its columns
+        from_f[rot[0]].append([
+            (cols[rot[i]], (rot[i], tuple(inverse[:-i - 1]), inverse[-i - 1]))
+            for i in range(1, len(rot))])
     return [from_f[k] for k in read]
 
 
@@ -209,8 +207,6 @@ class _Search:
         # < x, y | x^2, y^3 > with a 2000-node budget, about 12 MB at 858
         # cosets, beside about 31 MB of emitted tables (tracemalloc).
         self.renumberings = []
-        # a cell that is always defined, watched by a base to compare
-        self.defined = [0]
         self.results = []
         # each distinct row of the emitted tables, held once (see _emit)
         self.rows = {}
@@ -222,23 +218,21 @@ class _Search:
 
         Every entry set goes on the trail; False on a forced coincidence.
         An entry is set where it is found, the new edge first and a
-        forced entry at its scan's one gap, and queued only to be scanned
-        from: a conflicting deduction fails the scan that walks into it.
-        A forced entry is not scanned along the rotation it closes:
-        entries are only added, so that cycle stays closed.
+        forced entry at its scan's one gap, and queued as (f, l, b) only to
+        be scanned from: a conflicting deduction fails the scan that walks
+        into it.  A forced entry is scanned along every rotation, the one
+        it closes too, whose scan walks back round to the entry.
         """
         cols, trail, from_f = self.cols, self.trail, self.from_f
         cols[l][a] = b
         cols[l ^ 1][b] = a
         trail.append((a, l, b))
-        pending = [(a, l, b, None)]
+        pending = [(a, l, b)]
         while pending:
-            f, l, b, closed = pending.pop()
+            f, l, b = pending.pop()
             # scan the rotations through the new edge from f, starting
             # after the edge itself
             for r in from_f[l]:
-                if r is closed:
-                    continue
                 x = b
                 for step, gap in r:
                     y = step[x]
@@ -250,7 +244,7 @@ class _Search:
                         return False
                     continue
                 # scan back from f along the inverse for the rest
-                letter, backward, last, shifted = gap
+                letter, backward, last = gap
                 y = f
                 for step in backward:
                     y = step[y]
@@ -266,7 +260,7 @@ class _Search:
                     cols[letter][x] = y
                     last[y] = x
                     trail.append((x, letter, y))
-                    pending.append((x, letter, y, shifted))
+                    pending.append((x, letter, y))
         return True
 
     # -- first-in-class pruning -----------------------------------------
@@ -275,15 +269,17 @@ class _Search:
         """The entries of live whose bases are still undecided, or None if
         one of them gives a lex-smaller table.
 
-        An entry is (watched, row, pairs, mu, nu, alpha, pos, count): its
-        watched cell watched[row], the undefined cell of its renumbering
-        its last comparison stopped at; the column pairs its renumbering
-        reads; its renumbering pair, mu new -> old and nu old -> new,
-        with mu[0] its base; and where that comparison stopped, at row
-        alpha and pair pos with count cosets renumbered.  It is compared
-        again, from where it stopped, once the watched cell is defined:
-        the rows and cells before it are defined and equal, and stay so.
-        A base to compare in any case watches self.defined.
+        An entry is (pairs, mu, nu, alpha, pos, count): the column pairs
+        its renumbering reads; its renumbering pair, mu new -> old and nu
+        old -> new, with mu[0] its base; and where its last comparison
+        stopped, at row alpha and pair pos with count cosets renumbered.
+        It waits on the cell that comparison stopped at,
+        pairs[pos][0][mu[alpha]], and is compared again, from where it
+        stopped, once that cell is defined: the rows and cells before it
+        are defined and equal, and stay so.  A new base, at row 0 and
+        pair 0, waits on the first cell its comparison reads.  An entry
+        compared equal to the end, alpha == count, is kept only on a
+        complete table, which is emitted and never extended.
 
         A base only ever waits on its own renumbering's cell: the table's
         cell col[alpha] is defined wherever it is read.  The test runs
@@ -301,23 +297,20 @@ class _Search:
         the automorphic twin of the subgroup, and a table larger than it
         is not the least of its class and its twins' classes.
         """
-        defined, width = self.defined, len(self.columns)
+        width = len(self.columns)
         undecided = []
         for entry in live:
-            watched, row, pairs, mu, nu, alpha, pos, count = entry
-            if watched[row] is None:
+            pairs, mu, nu, alpha, pos, count = entry
+            if pairs[pos][0][mu[alpha]] is None:
                 undecided.append(entry)
                 continue
             order = 0          # sign of the first difference, new - old
-            # equal to the end only on a complete table: nothing to watch
-            watched, row = defined, 0
             while alpha < count:
                 m = mu[alpha]
                 while pos < width:
                     src, col = pairs[pos]
                     gamma = src[m]
                     if gamma is None:
-                        watched, row = src, m
                         break
                     g = nu[gamma]
                     if g >= count or mu[g] != gamma:
@@ -336,8 +329,7 @@ class _Search:
             if order < 0:
                 return None
             if order == 0:
-                undecided.append((watched, row, pairs, mu, nu, alpha, pos,
-                                  count))
+                undecided.append((pairs, mu, nu, alpha, pos, count))
         return undecided
 
     # -- main backtracking ----------------------------------------------
@@ -345,23 +337,23 @@ class _Search:
     def run(self):
         """Depth-first search on an explicit stack of branch points.
 
-        A branch point is (a, l, spot, n, live, candidates, mark): the
-        undefined entry (a, l) at row-major position spot, the coset
-        count n and the live entries of its undecided bases when it was
-        reached, an iterator over the values b to try for it, and the
-        trail length to undo to before each try.  The top branch point's
-        values are tried in place: a child is entered by pushing it and
-        leaving the loop, which resumes when the child is used up.
+        A branch point is (spot, n, live, candidates, mark): the row-major
+        position spot of its undefined entry (a, l) = divmod(spot,
+        NLETTERS), the coset count n and the live entries of its
+        undecided bases when it was reached, an iterator over the values
+        b to try for it, and the trail length to undo to before each try.
+        The top branch point's values are tried in place: a child is
+        entered by pushing it and leaving the loop, which resumes when
+        the child is used up.
 
-        A live entry is (watched, row, pairs, mu, nu, alpha, pos, count),
-        as _first_in_class reads it.  A new base starts at row 0, pair 0,
-        with its base renumbered 0, and watches self.defined, then only
-        cells of its own renumbering.  A child replaces an entry by a new
+        A live entry is (pairs, mu, nu, alpha, pos, count), as
+        _first_in_class reads it.  A new base starts at row 0, pair 0,
+        with its base renumbered 0.  A child replaces an entry by a new
         tuple and leaves its parent's as it was, so a sibling resumes from
         the parent's state; what the child wrote into mu and nu at or
         beyond that count does not count.
         """
-        cols, trail, defined = self.cols, self.trail, self.defined
+        cols, trail = self.cols, self.trail
         propagate, first_in_class = self._propagate, self._first_in_class
         branch = self._branch
         budget = self.node_budget
@@ -375,15 +367,15 @@ class _Search:
         for s in self.automorphisms:
             mu, nu = [0], [0]
             renumberings.append((mu, nu))
-            live.append((defined, 0, tuple((cols[s[l]], cols[l])
-                                           for l in self.letters),
+            live.append((tuple((cols[s[l]], cols[l]) for l in self.letters),
                          mu, nu, 0, 0, 1))
         # the pair of base coset c >= 1 is renumberings[first + c]
         first = len(renumberings) - 1
         stack = []
         branch(0, 1, live, stack)
         while stack:
-            a, l, spot, n, live, candidates, mark = stack[-1]
+            spot, n, live, candidates, mark = stack[-1]
+            a, l = divmod(spot, NLETTERS)
             for b in candidates:
                 while len(trail) > mark:
                     f, k, d = trail.pop()
@@ -404,8 +396,7 @@ class _Search:
                             nu.append(0)
                         renumberings.append(([n] + [0] * n, [0] * (n + 1)))
                     mu, nu = renumberings[first + n]
-                    size, bases = n + 1, live + [(defined, 0, plain, mu, nu,
-                                                  0, 0, 1)]
+                    size, bases = n + 1, live + [(plain, mu, nu, 0, 0, 1)]
                 if propagate(a, l, b):
                     bases = first_in_class(bases)
                     if bases is not None and branch(spot + 1, size, bases,
@@ -436,8 +427,7 @@ class _Search:
         candidates = [b for b in range(a, n) if inv[b] is None]
         if n < self.max_index:
             candidates.append(n)
-        stack.append((a, l, spot, n, live, iter(candidates),
-                      len(self.trail)))
+        stack.append((spot, n, live, iter(candidates), len(self.trail)))
         return True
 
     def _emit(self, n):

@@ -85,6 +85,16 @@ def test_usage_error_exit_code(capsys, no_work):
         cli.build_parser().error("bad")
 
 
+def test_flags_are_taken_by_full_name_only(capsys, no_work):
+    # a prefix of a flag, unique or not, is an unknown flag, on the top
+    # parser and on each subcommand's
+    for argv in (["analyze", "k5", "--index", "45", "--cert",
+                  "src/cosetgeom/data/certificates/k5/45-1.json",
+                  "--cla", "1"],
+                 ["subgroups", "k1", "--max", "3"]):
+        assert usage_error(capsys, *argv) == EXIT_USAGE, argv
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "-h"])

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (order_of, presentations, relabel, sympy_fp_group,
-                      symmetric_presentations)
+from conftest import (order_of, presentations, relabel, requires_full,
+                      sympy_fp_group, symmetric_presentations)
+from hall import brute_force_homs, free_product_homs, subgroup_counts
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import (SearchBudgetExceeded, _Search, least_table,
                                 low_index_subgroups)
 from cosetgeom.perms import Permutation, parse_cycles
-from cosetgeom.toddcox import (CosetTable, pair_rows, renumber,
+from cosetgeom.toddcox import (NLETTERS, CosetTable, pair_rows, renumber,
                                schreier_generators, todd_coxeter)
 from cosetgeom.words import (X, XI, Y, YI, Presentation, SubgroupSpec,
                              Word, parse_presentation)
@@ -149,7 +150,7 @@ NODES = {
     # no letter automorphism: the tree must not move
     ("k19", 12, 2394, 45),
     # abelian: every subgroup is normal, so on a complete table every
-    # base coset compares equal to the end, which keeps no cell to watch
+    # base coset compares equal to the end, and no cell is left to wait on
     pytest.param("< x, y | x^4, y^4, x*y*x^-1*y^-1 >", 16, 101, 15,
                  id="z4xz4-16-101-15"),
     pytest.param("< x, y | x^2, y^3 >", 12, 1050, 175,
@@ -297,6 +298,60 @@ def test_class_counts_match_sympy(cid, max_index):
     pres = census_entry(cid).presentation
     ours = Counter(t.n for t in low_index_subgroups(pres, max_index))
     assert ours == sympy_class_counts(pres, max_index)
+
+
+def conjugates(table):
+    """n/m, the number of subgroups in the class of the table's subgroup
+    H: m = |N(H) : H| counts the cosets from which the table renumbers to
+    itself."""
+    row = table.action.__getitem__
+    own = renumber(row, 0)
+    return table.n // sum(renumber(row, c) == own for c in range(table.n))
+
+
+def test_hall_oracle_counts_the_modular_group():
+    # Stothers' counts of the subgroups of PSL(2, Z) (OEIS A005133), and
+    # the brute-force count agreeing with the roots-of-1 count
+    pres = parse_presentation("< x, y | x^2, y^3 >")
+    homs = free_product_homs(2, 3, 12)
+    assert brute_force_homs(pres, 7) == homs[:8]
+    assert subgroup_counts(homs) == [
+        0, 1, 1, 4, 8, 5, 22, 42, 40, 120, 265, 286, 764]
+
+
+# (source, max_index, (p, q)): a census id or a presentation, and the
+# orders of the free product Z_p * Z_q it presents, or None for a count
+# by brute force
+@pytest.mark.parametrize("source, max_index, orders", [
+    ("< x, y | x^2, y^3 >", 16, (2, 3)),
+    # all seven signed letter permutations are letter automorphisms
+    ("< x, y | x^3, y^3 >", 10, (3, 3)),
+    ("k1", 7, None), ("k2", 7, None), ("k4", 7, None), ("k5", 7, None),
+    # no letter automorphism
+    ("k19", 7, None),
+    pytest.param("< x, y | x^2, y^3 >", 18, (2, 3), marks=requires_full),
+    pytest.param("< x, y | x^3, y^3 >", 12, (3, 3), marks=requires_full),
+    pytest.param("< x, y | x^2, y^4 >", 12, (2, 4), marks=requires_full),
+    pytest.param("< x, y | x^2, y^5 >", 14, (2, 5), marks=requires_full),
+    # Z_2 * Z, a free generator
+    pytest.param("< x, y | x^2 >", 7, None, marks=requires_full),
+] + [pytest.param(cid, 8, None, marks=requires_full) for cid in CENSUS_IDS])
+def test_classes_count_each_subgroup_once(source, max_index, orders):
+    # Hall's count of the subgroups of each index, against the classes
+    # the search emits, each standing for its n/m conjugates: a class
+    # missed or listed twice changes the sum
+    if source in CENSUS_IDS:
+        pres = census_entry(source).presentation
+    else:
+        pres = parse_presentation(source)
+    if orders is None:
+        homs = brute_force_homs(pres, max_index)
+    else:
+        homs = free_product_homs(*orders, max_index)
+    subgroups = [0] * (max_index + 1)
+    for t in low_index_subgroups(pres, max_index):
+        subgroups[t.n] += conjugates(t)
+    assert subgroups == subgroup_counts(homs)
 
 
 def sympy_class_counts(pres, max_index):
@@ -508,31 +563,35 @@ def compare_from_scratch(pairs, beta):
 
 class CheckedSearch(_Search):
     """The search with every first-in-class verdict checked against a
-    comparison of each live base from scratch, and every branch point
-    against the rows above it."""
+    comparison of each live base from scratch, every kept base's wait
+    cell, and every branch point against the rows above it."""
 
     def _first_in_class(self, live):
         verdicts = [compare_from_scratch(pairs, mu[0])
-                    for _, _, pairs, mu, *_ in live]
+                    for pairs, mu, *_ in live]
         kept = super()._first_in_class(live)
         assert (kept is None) == ("smaller" in verdicts)
         if kept is not None:
-            bases = {id(entry[3]) for entry in kept}
+            bases = {id(entry[1]) for entry in kept}
             assert len(bases) == len(kept)
-            undefined = {id(entry[3]) for entry, v in zip(live, verdicts)
+            undefined = {id(entry[1]) for entry, v in zip(live, verdicts)
                          if v == "undefined"}
-            equal = {id(entry[3]) for entry, v in zip(live, verdicts)
+            equal = {id(entry[1]) for entry, v in zip(live, verdicts)
                      if v == "equal"}
             assert undefined <= bases <= undefined | equal
             if equal:
                 assert None not in {col[c] for col in self.columns
                                     for c in range(self.cosets())}
+            # a kept base waits on the cell its comparison stopped at,
+            # unless it compared equal to the end of a complete table
+            for pairs, mu, _, alpha, pos, count in kept:
+                assert alpha == count or pairs[pos][0][mu[alpha]] is None
         return kept
 
     def _branch(self, start, n, live, stack):
         pushed = super()._branch(start, n, live, stack)
         if pushed:
-            a = stack[-1][0]
+            a = stack[-1][0] // NLETTERS
             assert None not in {col[c] for col in self.columns
                                 for c in range(a)}
         return pushed
