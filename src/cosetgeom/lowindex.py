@@ -41,20 +41,23 @@ The columns grow as cosets are created, never up front by max_index.
 The partial table is held by column, one list per letter.  An
 involution, a generator l with a relator that cyclically reduces to l^2
 or l^-2, has one self-inverse column for l and l^-1, so setting
-(a, l) = b also sets (b, l) = a; a relator that reads as an even power
-of that column holds in every table and is not compiled.  Every rotation
-of every other relator and of its inverse is compiled once, by the
-columns it reads.  A new entry (a, l) = b is scanned along each rotation
-that starts with l, from a only, beginning after the new edge: a cycle
-through the edge read from b is, read backwards, one of those rotations
-read from a.  A scan that stops one entry short of closing its cycle
-forces that entry, set where it is found: a later conflicting deduction
-fails the scan that walks into it.  Nothing skips a closed rotation: a
-forced entry is scanned along every rotation that starts with its
-letter, and the one it was read from walks the cycle it closed.
-Propagation ends at the closure of the deductions whatever the order it
-finds them in, so every node's verdict is that of scanning every relator
-from every coset.
+(a, l) = b also sets (b, l) = a.  The search reads the rotations of
+every relator and of its inverse by columns once, into one set: the
+letter automorphisms are checked against it, and each of its rotations
+is compiled once, by the columns it reads, except an even power of a
+self-inverse column, which holds in every table.  A new entry
+(a, l) = b is scanned along each rotation that starts with l, from a
+only, beginning after the new edge: a cycle through the edge read from
+b is, read backwards, one of those rotations read from a.  A scan that
+stops one entry short of closing its cycle forces that entry, set where
+it is found: a later conflicting deduction fails the scan that walks
+into it.  The undo trail is the queue of deductions: a forced entry is
+appended to it, and the entries from the new edge on are scanned in
+turn until its end.  Nothing skips a closed rotation: a forced entry is
+scanned along every rotation that starts with its letter, and the one
+it was read from walks the cycle it closed.  Propagation ends at the
+closure of the deductions whatever the order it finds them in, so every
+node's verdict is that of scanning every relator from every coset.
 
 The tables of one search share their rows: each emitted row is the one
 tuple the search holds for its value, and that map is dropped with the
@@ -73,21 +76,21 @@ class SearchBudgetExceeded(RuntimeError):
     """The node budget was hit before the search finished."""
 
 
-def _compile_rotations(relators, read, cols):
-    """The rotations of relators, cyclically reduced letter tuples, to
-    scan from a new entry, compiled against the column table cols; read
-    maps each letter to the letter of its column.
+def _compile_rotations(rotations, read, cols):
+    """The rotations to scan from a new entry, compiled against the
+    column table cols: rotations is the one set of the search, the
+    rotations of every relator and of its inverse read by columns, and
+    read maps each letter to the letter of its column.
 
-    For a new entry (f, l) = b, the list for l holds the rotations of
-    every relator and of its inverse that start with l, scanned from f.
-    A cycle through the new edge read from b, along l^-1 first, is read
-    backwards one of these read from f, so nothing is scanned from b.
-    For an involution l, whose column cols[l] is cols[l^-1], the lists
-    for l and l^-1 are one list.
+    For a new entry (f, l) = b, the list for l holds the rotations that
+    start with l, scanned from f.  A cycle through the new edge read from
+    b, along l^-1 first, is read backwards one of these read from f, so
+    nothing is scanned from b.  For an involution l, whose column cols[l]
+    is cols[l^-1], the lists for l and l^-1 are one list.  An even power
+    of a self-inverse column holds in every table and is not compiled.
 
-    A rotation w is read as the letters of its columns, l for l^-1 of an
-    involution l, and rotations that read the same are compiled once: a
-    reversible relator, whose inverse read so is one of its rotations,
+    Rotations that read the same by columns are one rotation of the set:
+    a reversible relator, whose inverse read so is one of its rotations,
     adds none by its inverse.  The compiled w is a list of steps (column,
     gap), one per letter w[i] of w[1:]: column is the column of w[i], and
     gap, the stop record of a forward scan stopped before w[i], is
@@ -96,15 +99,10 @@ def _compile_rotations(relators, read, cols):
     backward scan.
     """
     from_f = [[] for _ in range(NLETTERS)]
-    rotations = {}
-    for rel in relators:
-        w = tuple(read[l] for l in rel)
-        if len(set(w)) == 1 and read[w[0] ^ 1] == w[0] and len(w) % 2 == 0:
-            continue        # an even power of a self-inverse column
-        for word in (w, tuple(read[k ^ 1] for k in reversed(w))):
-            rotations.update(dict.fromkeys(
-                word[i:] + word[:i] for i in range(len(word))))
     for rot in rotations:
+        if len(set(rot)) == 1 and read[rot[0] ^ 1] == rot[0] \
+                and len(rot) % 2 == 0:
+            continue        # an even power of a self-inverse column
         inverse = [cols[k ^ 1] for k in reversed(rot)]     # its columns
         from_f[rot[0]].append([
             (cols[rot[i]], (rot[i], tuple(inverse[:-i - 1]), inverse[-i - 1]))
@@ -120,24 +118,20 @@ SIGNED_PERMUTATIONS = tuple((gx ^ sx, gx ^ sx ^ 1, gy ^ sy, gy ^ sy ^ 1)
                             for sx in (0, 1) for sy in (0, 1))
 
 
-def _letter_automorphisms(relators, read):
+def _letter_automorphisms(relators, read, rotations):
     """The signed letter permutations, other than those acting as the
     identity on the columns, that map every relator to a relator.
 
     A signed letter permutation s, a tuple of the images of x, x^-1, y,
     y^-1, commutes with inversion.  It is kept when it maps each
     relator, a cyclically reduced letter tuple read by columns with read,
-    onto a rotation of some relator or of its inverse, read the same way:
-    then it induces an automorphism of the group.  One s is kept per map
-    of columns, the first in SIGNED_PERMUTATIONS.  So the list and its
-    order depend only on the rotations of the relators and of their
-    inverses, not on how the relators are written.
+    into rotations, the one set of the search: the rotations of every
+    relator and of its inverse, read the same way.  Then it induces an
+    automorphism of the group.  One s is kept per map of columns, the
+    first in SIGNED_PERMUTATIONS.  So the list and its order depend only
+    on the rotations of the relators and of their inverses, not on how
+    the relators are written.
     """
-    rotations = set()
-    for rel in relators:
-        for w in (rel, tuple(l ^ 1 for l in reversed(rel))):
-            w = tuple(read[l] for l in w)
-            rotations.update(w[i:] + w[:i] for i in range(len(w)))
     found, seen = [], {tuple(read)}
     for s in SIGNED_PERMUTATIONS:
         key = tuple(read[k] for k in s)
@@ -191,10 +185,18 @@ class _Search:
         # an involution
         read = [l & ~1 if self.cols[l] is self.cols[l ^ 1] else l
                 for l in range(NLETTERS)]
-        self.from_f = _compile_rotations(relators, read, self.cols)
+        # the rotations of every relator and of its inverse, read by
+        # columns, once each and in the order they are first read
+        rotations = {}
+        for rel in relators:
+            w = tuple(read[l] for l in rel)
+            for word in (w, tuple(read[k ^ 1] for k in reversed(w))):
+                rotations.update(dict.fromkeys(
+                    word[i:] + word[:i] for i in range(len(word))))
+        self.from_f = _compile_rotations(rotations, read, self.cols)
         # the twisted bases of the first-in-class test; an empty list
         # runs the plain search
-        self.automorphisms = _letter_automorphisms(relators, read)
+        self.automorphisms = _letter_automorphisms(relators, read, rotations)
         self.trail = []
         # the renumbering of each base of the first-in-class test, a pair
         # (mu, nu) of lists new -> old and old -> new with one int per
@@ -216,20 +218,23 @@ class _Search:
     def _propagate(self, a, l, b):
         """Set entry (a, l) = b and process all consequences.
 
-        Every entry set goes on the trail; False on a forced coincidence.
-        An entry is set where it is found, the new edge first and a
-        forced entry at its scan's one gap, and queued as (f, l, b) only to
-        be scanned from: a conflicting deduction fails the scan that walks
-        into it.  A forced entry is scanned along every rotation, the one
-        it closes too, whose scan walks back round to the entry.
+        Every entry set goes on the trail, and the trail is the queue of
+        deductions: the entries from the new edge on are scanned in turn
+        until the trail's end, so a forced entry is queued by being
+        appended.  False on a forced coincidence.  An entry is set where
+        it is found, the new edge first and a forced entry at its scan's
+        one gap: a conflicting deduction fails the scan that walks into
+        it.  A forced entry is scanned along every rotation, the one it
+        closes too, whose scan walks back round to the entry.
         """
         cols, trail, from_f = self.cols, self.trail, self.from_f
         cols[l][a] = b
         cols[l ^ 1][b] = a
+        i = len(trail)
         trail.append((a, l, b))
-        pending = [(a, l, b)]
-        while pending:
-            f, l, b = pending.pop()
+        while i < len(trail):
+            f, l, b = trail[i]
+            i += 1
             # scan the rotations through the new edge from f, starting
             # after the edge itself
             for r in from_f[l]:
@@ -256,11 +261,11 @@ class _Search:
                         # defined while (x, letter) is not, leads back to
                         # another coset than x
                         return False
-                    # one undefined entry left: the relator forces it
+                    # one undefined entry left: the relator forces it,
+                    # and appending it queues it
                     cols[letter][x] = y
                     last[y] = x
                     trail.append((x, letter, y))
-                    pending.append((x, letter, y))
         return True
 
     # -- first-in-class pruning -----------------------------------------

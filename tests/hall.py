@@ -6,12 +6,14 @@ recursion (*Subgroups of finite index in free groups*, 1949):
 
     a_n = h_n/(n-1)! - sum over k < n of h_{n-k} a_k/(n-k)!
 
-h_n is counted exactly, in pure Python, two ways: for a free product
-Z_p * Z_q by the number of roots of 1 in S_n, and for any presentation
-on x and y at small n by brute force over pairs of permutations.
+h_n is counted exactly, in pure Python, three ways: for a free product
+Z_p * Z_q by the number of roots of 1 in S_n, for a triangle group
+by Frobenius' character formula, and for any presentation on x and y at
+small n by brute force over pairs of permutations.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial, prod
 
@@ -44,6 +46,75 @@ def _partitions(n, largest=None):
     for part in range(min(n, largest or n), 0, -1):
         for rest in _partitions(n - part, part):
             yield (part,) + rest
+
+
+def _centralizer(parts):
+    """The order of the centralizer in S_n of a permutation whose cycle
+    lengths are parts: n! over the size of its conjugacy class."""
+    return prod(part ** parts.count(part) * factorial(parts.count(part))
+                for part in set(parts))
+
+
+@cache
+def _dimension(shape):
+    """chi(1) of the character of S_n of the partition shape: n! over
+    the product of its hook lengths."""
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= part - j + sum(p > j for p in shape[i + 1:])
+    return factorial(sum(shape)) // hooks
+
+
+@cache
+def _character(shape, cycles):
+    """The character of S_n of the partition shape at the cycle type
+    cycles, non-increasing, by Murnaghan-Nakayama: the sum over the
+    rim hooks of length cycles[0] of (-1)^(rows - 1) times the character
+    of what is left at cycles[1:].  On the beta-set of shape, removing a
+    rim hook of length k moves a bead from b to a free b - k, and its
+    rows - 1 are the beads passed over."""
+    if not cycles or cycles[0] == 1:
+        return _dimension(shape)
+    k, rest = cycles[0], cycles[1:]
+    top = len(shape) - 1
+    beta = [part + top - i for i, part in enumerate(shape)]
+    total = 0
+    for b in beta:
+        if b >= k and b - k not in beta:
+            moved = sorted((b - k if c == b else c for c in beta),
+                           reverse=True)
+            left = tuple(p for p in (c - top + i for i, c in enumerate(moved))
+                         if p)
+            total += (-1) ** sum(b - k < c < b for c in beta) \
+                * _character(left, rest)
+    return total
+
+
+@cache
+def triangle_homs(p, q, r, max_n):
+    """h_n for n = 0..max_n of the triangle group Delta(p, q, r) =
+    < x, y | x^p, y^q, (x*y)^r > by Frobenius' formula, h_n = (1/n!)
+    sum over the partitions l of n of S_p(l) S_q(l) S_r(l) / chi_l(1):
+    S_m(l) sums |C| chi_l(C) over the classes C of S_n whose cycle
+    lengths divide m, and counts the images of a generator of order
+    dividing m weighted by chi_l."""
+    homs = []
+    for n in range(max_n + 1):
+        classes = {m: [(factorial(n) // _centralizer(cycles), cycles)
+                       for cycles in _partitions(n)
+                       if all(m % part == 0 for part in cycles)]
+                   for m in (p, q, r)}
+        total = Fraction(0)
+        for shape in _partitions(n):
+            total += Fraction(prod(
+                sum(size * _character(shape, cycles)
+                    for size, cycles in classes[m]) for m in (p, q, r)),
+                _dimension(shape))
+        h = total / factorial(n)
+        assert h.denominator == 1
+        homs.append(int(h))
+    return homs
 
 
 def _holds(word, images):
@@ -94,10 +165,7 @@ def brute_force_homs(pres, max_n):
             images = (x, _inverse(x))
             if not all(_holds(w, images) for w in x_powers):
                 continue
-            centralizer = prod(part ** parts.count(part)
-                               * factorial(parts.count(part))
-                               for part in set(parts))
-            count += factorial(n) // centralizer * sum(
+            count += factorial(n) // _centralizer(parts) * sum(
                 all(_holds(w, images + y[2:]) for w in mixed) for y in ys)
         homs.append(count)
     return homs

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import (order_of, presentations, relabel, requires_full,
                       sympy_fp_group, symmetric_presentations)
-from hall import brute_force_homs, free_product_homs, subgroup_counts
+from hall import (brute_force_homs, free_product_homs, subgroup_counts,
+                  triangle_homs)
 from cosetgeom import census_entry
 from cosetgeom.census import CENSUS_IDS
 from cosetgeom.lowindex import (SearchBudgetExceeded, _Search, least_table,
@@ -319,9 +320,30 @@ def test_hall_oracle_counts_the_modular_group():
         0, 1, 1, 4, 8, 5, 22, 42, 40, 120, 265, 286, 764]
 
 
-# (source, max_index, (p, q)): a census id or a presentation, and the
-# orders of the free product Z_p * Z_q it presents, or None for a count
-# by brute force
+# Delta(p, q, r), the orientation-preserving triangle group
+TRIANGLE = "< x, y | x^%d, y^%d, (x*y)^%d >"
+
+
+# the subgroup counts a_n of Delta(2, 3, 7) at the indices n <= 24 where
+# it has any
+DELTA_237 = {1: 1, 7: 14, 8: 8, 9: 9, 14: 84, 15: 45, 21: 189, 22: 286,
+             24: 8}
+
+
+@pytest.mark.parametrize("max_index", [22, pytest.param(24,
+                                                        marks=requires_full)])
+def test_hall_oracle_counts_the_triangle_group(max_index):
+    # Frobenius' count agreeing with the brute-force count
+    homs = triangle_homs(2, 3, 7, max_index)
+    assert brute_force_homs(parse_presentation(TRIANGLE % (2, 3, 7)), 7) \
+        == homs[:8]
+    assert {n: a for n, a in enumerate(subgroup_counts(homs)) if a} == {
+        n: a for n, a in DELTA_237.items() if n <= max_index}
+
+
+# (source, max_index, orders): a census id or a presentation, and the
+# orders (p, q) of the free product Z_p * Z_q or (p, q, r) of the
+# triangle group it presents, or None for a count by brute force
 @pytest.mark.parametrize("source, max_index, orders", [
     ("< x, y | x^2, y^3 >", 16, (2, 3)),
     # all seven signed letter permutations are letter automorphisms
@@ -335,7 +357,12 @@ def test_hall_oracle_counts_the_modular_group():
     pytest.param("< x, y | x^2, y^5 >", 14, (2, 5), marks=requires_full),
     # Z_2 * Z, a free generator
     pytest.param("< x, y | x^2 >", 7, None, marks=requires_full),
-] + [pytest.param(cid, 8, None, marks=requires_full) for cid in CENSUS_IDS])
+] + [pytest.param(cid, 8, None, marks=requires_full) for cid in CENSUS_IDS] + [
+    (TRIANGLE % (2, 3, 7), 22, (2, 3, 7)),
+    pytest.param(TRIANGLE % (2, 3, 7), 24, (2, 3, 7), marks=requires_full),
+    pytest.param(TRIANGLE % (2, 3, 8), 20, (2, 3, 8), marks=requires_full),
+    pytest.param(TRIANGLE % (3, 3, 4), 18, (3, 3, 4), marks=requires_full),
+])
 def test_classes_count_each_subgroup_once(source, max_index, orders):
     # Hall's count of the subgroups of each index, against the classes
     # the search emits, each standing for its n/m conjugates: a class
@@ -346,6 +373,8 @@ def test_classes_count_each_subgroup_once(source, max_index, orders):
         pres = parse_presentation(source)
     if orders is None:
         homs = brute_force_homs(pres, max_index)
+    elif len(orders) == 3:
+        homs = triangle_homs(*orders, max_index)
     else:
         homs = free_product_homs(*orders, max_index)
     subgroups = [0] * (max_index + 1)
@@ -561,12 +590,41 @@ def compare_from_scratch(pairs, beta):
     return "equal"
 
 
+def relator_waits(cols, word, c):
+    """Whether the letter tuple word, read by the columns cols from coset
+    c, closes back at c, or leaves min(2, len(word)) or more undefined
+    cells between where a forward scan and a backward scan stop: then
+    propagation has nothing to deduce from it.  One undefined cell left
+    is a missed deduction, and a backward scan past the forward one's
+    stop a missed coincidence.  A one-letter relator is never deduced: its
+    cell is branched on, and every value but c fails its scan."""
+    x, i = c, 0
+    while i < len(word) and cols[word[i]][x] is not None:
+        x = cols[word[i]][x]
+        i += 1
+    if i == len(word):
+        return x == c
+    y, j = c, len(word)
+    while j > i and cols[word[j - 1] ^ 1][y] is not None:
+        y = cols[word[j - 1] ^ 1][y]
+        j -= 1
+    return j - i >= min(2, len(word))
+
+
 class CheckedSearch(_Search):
     """The search with every first-in-class verdict checked against a
     comparison of each live base from scratch, every kept base's wait
-    cell, and every branch point against the rows above it."""
+    cell, and every branch point against the rows above it.  As the
+    first-in-class test runs after every propagation that succeeds, it
+    also checks that propagation reached its closure, in whatever order
+    the trail queued the deductions: every relator, scanned from every
+    coset, closes or waits on two cells (one for a one-letter relator)."""
 
     def _first_in_class(self, live):
+        relators = [r.cyclically_reduced().letters
+                    for r in self.pres.relators]
+        assert all(relator_waits(self.cols, w, c)
+                   for c in range(self.cosets()) for w in relators)
         verdicts = [compare_from_scratch(pairs, mu[0])
                     for pairs, mu, *_ in live]
         kept = super()._first_in_class(live)

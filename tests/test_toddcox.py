@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import presentations, sympy_fp_group
+from conftest import presentations, requires_full, sympy_fp_group
+from cosetgeom import census_entry
 from cosetgeom.lowindex import SearchBudgetExceeded, _Search, \
     low_index_subgroups
 from cosetgeom.toddcox import (LETTER_ORDER, MAX_COSETS, CosetLimitExceeded,
@@ -49,14 +50,21 @@ def test_coset_0_counts_against_the_cap():
     assert todd_coxeter(whole, max_cosets=1).n == 1
 
 
-@pytest.mark.parametrize("pres_text, words, defined, alive", [
+# (a presentation and its subgroup's words, or a census id and the name
+# of its subgroup; the cosets defined, and those alive at the end)
+@pytest.mark.parametrize("source, words, defined, alive", [
     ("< x, y | x^2, y^3, (x*y)^7, [x,y]^4 >", (), 542, 168),
     ("< x, y | x^2, y^3, (x*y)^7, [x,y]^4 >", ("y",), 200, 56),
-    ("< x, y | x^2, y^3, (x*y)^5 >", (), 82, 60)])
-def test_hlt_work_is_pinned(pres_text, words, defined, alive):
+    ("< x, y | x^2, y^3, (x*y)^5 >", (), 82, 60),
+    ("g2", "h2", 5863, 100),
+    pytest.param("g1", "h1", 1536225, 1755, marks=requires_full)])
+def test_hlt_work_is_pinned(source, words, defined, alive):
     # the cosets HLT defines before its coincidences leave the index:
     # another definition order, with the same final table, moves them
-    s = spec(pres_text, *words)
+    if isinstance(words, str):
+        s = census_entry(source).subgroup(words)
+    else:
+        s = spec(source, *words)
     enum = _Enumerator(s.parent.relators, MAX_COSETS)
     enum.run(s.generators)
     assert (len(enum.p), enum.nalive) == (defined, alive)
