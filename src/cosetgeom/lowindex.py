@@ -55,18 +55,25 @@ into it.  The undo trail is the queue of deductions: a forced entry is
 appended to it, and the entries from the new edge on are scanned in
 turn until its end.  Nothing skips a closed rotation: a forced entry is
 scanned along every rotation that starts with its letter, and the one
-it was read from walks the cycle it closed.  Propagation ends at the
-closure of the deductions whatever the order it finds them in, so every
-node's verdict is that of scanning every relator from every coset.
+it was read from walks the cycle it closed.  A relator that cyclically
+reduces to one letter l is read from no other entry, so (c, l) = c is
+set through the trail when coset c is made, coset 0 included.
+Propagation ends at the closure of the deductions whatever the order it
+finds them in, so every node's verdict is that of scanning every relator
+from every coset.
 
 The tables of one search share their rows: each emitted row is the one
 tuple the search holds for its value, and that map is dropped with the
 search.  The classes of one search repeat each other's rows (k4 <= 24:
 587 tables of 11 539 rows, 2 135 of them distinct), so the results hold
-about a third of the memory that a tuple per row would take.
+about a third of the memory that a tuple per row would take.  Every
+row and table is built at its size, never from a generator, whose freed
+tuples would park on CPython's free lists (see toddcox).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .toddcox import CosetTable, NLETTERS, renumber
 from .words import Presentation
@@ -194,6 +201,10 @@ class _Search:
                 rotations.update(dict.fromkeys(
                     word[i:] + word[:i] for i in range(len(word))))
         self.from_f = _compile_rotations(rotations, read, self.cols)
+        # the letter of each relator that cyclically reduces to one
+        # letter: (c, l) = c is set when coset c is made, as no scan of
+        # an entry elsewhere deduces it
+        self.fixed = [r[0] for r in relators if len(r) == 1]
         # the twisted bases of the first-in-class test; an empty list
         # runs the plain search
         self.automorphisms = _letter_automorphisms(relators, read, rotations)
@@ -377,6 +388,8 @@ class _Search:
         # the pair of base coset c >= 1 is renumberings[first + c]
         first = len(renumberings) - 1
         stack = []
+        fix = self._fix
+        fix(0)              # no scan fails on one coset
         branch(0, 1, live, stack)
         while stack:
             spot, n, live, candidates, mark = stack[-1]
@@ -402,7 +415,7 @@ class _Search:
                         renumberings.append(([n] + [0] * n, [0] * (n + 1)))
                     mu, nu = renumberings[first + n]
                     size, bases = n + 1, live + [(plain, mu, nu, 0, 0, 1)]
-                if propagate(a, l, b):
+                if propagate(a, l, b) and (b < n or fix(n)):
                     bases = first_in_class(bases)
                     if bases is not None and branch(spot + 1, size, bases,
                                                     stack):
@@ -411,6 +424,15 @@ class _Search:
                 stack.pop()
         self.nodes = nodes
         return self.results
+
+    def _fix(self, c):
+        """Set (c, l) = c at the new coset c, through the trail, for the
+        letter l of each one-letter relator; False on a forced
+        coincidence."""
+        for l in self.fixed:
+            if self.cols[l][c] is None and not self._propagate(c, l, c):
+                return False
+        return True
 
     def _branch(self, start, n, live, stack):
         """Push the branch point at the first undefined entry at
@@ -448,18 +470,25 @@ class _Search:
         rows, 2 135 of them distinct), so every emitted row is the one
         tuple self.rows holds for its value: equal rows of one search's
         tables are one object, and the results hold a third as much.
+
+        Every tuple here is built at its size: rows by zip and
+        itemgetter(*s), tables from lists.  A tuple built from a
+        generator is allocated at ten slots and shrunk, so the free list
+        for its size never takes it back, and every emitted table would
+        park the twin rows and tables it frees there until a full
+        collection.
         """
-        action = tuple(zip(*(col[:n] for col in self.cols)))
+        action = tuple(list(zip(*[col[:n] for col in self.cols])))
         tables = [action]
         for s in self.automorphisms:
-            twin = least_table([tuple(row[k] for k in s) for row in action])
+            twin = least_table(list(map(itemgetter(*s), action)))
             if twin < action:
                 return
             if twin not in tables:
                 tables.append(twin)
         rows = self.rows
         for action in tables:
-            action = tuple(rows.setdefault(row, row) for row in action)
+            action = tuple([rows.setdefault(row, row) for row in action])
             self.results.append(CosetTable(action=action,
                                            presentation=self.pres))
 

@@ -8,6 +8,18 @@ finished enumeration is numbered by renumber from coset 0, the BFS that
 lowindex.least_table minimizes over base cosets, so equal subgroups
 always yield byte-identical tables.
 
+A table's replay certificate, its Schreier generators, is read off one
+BFS that builds each coset representative and its inverse at its size,
+by extending its parent's.  No tuple on the search pass, here or in
+lowindex, is built from a generator: CPython allocates such a tuple at
+ten slots and shrinks it, so the free list for its final size, which
+keeps up to 2000 freed tuples of each size below 20 until a full
+collection, never takes it back.  Every replayed certificate then parked
+its representatives' inverses there: with the collector off, replaying
+the 190 certificates of k4 <= 16 grew traced memory by about 157 KB
+after the 20th replay, against about 10 KB with each tuple built at its
+size.
+
 Cosets are 0-based internally and in the Python API; JSON output is
 1-based to match the human-facing reports.
 """
@@ -32,7 +44,7 @@ class CosetLimitExceeded(RuntimeError):
     """Enumeration did not complete within the coset cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetTable:
     """Complete action of x, x^-1, y, y^-1 on the cosets of a subgroup.
 
@@ -263,20 +275,22 @@ def todd_coxeter(spec: SubgroupSpec,
 
 
 def _transversal_letters(table: CosetTable):
-    """Letter tuples of the BFS transversal; see transversal."""
-    reps = [None] * table.n
-    reps[0] = ()
+    """Letter tuples of the BFS transversal and of their inverses: a
+    coset's representative is its parent's + (l,), for the letter l that
+    reached it, and its inverse is (l^-1,) + its parent's inverse, each
+    built at its size.  See transversal and schreier_generators."""
+    reps, inverses = [None] * table.n, [None] * table.n
+    reps[0] = inverses[0] = ()
     order = [0]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
+    for c in order:
+        rep, inverse, row = reps[c], inverses[c], table.action[c]
         for l in LETTER_ORDER:
-            d = table.action[c][l]
+            d = row[l]
             if reps[d] is None:
-                reps[d] = reps[c] + (l,)
+                reps[d] = rep + (l,)
+                inverses[d] = (l ^ 1,) + inverse
                 order.append(d)
-    return reps
+    return reps, inverses
 
 
 def transversal(table: CosetTable):
@@ -284,7 +298,7 @@ def transversal(table: CosetTable):
 
     reps[0] = e and applying reps[i] from coset 0 lands on coset i.
     """
-    return [Word(r, reduced=True) for r in _transversal_letters(table)]
+    return [Word(r, reduced=True) for r in _transversal_letters(table)[0]]
 
 
 def schreier_generators(table: CosetTable) -> SubgroupSpec:
@@ -294,13 +308,15 @@ def schreier_generators(table: CosetTable) -> SubgroupSpec:
     outside the BFS tree, taken in the direction met first, that is when
     (c, l) < (d, l^-1).  The transversal is prefix-closed, so the words
     need no reduction and form a free basis of the subgroup: n + 1 words
-    for index n.  Guarantees todd_coxeter on the result rebuilds a
-    table of equal index, the same table if it is BFS-numbered.
-    CosetTable.subgroup returns this: the words, O(n^2) letters, are
-    built on request and no table stores them.
+    for index n.  One BFS builds each representative and its inverse at
+    its size, and each word is a concatenation of them, so no tuple here
+    is built from a generator, whose freed tuples would park on CPython's
+    free lists (see the module docstring).  Guarantees todd_coxeter on
+    the result rebuilds a table of equal index, the same table if it is
+    BFS-numbered.  CosetTable.subgroup returns this: the words, O(n^2)
+    letters, are built on request and no table stores them.
     """
-    reps = _transversal_letters(table)
-    inverses = [tuple(m ^ 1 for m in reversed(r)) for r in reps]
+    reps, inverses = _transversal_letters(table)
     # the letter by which BFS reached each coset, -1 at coset 0
     via = [r[-1] if r else -1 for r in reps]
     gens = []

@@ -592,12 +592,11 @@ def compare_from_scratch(pairs, beta):
 
 def relator_waits(cols, word, c):
     """Whether the letter tuple word, read by the columns cols from coset
-    c, closes back at c, or leaves min(2, len(word)) or more undefined
-    cells between where a forward scan and a backward scan stop: then
-    propagation has nothing to deduce from it.  One undefined cell left
-    is a missed deduction, and a backward scan past the forward one's
-    stop a missed coincidence.  A one-letter relator is never deduced: its
-    cell is branched on, and every value but c fails its scan."""
+    c, closes back at c, or leaves two or more undefined cells between
+    where a forward scan and a backward scan stop: then propagation has
+    nothing to deduce from it.  One undefined cell left is a missed
+    deduction, and a backward scan past the forward one's stop a missed
+    coincidence."""
     x, i = c, 0
     while i < len(word) and cols[word[i]][x] is not None:
         x = cols[word[i]][x]
@@ -608,7 +607,7 @@ def relator_waits(cols, word, c):
     while j > i and cols[word[j - 1] ^ 1][y] is not None:
         y = cols[word[j - 1] ^ 1][y]
         j -= 1
-    return j - i >= min(2, len(word))
+    return j - i >= 2
 
 
 class CheckedSearch(_Search):
@@ -618,7 +617,7 @@ class CheckedSearch(_Search):
     first-in-class test runs after every propagation that succeeds, it
     also checks that propagation reached its closure, in whatever order
     the trail queued the deductions: every relator, scanned from every
-    coset, closes or waits on two cells (one for a one-letter relator)."""
+    coset, closes or waits on two cells."""
 
     def _first_in_class(self, live):
         relators = [r.cyclically_reduced().letters
@@ -690,6 +689,19 @@ def test_resumed_comparisons_on_random_presentations(pres, max_index):
     # a budget bounds the free-like presentations; every comparison made
     # before it runs out is checked
     checked_search(pres, max_index, node_budget=2000)
+
+
+@pytest.mark.parametrize("source, max_index, nodes, classes", [
+    ("< x, y | x >", 6, 11, 6),
+    ("< x, y | x, y^4 >", 6, 6, 3),
+])
+def test_one_letter_relator_is_deduced(source, max_index, nodes, classes):
+    # a relator that cyclically reduces to one letter l sets (c, l) = c
+    # when coset c is made.  A search that branched on that cell would
+    # try every value, all but c failing: 33 and 18 nodes here
+    search = CheckedSearch(parse_presentation(source), max_index, None)
+    tables = search.run()
+    assert (search.nodes, len(tables)) == (nodes, classes)
 
 
 def test_no_preallocation_by_max_index(k1_pres):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,3 +281,28 @@ def test_certificate_has_schreier_rank(certificate_tables):
     # of rank 2 is free of rank n + 1
     for t in certificate_tables:
         assert len(schreier_generators(t).generators) == t.n + 1
+
+
+def test_replays_park_no_tuples(k4_pres):
+    # a tuple built from a generator is allocated at ten slots and shrunk,
+    # so the free list for its size never takes it back: with the
+    # collector off, replaying the 190 certificates of k4 <= 16 grew
+    # traced memory by about 157 KB after the 20th replay when each
+    # representative's inverse was built so, and grows about 10 KB with
+    # every tuple built at its size.  A full collection empties the free
+    # lists first.
+    tables = low_index_subgroups(k4_pres, 16)
+    assert len(tables) == 190
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for i, t in enumerate(tables):
+            todd_coxeter(t.subgroup)
+            if i == 19:
+                warm = tracemalloc.get_traced_memory()[0]
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 32 * 2 ** 10
