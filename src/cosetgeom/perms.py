@@ -10,16 +10,17 @@ Every group computation runs on a deterministic Schreier-Sims
 stabilizer chain (_Chain); for an empty base prefix its base and strong
 generators are sympy's.  A group keeps one chain, based at point 0 and
 built once: its base, its strong generators per level and its level
-transversals, which order(), elements() and transversal() read.  Once
-built, that chain drops its check cursors and the inverse tables it
+transversals, which order(), the element walk and transversal() read.
+Once built, that chain drops its check cursors and the inverse tables it
 cached while sifting.  A point stabilizer is generated by the second
 level of a chain whose base starts at the point, the kept one for point
 0, and keeps that chain's deeper levels as its own chain.
 
 Every element is the product of one transversal element per chain
-level: the element-order histogram lists them all and walks the powers
-of one element per cyclic subgroup, giving every power its order at
-once.  It is computed only up to EXACT_ORDER_BOUND; above it a
+level, and the chain's walk streams them holding |G_0| of them, never
+|G|.  Only the identity fixes every base point (Seress 2003, ch. 4), so
+the element-order histogram reads each element's order on the base
+points alone.  It is computed only up to EXACT_ORDER_BOUND; above it a
 fingerprint has no histogram.  The derived subgroup, the normal closure
 of the generators' commutators, is one chain, built once and extended
 by add() with each element that does not sift through it, at every
@@ -35,8 +36,10 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from math import gcd, lcm, prod
+from math import lcm, prod
 
+# The largest order with a histogram.  It bounds time, not memory: the sum
+# of the element orders, each power walked on the base points alone.
 EXACT_ORDER_BOUND = 10 ** 6
 
 
@@ -189,38 +192,6 @@ class _Tuples:
     @staticmethod
     def step(element, table):
         return itemgetter(*element)(table)
-
-
-def _powers(enc, element):
-    """element, element^2, ..., up to and including the identity."""
-    step, table, identity = enc.step, enc.table(element), enc.identity
-    out = [element]
-    p = element
-    while p != identity:
-        p = step(p, table)
-        out.append(p)
-    return out
-
-
-def _order_histogram(enc, elements):
-    """{order: count} over the elements, a closed set.
-
-    One power walk per cyclic subgroup met: the walk from e finds its
-    order k, and e^j gets order k // gcd(j, k).
-    """
-    hist = {}
-    done = set()
-    for e in elements:
-        if e in done:
-            continue
-        powers = _powers(enc, e)
-        k = len(powers)
-        for j, p in enumerate(powers, 1):
-            if p not in done:
-                done.add(p)
-                o = k // gcd(j, k)
-                hist[o] = hist.get(o, 0) + 1
-    return hist
 
 
 def _derived_order(enc, gens):
@@ -443,6 +414,22 @@ class _Chain:
     def order(self):
         return prod(len(orbit) for orbit in self._orbits)
 
+    def elements(self):
+        """Every element once, as images: the stabilizer of base[0] is
+        listed level by level, deepest first, as products of one
+        transversal element per level, then each of those is taken times
+        each element of the first level's transversal in turn."""
+        identity, step, table = (self.enc.identity, self.enc.step,
+                                 self.enc.table)
+        stabilizer = [identity]
+        for tr in reversed(self._orbits[1:]):
+            tables = [table(u) for u in tr.values()]
+            stabilizer = [step(e, t) for t in tables for e in stabilizer]
+        for u in self._orbits[0].values() if self.base else [identity]:
+            t = table(u)
+            for e in stabilizer:
+                yield step(e, t)
+
     def stabilizer_gens(self):
         """Strong generators of the stabilizer of base[0]."""
         return [g for g, _ in self._levels[1]] if len(self.base) > 1 else []
@@ -526,17 +513,9 @@ class PermGroup:
 
     def elements(self):
         """All elements as images, bytes for degree <= 256, else tuples,
-        in a list: each the product of one element per chain level, from
-        the chain's level transversals, deepest level first.
-
-        Only for groups of order <= EXACT_ORDER_BOUND.
-        """
-        step = self._enc.step
-        elements = [self._enc.identity]
-        for tr in reversed(self.chain()._orbits):
-            tables = [self._enc.table(u) for u in tr.values()]
-            elements = [step(e, t) for t in tables for e in elements]
-        return elements
+        in a list of |G|: the kept chain's element walk.  The fingerprint
+        streams that walk instead."""
+        return list(self.chain().elements())
 
     def transversal(self):
         """For each point p, the images of an element taking 0 to p, or
@@ -588,10 +567,29 @@ class Fingerprint:
 
 
 def fingerprint(g: PermGroup) -> Fingerprint:
+    """The group's order, derived index and, up to EXACT_ORDER_BOUND, its
+    element-order histogram over the streamed chain walk: an element's
+    order is the length of its power walk on the base points, their
+    images stepped with the element's table until they return."""
     order = g.order()
     hist = None
     if order <= EXACT_ORDER_BOUND:
-        hist = tuple(sorted(_order_histogram(g._enc, g.elements()).items()))
+        chain = g.chain()
+        step, table = chain.enc.step, chain.enc.table
+        # the base twice, so that a tuple step never reads a lone point,
+        # which itemgetter returns bare; the trivial group's empty base
+        # reads point 0 twice
+        start = chain.enc.encode(chain.base * 2 or [0, 0])
+        counts = {}
+        for e in chain.elements():
+            t = table(e)
+            x = step(start, t)
+            k = 1
+            while x != start:
+                x = step(x, t)
+                k += 1
+            counts[k] = counts.get(k, 0) + 1
+        hist = tuple(sorted(counts.items()))
     return Fingerprint(
         order=order,
         element_order_histogram=hist,
@@ -600,7 +598,7 @@ def fingerprint(g: PermGroup) -> Fingerprint:
 
 
 # Known groups: a name, its order and its set of element orders, or
-# None for a group too large to list its elements.
+# None for a group above EXACT_ORDER_BOUND, which has no histogram.
 NAMED_GROUPS = (
     ("Z3^2:Z2^2", 36, frozenset({1, 2, 3, 6})),
     ("A5", 60, frozenset({1, 2, 3, 5})),

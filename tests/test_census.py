@@ -273,11 +273,12 @@ def _k2_in_j2():
     """quotient_pairs for k2's relators in J2 on 100 points (g2/h2): x
     over the elements of order 3, y over one involution per number of
     fixed points (one per class), which must be as many and have as many
-    fixed points as k2's reason says."""
+    fixed points as k2's reason says.  J2's elements are streamed from
+    its chain, never listed."""
     j2 = group_of(todd_coxeter(census_entry("g2").subgroup("h2")))
     one, pad = bytes(range(100)), bytes(range(100, 256))
     threes, involutions = [], {}
-    for e in j2.elements():
+    for e in j2.chain().elements():
         square = e.translate(e + pad)
         if square == one and e != one:
             involutions.setdefault(sum(p == i for i, p in enumerate(e)), e)

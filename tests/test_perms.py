@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -8,9 +9,12 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
 from conftest import brute_force_order, group_of, relabel, requires_full
+from cosetgeom.census import census_entry
 from cosetgeom.geometry import _image, _orbits
 from cosetgeom.perms import (NAMED_GROUPS, PermGroup, Permutation, _Chain,
-                             _orbit, _Tuples, identify, parse_cycles)
+                             _orbit, _Tuples, fingerprint, identify,
+                             parse_cycles)
+from cosetgeom.toddcox import todd_coxeter
 
 
 def test_parse_and_print_cycles():
@@ -352,3 +356,76 @@ def test_degree_300_cyclic_group():
     assert fp.element_order_histogram == tuple(
         (d, int(totient(d))) for d in range(1, 301) if 300 % d == 0)
     assert fp.derived_index == 300
+
+
+def _cyclic(n):
+    """Z_n acting regularly on n points."""
+    return PermGroup([Permutation(tuple((i + 1) % n for i in range(n)))])
+
+
+def _dihedral(n):
+    """D_n on the n vertices of a polygon."""
+    return PermGroup([Permutation(tuple((i + 1) % n for i in range(n))),
+                      Permutation(tuple(-i % n for i in range(n)))])
+
+
+def _affine(p, a):
+    """AGL(1, p) on GF(p), by x -> x+1 and x -> ax for a primitive root a."""
+    return PermGroup([Permutation(tuple((x + 1) % p for x in range(p))),
+                      Permutation(tuple(a * x % p for x in range(p)))])
+
+
+def test_empty_base_fingerprints_as_the_trivial_group():
+    """A trivial point stabilizer inherits an empty base, on bytes, on
+    tuples and at degree 1; its one element has order 1."""
+    trivial = PermGroup([], degree=1)
+    assert trivial.fingerprint().element_order_histogram == ((1, 1),)
+    for g in (_cyclic(5), _cyclic(300), trivial):
+        g0 = g.point_stabilizer(0)
+        assert g0.chain().base == []
+        assert g0.elements() == [g0._enc.identity]
+        assert g0.fingerprint().element_order_histogram == ((1, 1),)
+
+
+def test_histograms_match_every_elements_order():
+    """The orders read on the base points are those of every listed
+    element by its cycles, on bytes and on tuples; the point stabilizers
+    of the dihedral groups have a one-point base."""
+    for g in (_dihedral(12), _dihedral(255), _dihedral(260), _cyclic(300)):
+        for h in (g, g.point_stabilizer(0)):
+            hist = Counter(Permutation(e).order() for e in h.elements())
+            assert h.fingerprint().element_order_histogram \
+                == tuple(sorted(hist.items()))
+
+
+def _traced_peak(call):
+    """The traced memory peak of call(), its result dropped."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _streams(g):
+    """The exact fingerprint's peak, on g's chain built beforehand, is a
+    small fraction of the element list's."""
+    g.order()
+    listed = _traced_peak(g.elements)
+    streamed = _traced_peak(lambda: fingerprint(g))
+    assert streamed < listed / 10, (streamed, listed)
+
+
+def test_fingerprint_streams_the_elements():
+    """Groups with |G| >> |G_0| and small derived subgroups: the regular
+    Z_300 on tuples and AGL(1, 101) on bytes."""
+    for g in (_cyclic(300), _affine(101, 2)):
+        _streams(g)
+
+
+@requires_full
+def test_j2_fingerprint_streams_the_elements():
+    """J2 on 100 points (g2/h2): 604 800 elements, 6 048 of them in G_0."""
+    j2 = group_of(todd_coxeter(census_entry("g2").subgroup("h2")))
+    _streams(j2)
